@@ -13,15 +13,17 @@ A small side module handles the warping of twisted thin-walled open
 sections, the classical one-dimensional instance of the same isometry
 argument.
 
-Set CORRUGA_THREADS before importing to cap the BLAS thread pools used by
-the dense factorizations; it only takes effect if numpy is not yet loaded.
+Set CORRUGA_THREADS before importing to cap the BLAS and NumExpr thread
+pools; it only takes effect if numpy is not yet loaded.  The console entry
+point imports this package first, so the variable caps the CLI as well.
 """
 
 import os as _os
 
 _threads = _os.environ.get("CORRUGA_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
 from .profiles import Profile, make_profile, profile_from_config

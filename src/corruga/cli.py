@@ -1,7 +1,8 @@
 """Command-line front end: analyze one surface or run a verification suite.
 
 Exit codes form a stable contract: 0 success, 1 unreadable or invalid
-surface config, 2 verification failure, 3 ambiguous rank (no clear
+surface config, an invalid resolution or threshold, or a solver step that
+did not converge, 2 verification failure, 3 ambiguous rank (no clear
 spectral gap; the report is still written).  argparse keeps its own
 exit code 2 for usage errors.
 """
@@ -10,22 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-
-
-def _cap_threads() -> None:
-    # honored only if set before the first numpy import, hence module level
-    n = os.environ.get("CORRUGA_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
-
-
-_cap_threads()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--resolution", default="32", metavar="N[,M]",
                    help="samples per period, one or two counts (default 32)")
     a.add_argument("--threshold", default="auto",
-                   help="'auto' for gap detection or a fixed relative cut")
+                   help="'auto' for gap detection or a fixed relative cut "
+                        "in (0, 1)")
     a.add_argument("--seed", type=int, default=0,
                    help="recorded in the report")
     a.add_argument("--out", default="out", help="output directory")
@@ -61,12 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_resolution(text: str):
+    from .grid import MIN_RESOLUTION
     parts = [int(t) for t in text.split(",")]
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        return tuple(parts)
-    raise ValueError("expected N or N,M")
+    if len(parts) not in (1, 2):
+        raise ValueError("expected N or N,M")
+    if min(parts) < MIN_RESOLUTION:
+        raise ValueError(f"resolution {text} is below the minimum of "
+                         f"{MIN_RESOLUTION} samples per period")
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
 def _load_surface(source: str):
@@ -79,16 +69,23 @@ def _load_surface(source: str):
 def cmd_analyze(args) -> int:
     from .analysis import (export_modes, run_analysis, write_report,
                            write_spectrum)
+    from .solver import SolverError, ThresholdPolicy
     try:
         chart = _load_surface(args.surface)
-        resolution = _parse_resolution(args.resolution)
-        threshold = (args.threshold if args.threshold == "auto"
-                     else float(args.threshold))
     except (OSError, ValueError, KeyError) as exc:
         print(f"corruga: bad surface config: {exc}", file=sys.stderr)
         return 1
-
-    report = run_analysis(chart, resolution=resolution, threshold=threshold)
+    try:
+        resolution = _parse_resolution(args.resolution)
+        policy = ThresholdPolicy.coerce(args.threshold)
+    except ValueError as exc:
+        print(f"corruga: bad argument: {exc}", file=sys.stderr)
+        return 1
+    try:
+        report = run_analysis(chart, resolution=resolution, policy=policy)
+    except SolverError as exc:
+        print(f"corruga: solver failed: {exc}", file=sys.stderr)
+        return 1
     report["seed"] = args.seed
 
     out = Path(args.out)

@@ -34,6 +34,10 @@ the handful of modes with nonzero effective strains it contains rigid
 rotations and a swarm of strain-free oscillatory fields, so downstream
 dimension counts are always taken on strain images, not on the raw null
 dimension.
+
+Strain spaces need no null basis: strain_forms takes the growth and the
+membrane forms from one bordered KKT factorization per ridge (a weak ridge
+for the forms, a strong one for the representative fields).
 """
 from __future__ import annotations
 
@@ -54,6 +58,8 @@ ROW_OSCILLATION = "oscillation-control"
 
 OSC_SCALE = 0.25         # weight of the checkerboard-control rows
 
+SIGMA_DENSE_MAX = 1500   # dense SVD for sigma_max up to this min(shape)
+SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
 DENSE_SVD_MAX = 10_000   # full dense SVD up to this many unknowns
 GRAM_EIGH_MAX = 16_000   # dense eigensolve on the normal matrix up to this
 
@@ -66,6 +72,10 @@ CAP_SCALE = 0.2          # cap on sigma/sigma_max is CAP_SCALE * h
 GAP_MIN = 10.0           # spectral ratio at the cut for a decisive split
 FLOOR_SVD = 1e-12        # sigma/sigma_max resolution floor, dense SVD
 FLOOR_GRAM = 5e-8        # same, via the squared (normal-matrix) route
+
+
+class SolverError(RuntimeError):
+    """A numerical step did not converge; there is no result to report."""
 
 
 def cross_blocks(vs: np.ndarray) -> np.ndarray:
@@ -123,16 +133,7 @@ class ConstraintSystem:
 
     def sigma_max(self) -> float:
         if self._sigma_max is None:
-            A = self.matrix
-            if min(A.shape) <= 1500:
-                val = float(la.svdvals(A.toarray())[0])
-            else:
-                try:
-                    val = float(spla.svds(A, k=1,
-                                          return_singular_vectors=False)[0])
-                except Exception:
-                    val = float(la.svdvals(A.toarray())[0])
-            self._sigma_max = val
+            self._sigma_max = _largest_singular_value(self.matrix)
         return self._sigma_max
 
     def split(self, y: np.ndarray):
@@ -141,6 +142,21 @@ class ConstraintSystem:
         w = np.asarray(y[: self.w_size], dtype=float).reshape(n1, n2, 3)
         return w, np.asarray(y[self.w_size:self.w_size + 3], dtype=float), \
             np.asarray(y[self.w_size + 3:], dtype=float)
+
+
+def _largest_singular_value(A: sp.spmatrix) -> float:
+    """Dense SVD up to the cap, else ARPACK retried once, never dense."""
+    if min(A.shape) <= SIGMA_DENSE_MAX:
+        return float(la.svdvals(A.toarray())[0])
+    for opts in ({}, SVDS_RETRY):
+        try:
+            return float(spla.svds(A, k=1, return_singular_vectors=False,
+                                   **opts)[0])
+        except spla.ArpackNoConvergence as exc:
+            err = exc
+    raise SolverError(
+        f"sigma_max of the {A.shape[0]} x {A.shape[1]} constraint matrix: "
+        f"ARPACK did not converge ({err})") from err
 
 
 def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
@@ -262,8 +278,11 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.kind not in ("auto", "fixed"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if self.kind == "fixed" and (self.tau is None or self.tau <= 0):
-            raise ValueError("fixed policy needs a positive tau")
+        if self.kind == "fixed" and self.tau is None:
+            raise ValueError("fixed policy needs a tau")
+        if self.tau is not None and not 0.0 < self.tau < 1.0:
+            raise ValueError(
+                f"threshold must be a finite number in (0, 1), got {self.tau}")
 
     @staticmethod
     def coerce(threshold="auto", policy: "ThresholdPolicy | None" = None):
@@ -474,58 +493,6 @@ def kernel_distance(system: ConstraintSystem, vectors, threshold_rel: float,
 
 # -- constrained least-squares forms --------------------------------------
 
-class ConstrainedMinimizer:
-    """min ||A y||^2 + eps ||y||^2  subject to  C y = c.
-
-    One sparse LU of the stationarity system serves all right-hand sides.
-    eps only tames the (huge) strain-free null set inside the factorization;
-    reported objective values drop the eps term.
-    """
-
-    def __init__(self, system: ConstraintSystem, C: np.ndarray,
-                 eps_rel: float = 1e-13):
-        A = system.matrix.tocsr()
-        N = A.shape[1]
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        if C.shape[1] != N:
-            raise ValueError("constraint width does not match unknown count")
-        lam = system.sigma_max() ** 2
-        self.eps = eps_rel * lam
-        G = (A.T @ A).tocsr()
-        Cs = sp.csr_matrix(C)
-        K = sp.bmat([[G + self.eps * sp.identity(N), Cs.T],
-                     [Cs, None]], format="csc")
-        self._lu = spla.splu(K)
-        self._K = K
-        self._A = A
-        self._N = N
-        self._k = C.shape[0]
-
-    def solve(self, c: np.ndarray, refine: int = 2) -> np.ndarray:
-        b = np.concatenate([np.zeros(self._N), np.asarray(c, dtype=float)])
-        z = self._lu.solve(b)
-        for _ in range(refine):
-            z = z + self._lu.solve(b - self._K @ z)
-        return z[: self._N]
-
-    def form(self, nfree: int | None = None):
-        """Gram matrix of the constrained residuals over unit constraints.
-
-        Returns (F, Y): F[i, j] = <A y_i, A y_j> for the minimizers y_i of
-        the first nfree unit right-hand sides, Y the minimizers (N, nfree).
-        """
-        nfree = self._k if nfree is None else nfree
-        cols = []
-        for i in range(nfree):
-            c = np.zeros(self._k)
-            c[i] = 1.0
-            cols.append(self.solve(c))
-        Y = np.column_stack(cols) if cols else np.zeros((self._N, 0))
-        R = self._A @ Y
-        F = R.T @ R
-        return 0.5 * (F + F.T), Y
-
-
 @dataclass(frozen=True)
 class QuadraticSpace:
     """A small quadratic landscape q(c) = best residual^2 achieving c."""
@@ -547,70 +514,91 @@ class QuadraticSpace:
         return float(np.sqrt(self.eps) * max(1.0, norms.max()))
 
 
-def _two_pass(system: ConstraintSystem, C: np.ndarray, nfree: int,
-              eps_rel: float, rep_eps_rel: float):
-    """Form from a weak ridge, representative minimizers from a strong one.
+def _ridge_minimizers(A, G, C: np.ndarray, eps: float) -> np.ndarray:
+    """Minimizers of ||A y||^2 + eps ||y||^2 subject to C y = e_i, every i.
 
-    With a near-vanishing ridge the reported residuals are essentially
-    unbiased, but the minimizers wander deep into the strain-free continuum
-    (norms grow without bound as eps -> 0).  A second solve with a stronger
-    ridge returns the physically sized fields; its residuals would be
-    biased, so they are discarded.
+    One sparse LU of the stationarity (KKT) system, one block solve over all
+    unit right-hand sides with two refinement steps; the factorization is
+    freed on return.
     """
-    cm = ConstrainedMinimizer(system, C, eps_rel)
-    F, _ = cm.form(nfree=nfree)
-    rep = ConstrainedMinimizer(system, C, rep_eps_rel)
-    _, Y = rep.form(nfree=nfree)
-    return F, Y, cm.eps
+    N = A.shape[1]
+    k = C.shape[0]
+    Cs = sp.csr_matrix(C)
+    K = sp.bmat([[G + eps * sp.identity(N), Cs.T], [Cs, None]], format="csc")
+    lu = spla.splu(K)
+    b = np.zeros((N + k, k))
+    b[N:] = np.eye(k)
+    z = lu.solve(b)
+    for _ in range(2):
+        z = z + lu.solve(b - K @ z)
+    return z[:N]
 
 
-def growth_space(system: ConstraintSystem, eps_rel: float = 1e-13,
-                 rep_eps_rel: float = 1e-7) -> QuadraticSpace:
-    """Best residual as a quadratic form over the 6 growth coordinates.
+def _drop_leading_constraints(A, Y: np.ndarray, r: int,
+                              eps: float) -> np.ndarray:
+    """Release the first r constraints from the minimizers Y of C y = e_i.
 
-    Small eigenvalues = growth vectors attainable by actual null modes.
+    Column r + j of Y also pins the first r coordinates to zero; the best
+    field with those free is Y[:, r + j] + Y[:, :r] d, d minimizing the
+    regularized objective over the (r + 6)-dimensional span of Y.
     """
-    N = system.nunknowns
-    ws = system.w_size
-    C = np.zeros((6, N))
-    C[:, ws:] = np.eye(6)
-    F, Y, eps = _two_pass(system, C, 6, eps_rel, rep_eps_rel)
-    return QuadraticSpace(form=F, minimizers=Y, basis=np.eye(6), eps=eps)
+    if r == 0:
+        return Y
+    AY = A @ Y
+    Q = AY.T @ AY + eps * (Y.T @ Y)
+    D = la.solve(Q[:r, :r], -Q[:r, r:], assume_a="sym")
+    return Y[:, r:] + Y[:, :r] @ D
 
 
-def constrained_space(system: ConstraintSystem, L: np.ndarray,
-                      zero_growth: bool = True, eps_rel: float = 1e-13,
-                      rep_eps_rel: float = 1e-7,
-                      rank_rtol: float = 1e-10) -> QuadraticSpace:
-    """Best residual over the image coordinates of a linear map L on w.
+def strain_forms(system: ConstraintSystem, L: np.ndarray,
+                 eps_rel: float = 1e-13, rep_eps_rel: float = 1e-7,
+                 rank_rtol: float = 1e-10):
+    """Best residual over the growth and over the membrane coordinates.
 
-    L has shape (m, 3n).  Rank-deficient rows (components no field can ever
-    produce) are projected out first; ``basis`` maps the surviving
-    coordinates back.  With zero_growth the minimizing fields are kept
-    strictly periodic.
+    Returns (growth, membrane) QuadraticSpaces: the forms over the 6 growth
+    coordinates and over the image coordinates of a linear map L (m, 3n) on
+    w, the latter with fields kept strictly periodic.  Rank-deficient rows
+    of L are projected out first; ``basis`` maps the surviving r coordinates
+    back (r = 0 gives an empty membrane space).
+
+    One KKT matrix per ridge, bordered by C = [L w; growth], serves both:
+    its r + 6 unit solves are the membrane minimizers and, with the membrane
+    rows released, the growth ones.  The Schur step is (r + 6)-sized; the
+    ill-conditioned L (A^T A + eps I)^-1 L^T never forms.  A near-vanishing
+    ridge (eps_rel) leaves the residuals essentially unbiased, but its
+    minimizers wander deep into the strain-free continuum, so representative
+    fields come from a stronger ridge (rep_eps_rel) whose residuals are
+    discarded.
     """
-    N = system.nunknowns
+    A = system.matrix.tocsr()
+    N = A.shape[1]
     ws = system.w_size
     L = np.atleast_2d(np.asarray(L, dtype=float))
-    m = L.shape[0]
     if L.shape[1] != ws:
         raise ValueError("row map width must be 3 * nnodes")
     U, sv, _ = la.svd(L, full_matrices=False)
-    smax = sv[0] if sv.size and sv[0] > 0 else 0.0
-    r = int(np.sum(sv > rank_rtol * smax)) if smax > 0 else 0
-    if r == 0:
-        return QuadraticSpace(form=np.zeros((0, 0)),
-                              minimizers=np.zeros((N, 0)),
-                              basis=np.zeros((m, 0)), eps=0.0)
+    r = int(np.sum(sv > rank_rtol * sv[0])) if sv.size and sv[0] > 0 else 0
     Ur = U[:, :r]
-    Lr = Ur.T @ L
-    rows = r + (6 if zero_growth else 0)
-    C = np.zeros((rows, N))
-    C[:r, :ws] = Lr
-    if zero_growth:
-        C[r:, ws:] = np.eye(6)
-    F, Y, eps = _two_pass(system, C, r, eps_rel, rep_eps_rel)
-    return QuadraticSpace(form=F, minimizers=Y, basis=Ur, eps=eps)
+    C = np.zeros((r + 6, N))
+    C[:r, :ws] = Ur.T @ L
+    C[r:, ws:] = np.eye(6)
+    G = (A.T @ A).tocsr()
+    lam = system.sigma_max() ** 2
+
+    def minimizers(eps):
+        Y = _ridge_minimizers(A, G, C, eps)
+        return _drop_leading_constraints(A, Y, r, eps), Y[:, :r]
+
+    def gram(Y):
+        R = A @ Y
+        F = R.T @ R
+        return 0.5 * (F + F.T)
+
+    eps = eps_rel * lam
+    Fg, Fm = (gram(Y) for Y in minimizers(eps))
+    Yg, Ym = minimizers(rep_eps_rel * lam)
+    return (QuadraticSpace(form=Fg, minimizers=Yg, basis=np.eye(6), eps=eps),
+            QuadraticSpace(form=Fm, minimizers=Ym, basis=Ur, eps=eps))
 
 
 # -- deflection recovery ---------------------------------------------------

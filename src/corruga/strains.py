@@ -21,8 +21,8 @@ import scipy.linalg as la
 from .chart import PeriodGeometry
 from .grid import PeriodicGrid, cell_average, display_derivative, display_lattice
 from .solver import (ConstraintSystem, DeflectionField, QuadraticSpace,
-                     RotationMode, ThresholdPolicy, constrained_space,
-                     growth_space, mode_from_vector)
+                     RotationMode, ThresholdPolicy, mode_from_vector,
+                     strain_forms)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -279,7 +279,8 @@ def effective_spaces(system: ConstraintSystem, policy=None,
     is eigen-decomposed; directions below the threshold policy's cap are
     achievable, and chi is a linear function of growth alone.  Membrane: the
     analogous form over (E11, E12, E22) subject to strict periodicity.
-    Representative modes come from the minimizers.
+    Both forms come from one solver.strain_forms call; representative modes
+    come from its minimizers.
     """
     pol = ThresholdPolicy.coerce("auto", policy)
     grid = system.grid
@@ -288,8 +289,9 @@ def effective_spaces(system: ConstraintSystem, policy=None,
     smax = system.sigma_max()
     t1, t2 = grid.chart.period
 
+    gs, ms = strain_forms(system, membrane_row_map(grid), eps_rel=eps_rel)
+
     # bending side
-    gs = growth_space(system, eps_rel=eps_rel)
     lam, U = la.eigh(gs.form)
     sig = np.sqrt(np.clip(lam, 0.0, None)) / smax
     floor = max(gs.floor_sigma() / smax, 1e-15)
@@ -307,8 +309,6 @@ def effective_spaces(system: ConstraintSystem, policy=None,
         if len(chi_rows) else np.zeros((0, 2, 2))
 
     # membrane side
-    L = membrane_row_map(grid)
-    ms = constrained_space(system, L, zero_growth=True, eps_rel=eps_rel)
     if ms.empty:
         kE, capE, gapE, ambE = 0, pol.cut(np.array([1.0]), h, 1e-15)[1], \
             np.inf, False

@@ -174,3 +174,39 @@ def test_cli_threshold_fixed_value(tmp_path):
     assert report["threshold"]["kind"] == "fixed"
     assert report["dims"]["membrane"] == 0
     assert report["dims"]["bending"] == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "2"])
+def test_cli_rejects_bad_threshold(tmp_path, capsys, value):
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", "plane", "--resolution", "16",
+                     "--threshold", value, "--out", str(out)])
+    assert code == 1
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["4", "0", "4,64"])
+def test_cli_rejects_bad_resolution(tmp_path, capsys, value):
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", "plane", "--resolution", value,
+                     "--out", str(out)])
+    assert code == 1
+    assert "resolution" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                        np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "svds", no_convergence)
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", "plane", "--resolution", "24",
+                     "--out", str(out)])
+    assert code == 1
+    assert "ARPACK" in capsys.readouterr().err
+    assert not out.exists()

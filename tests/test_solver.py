@@ -1,15 +1,19 @@
 """Constraint assembly, nullspace extraction, deflection recovery."""
 
 import numpy as np
+import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from corruga.chart import builtin_chart
 from corruga.grid import build_grid, differentiate
 from corruga.oracle import analytic_mode, sample_rotation
-from corruga.solver import (ROW_CREASE, ROW_PDE, ThresholdPolicy,
-                            assemble_system, kernel_distance, nullspace,
-                            recover_deflection)
-from corruga.strains import membrane_strain_field
+from corruga.solver import (ROW_CREASE, ROW_PDE, SIGMA_DENSE_MAX,
+                            SolverError, ThresholdPolicy, assemble_system,
+                            kernel_distance, nullspace, recover_deflection)
+from corruga.strains import effective_spaces, membrane_strain_field
 
 
 def test_plane_system_counts():
@@ -74,6 +78,114 @@ def test_threshold_policy_coercion():
     assert pol.kind == "auto"
     pol = ThresholdPolicy.coerce(1e-5, None)
     assert pol.kind == "fixed" and pol.tau == 1e-5
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0,
+                                 1.0, 2.0])
+def test_threshold_policy_rejects_tau_outside_unit_interval(tau):
+    with pytest.raises(ValueError, match="threshold"):
+        ThresholdPolicy(kind="fixed", tau=tau)
+    with pytest.raises(ValueError, match="threshold"):
+        ThresholdPolicy.coerce(str(tau))
+
+
+@pytest.mark.parametrize("name", ["eggbox", "plane"])
+def test_effective_spaces_factors_once_per_ridge(name, monkeypatch):
+    # one KKT matrix per ridge serves the growth and the membrane form
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    system.sigma_max()
+    shapes = []
+    splu = spla.splu
+
+    def counted(K, *args, **kwargs):
+        shapes.append(K.shape)
+        return splu(K, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    effective_spaces(system)
+    assert len(shapes) == 2
+
+
+def _growth_levels_own_kkt(system, eps_rel=1e-13):
+    """Growth-form levels from a KKT system bordered by the 6 growth rows
+    alone, an independent route to what effective_spaces reports."""
+    A = system.matrix.tocsr()
+    N = A.shape[1]
+    smax = system.sigma_max()
+    C = sp.hstack([sp.csr_matrix((6, system.w_size)), sp.identity(6)])
+    K = sp.bmat([[A.T @ A + eps_rel * smax ** 2 * sp.identity(N), C.T],
+                 [C, None]], format="csc")
+    lu = spla.splu(K)
+    b = np.zeros((N + 6, 6))
+    b[N:] = np.eye(6)
+    z = lu.solve(b)
+    for _ in range(2):
+        z = z + lu.solve(b - K @ z)
+    R = A @ z[:N]
+    return np.sqrt(np.clip(la.eigvalsh(R.T @ R), 0.0, None)) / smax
+
+
+@pytest.mark.parametrize("name", ["eggbox", "miura"])
+def test_growth_levels_match_growth_only_kkt(name):
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    spaces = effective_spaces(system)
+    ref = _growth_levels_own_kkt(system)
+    count, cap, _, ambiguous = ThresholdPolicy().cut(
+        ref, system.grid.h_max, 1e-15)
+    assert (count, ambiguous) == (spaces.chi_cut.count,
+                                  spaces.chi_cut.ambiguous)
+    assert spaces.dims[1] == count
+    above = ref > cap
+    assert np.count_nonzero(above) == 6 - count
+    assert_allclose(spaces.chi_values[above], ref[above], rtol=1e-9)
+
+
+def _no_convergence(*args, **kwargs):
+    raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                    np.zeros((0, 0)))
+
+
+@pytest.fixture(name="large_system")
+def large_system_fixture():
+    system = assemble_system(build_grid(builtin_chart("plane"), 24))
+    assert min(system.matrix.shape) > SIGMA_DENSE_MAX
+    return system
+
+
+def test_sigma_max_retries_arpack_once(large_system, monkeypatch):
+    svds = spla.svds
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(kwargs)
+        if len(calls) == 1:
+            _no_convergence()
+        return svds(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "svds", flaky)
+    expect = la.svdvals(large_system.matrix.toarray())[0]
+    assert_allclose(large_system.sigma_max(), expect, rtol=1e-8)
+    assert len(calls) == 2
+    assert calls[1]["maxiter"] and calls[1]["ncv"]
+
+
+def test_sigma_max_raises_instead_of_dense_svd(large_system, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense SVD past the cap")
+
+    monkeypatch.setattr(spla, "svds", _no_convergence)
+    monkeypatch.setattr(la, "svdvals", dense)
+    with pytest.raises(SolverError, match="ARPACK"):
+        large_system.sigma_max()
+
+
+def test_sigma_max_does_not_swallow_other_errors(large_system, monkeypatch):
+    def broken(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spla, "svds", broken)
+    with pytest.raises(MemoryError):
+        large_system.sigma_max()
 
 
 def test_kernel_distance_separates_members_from_probes():
