@@ -32,15 +32,13 @@ from .chart import (SurfaceChart, SpaceCurve, PeriodGeometry, builtin_chart,
                     chart_from_config, chart_to_config, load_chart, save_chart)
 from .grid import PeriodicGrid, build_grid, cell_average, differentiate
 from .solver import (ConstraintSystem, RotationMode, DeflectionField,
-                     NullspaceResult, assemble_system, nullspace,
-                     recover_deflection, isometry_residual, ThresholdPolicy)
-from .strains import (EffectiveStrain, EffectiveBending, StrainSpaces,
-                      PoissonRatios, effective_membrane_strain,
-                      effective_bending_strain, membrane_strain_field,
-                      strain_space_dims, effective_spaces, classify_mode,
+                     assemble_system, recover_deflection, ThresholdPolicy)
+from .strains import (EffectiveStrain, StrainSpaces, PoissonRatios,
+                      effective_membrane_strain, membrane_strain_field,
+                      effective_spaces, classify_mode,
                       orthogonality_residual, poisson_ratios)
 from .oracle import (AnalyticMode, MODE_IDS, analytic_mode, canonical_chart,
-                     sample_rotation, sample_deflection, make_trig_field,
+                     sample_rotation, make_trig_field,
                      symmetry_lemma_check, scaling_limit_check,
                      reparametrization_check)
 from .warping import (SectionCurve, WarpingResult, section_from_points,
@@ -52,15 +50,13 @@ __all__ = [
     "evaluate_chart", "chart_partials", "period_geometry",
     "chart_from_config", "chart_to_config", "load_chart", "save_chart",
     "PeriodicGrid", "build_grid", "cell_average", "differentiate",
-    "ConstraintSystem", "RotationMode", "DeflectionField", "NullspaceResult",
-    "assemble_system", "nullspace", "recover_deflection", "isometry_residual",
-    "ThresholdPolicy",
-    "EffectiveStrain", "EffectiveBending", "StrainSpaces", "PoissonRatios",
-    "effective_membrane_strain", "effective_bending_strain",
-    "membrane_strain_field", "strain_space_dims", "effective_spaces",
+    "ConstraintSystem", "RotationMode", "DeflectionField",
+    "assemble_system", "recover_deflection", "ThresholdPolicy",
+    "EffectiveStrain", "StrainSpaces", "PoissonRatios",
+    "effective_membrane_strain", "membrane_strain_field", "effective_spaces",
     "classify_mode", "orthogonality_residual", "poisson_ratios",
     "AnalyticMode", "MODE_IDS", "analytic_mode", "canonical_chart",
-    "sample_rotation", "sample_deflection", "make_trig_field",
+    "sample_rotation", "make_trig_field",
     "symmetry_lemma_check", "scaling_limit_check", "reparametrization_check",
     "SectionCurve", "WarpingResult", "section_from_points", "shoelace_area",
     "warping_function", "dislocation",

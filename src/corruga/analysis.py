@@ -45,15 +45,16 @@ def _cut_dict(cut) -> dict:
             "ambiguous": cut.ambiguous}
 
 
-def run_analysis(chart: SurfaceChart, resolution=32, threshold="auto",
-                 policy: ThresholdPolicy | None = None) -> dict:
+def run_analysis(chart: SurfaceChart, resolution=32,
+                 threshold="auto") -> dict:
     """Analyze one surface; returns the report dict (JSON-ready values).
 
     The report's `modes` list holds one entry per extracted representative,
     tensors normalized per unit RMS rotation.  `pairs` evaluates the strain
     orthogonality identity on every (membrane E, bending chi) pair.
+    ``threshold`` is "auto", a fixed relative cut or a ThresholdPolicy.
     """
-    pol = ThresholdPolicy.coerce(threshold, policy)
+    pol = ThresholdPolicy.coerce(threshold)
     t0 = time.time()
     grid = build_grid(chart, resolution)
     system = assemble_system(grid)
@@ -68,7 +69,7 @@ def run_analysis(chart: SurfaceChart, resolution=32, threshold="auto",
                         ("bending", spaces.bending_modes)):
         for i, m in enumerate(modes):
             s = mode_scale(m, grid)
-            E = effective_membrane_strain(m, grid, strict=False).E / s
+            E = effective_membrane_strain(m, grid).E / s
             chi = chi_from_growth(m.W1, m.W2, geom) / s
             reps.append({
                 "id": f"{kind}-{i}",

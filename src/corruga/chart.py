@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+import math
 
 import numpy as np
 
@@ -192,8 +193,11 @@ def _validate_chart(chart: SurfaceChart) -> None:
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
     t1, t2 = chart.period
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("periods must be positive")
+    if not (math.isfinite(t1) and math.isfinite(t2)) or t1 <= 0 or t2 <= 0:
+        raise ValueError(f"periods must be finite positive numbers, got "
+                         f"{chart.period}")
+    if not math.isfinite(chart.gamma):
+        raise ValueError(f"gamma must be a finite number, got {chart.gamma}")
 
     def _expect_profiles(k):
         if len(chart.profiles) != k or not all(isinstance(p, Profile) for p in chart.profiles):

@@ -1,7 +1,8 @@
 """Command-line front end: analyze one surface or run a verification suite.
 
 Exit codes form a stable contract: 0 success, 1 unreadable or invalid
-surface config, an invalid resolution or threshold, or a solver step that
+surface config (also one the analysis rejects, such as a degenerate crease
+tangent), an invalid resolution or threshold, or a solver step that
 did not converge, 2 verification failure, 3 ambiguous rank (no clear
 spectral gap; the report is still written).  argparse keeps its own
 exit code 2 for usage errors.
@@ -30,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--threshold", default="auto",
                    help="'auto' for gap detection or a fixed relative cut "
                         "in (0, 1)")
-    a.add_argument("--seed", type=int, default=0,
-                   help="recorded in the report")
     a.add_argument("--out", default="out", help="output directory")
     a.add_argument("--export-obj", action="store_true",
                    help="also write modes.json and per-mode OBJ meshes")
@@ -82,11 +81,13 @@ def cmd_analyze(args) -> int:
         print(f"corruga: bad argument: {exc}", file=sys.stderr)
         return 1
     try:
-        report = run_analysis(chart, resolution=resolution, policy=policy)
+        report = run_analysis(chart, resolution=resolution, threshold=policy)
     except SolverError as exc:
         print(f"corruga: solver failed: {exc}", file=sys.stderr)
         return 1
-    report["seed"] = args.seed
+    except ValueError as exc:
+        print(f"corruga: bad surface config: {exc}", file=sys.stderr)
+        return 1
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

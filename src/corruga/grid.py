@@ -271,11 +271,6 @@ class PeriodicGrid:
         return (sp.kron(sp.identity(n1, format="csr"), S, format="csr"),
                 np.tile(sw, n1))
 
-    def wrap_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per flattened node, period counts (m1, m2)."""
-        n1, n2 = self.shape
-        return (np.repeat(self.axis1.wrap_m, n2), np.tile(self.axis2.wrap_m, n1))
-
 
 def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
     """Discretize one period of ``chart``.
@@ -413,7 +408,7 @@ def display_positions(grid: PeriodicGrid) -> np.ndarray:
     return pos
 
 
-def write_obj(path, vertices: np.ndarray, skip_degenerate: bool = True) -> None:
+def write_obj(path, vertices: np.ndarray) -> None:
     """Write a lattice of vertices (r, c, 3) as a triangulated OBJ mesh.
 
     Each quad is split along the diagonal running toward increasing
@@ -430,11 +425,10 @@ def write_obj(path, vertices: np.ndarray, skip_degenerate: bool = True) -> None:
 
     for i in range(r - 1):
         for j in range(c - 1):
-            if skip_degenerate:
-                d1 = np.linalg.norm(vertices[i + 1, j] - vertices[i, j])
-                d2 = np.linalg.norm(vertices[i, j + 1] - vertices[i, j])
-                if d1 < 1e-14 or d2 < 1e-14:
-                    continue
+            d1 = np.linalg.norm(vertices[i + 1, j] - vertices[i, j])
+            d2 = np.linalg.norm(vertices[i, j + 1] - vertices[i, j])
+            if d1 < 1e-14 or d2 < 1e-14:
+                continue
             lines.append(f"f {vid(i, j)} {vid(i + 1, j)} {vid(i + 1, j + 1)}")
             lines.append(f"f {vid(i, j)} {vid(i + 1, j + 1)} {vid(i, j + 1)}")
     with open(path, "w") as fh:

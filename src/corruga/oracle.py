@@ -30,7 +30,7 @@ from .chart import (TAU, MIURA_LIKE, PLANE, DOUBLE_CORRUGATION,
                     builtin_chart, period_geometry)
 from .grid import PeriodicGrid, cell_average
 from .profiles import Profile, make_profile
-from .solver import DeflectionField, RotationMode
+from .solver import RotationMode
 
 MODE_IDS = ("plane-bending", "corrugation-membrane", "corrugation-twist",
             "eggbox-membrane", "miura-membrane", "translation-twist",
@@ -354,21 +354,6 @@ def sample_rotation(amode: AnalyticMode, grid: PeriodicGrid,
         sigma = float(np.linalg.norm(system.matrix @ (vec / nrm)))
     return RotationMode(w=w * scale, W1=amode.W1 * scale,
                         W2=amode.W2 * scale, sigma=sigma)
-
-
-def sample_deflection(amode: AnalyticMode, grid: PeriodicGrid) -> DeflectionField:
-    """Evaluate the analytic deflection on the display lattice, anchored."""
-    if grid.chart != amode.chart:
-        raise ValueError("grid was built for a different chart")
-    u1 = grid.axis1.u
-    u2 = grid.axis2.u
-    if grid.axis1.circular:
-        u1 = np.append(u1, grid.axis1.period)
-    if grid.axis2.circular:
-        u2 = np.append(u2, grid.axis2.period)
-    vals = amode.deflection(u1[:, None], u2[None, :])
-    vals = vals - vals[0, 0]
-    return DeflectionField(values=vals, fundamental_shape=grid.shape)
 
 
 # -- random periodic fields and the pairing identity ----------------------

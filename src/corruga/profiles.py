@@ -15,7 +15,6 @@ supported:
 
 Amplitude normalisation is per kind: for the two piecewise kinds it is the
 peak of |f'| (a slope), for the sinusoidal kind the peak of |f| (a value).
-Both peaks are exposed as properties so callers can convert.
 
 All integrals (running or full-period) are evaluated from exact piecewise
 polynomial antiderivatives, never by quadrature, so they can serve as
@@ -238,12 +237,6 @@ class Profile:
             return 0.0
         return float(self._tables.vint_knots[-1]) / self.period
 
-    def inverse_slope_mean(self) -> float:
-        if self.kind != PIECEWISE_LINEAR:
-            raise ValueError("mean of 1/f' requires a piecewise-linear profile")
-        t = self._tables
-        return float(np.sum(np.diff(t.knots) / t.slope_poly[:, 0])) / self.period
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -257,30 +250,6 @@ class Profile:
         if self.kind == SINUSOIDAL:
             return ()
         return self.breakpoints
-
-    @property
-    def slope_peak(self) -> float:
-        if self.kind == SINUSOIDAL:
-            return abs(self.amplitude) * 2.0 * math.pi / self.period
-        return abs(self.amplitude)
-
-    @property
-    def value_peak(self) -> float:
-        if self.kind == SINUSOIDAL:
-            return abs(self.amplitude)
-        t = self._tables
-        poly = t.value_poly.copy()
-        poly[:, 0] += t.value_knots[:-1]
-        peak = float(np.max(np.abs(t.value_knots)))
-        # quadratic pieces can peak strictly inside a panel where f' = 0
-        lengths = np.diff(t.knots)
-        for i in range(poly.shape[0]):
-            c0, c1, c2 = poly[i]
-            if c2 != 0.0:
-                tc = -c1 / (2.0 * c2)
-                if 0.0 < tc < lengths[i]:
-                    peak = max(peak, abs(c0 + c1 * tc + c2 * tc * tc))
-        return peak
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "amplitude": self.amplitude,
@@ -300,10 +269,13 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
     """
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}")
-    if amplitude == 0.0:
-        raise ValueError("amplitude must be nonzero (profile would be constant)")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    amplitude, period = float(amplitude), float(period)
+    if not math.isfinite(amplitude) or amplitude == 0.0:
+        raise ValueError(f"amplitude must be a finite nonzero number, got "
+                         f"{amplitude} (zero makes the profile constant)")
+    if not math.isfinite(period) or period <= 0.0:
+        raise ValueError(f"period must be a finite positive number, got "
+                         f"{period}")
 
     if kind == SINUSOIDAL:
         if breakpoints:
@@ -319,6 +291,8 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
         raise ValueError("breakpoint count must be even so the slope wave is "
                          "consistent across the period seam")
     arr = np.asarray(bp)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"breakpoints must be finite numbers, got {bp}")
     if np.any(arr <= 0.0) or np.any(arr >= period):
         raise ValueError("breakpoints must lie strictly inside (0, period)")
     if np.any(np.diff(arr) <= 0.0):

@@ -1,4 +1,4 @@
-"""Null-space solver for the rotation-field formulation.
+"""Constraint system and strain-form solver for the rotation-field formulation.
 
 Unknowns are the rotation samples w (3 per node instance, so crease values
 stay double-valued) plus two global 3-vectors What1, What2 holding the
@@ -26,22 +26,19 @@ Row families, all scaled like first derivatives (O(1/h) entries):
                         form mode of the built-in families) and O(h^3)-small
                         on smooth fields.
 
-Null vectors are selected by a threshold on sigma/sigma_max.  The automatic
-policy cuts at a resolution-dependent cap and checks that the spectrum gap
-at the cut is decisive; an indecisive gap is flagged, never silently
-resolved.  Note the null set of these systems is typically large: besides
-the handful of modes with nonzero effective strains it contains rigid
-rotations and a swarm of strain-free oscillatory fields, so downstream
-dimension counts are always taken on strain images, not on the raw null
-dimension.
-
-Strain spaces need no null basis: strain_forms takes the growth and the
-membrane forms from one bordered KKT factorization per ridge (a weak ridge
-for the forms, a strong one for the representative fields).
+The null set of these systems is large: besides the handful of modes with
+nonzero effective strains it holds rigid rotations and a swarm of strain-free
+oscillatory fields, so no basis of it is ever formed.  strain_forms instead
+takes the best residual over the 6 growth coordinates and over the membrane
+strain coordinates from one bordered KKT factorization per ridge (a weak
+ridge for the residual levels, a strong one for the representative fields),
+and dimension counts are taken on those strain images.  A threshold policy
+cuts the levels at sigma/sigma_max: the automatic policy cuts at a
+resolution-dependent cap and checks that the gap at the cut is decisive; an
+indecisive gap is flagged, never silently resolved.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +57,6 @@ OSC_SCALE = 0.25         # weight of the checkerboard-control rows
 
 SIGMA_DENSE_MAX = 1500   # dense SVD for sigma_max up to this min(shape)
 SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
-DENSE_SVD_MAX = 10_000   # full dense SVD up to this many unknowns
-GRAM_EIGH_MAX = 16_000   # dense eigensolve on the normal matrix up to this
 
 # default threshold-policy constants (calibrated on the built-in families;
 # see tests/test_solver.py for the calibration evidence).  The cap scales
@@ -70,8 +65,11 @@ GRAM_EIGH_MAX = 16_000   # dense eigensolve on the normal matrix up to this
 # stays O(1), so a multiple of h separates the two at every resolution.
 CAP_SCALE = 0.2          # cap on sigma/sigma_max is CAP_SCALE * h
 GAP_MIN = 10.0           # spectral ratio at the cut for a decisive split
-FLOOR_SVD = 1e-12        # sigma/sigma_max resolution floor, dense SVD
-FLOOR_GRAM = 5e-8        # same, via the squared (normal-matrix) route
+
+# strain_forms constants; the ridges are relative to sigma_max^2
+EPS_REL = 1e-13          # weak ridge: the residual levels
+REP_EPS_REL = 1e-7       # strong ridge: the representative fields
+RANK_RTOL = 1e-10        # rows of the membrane map below this are dropped
 
 
 class SolverError(RuntimeError):
@@ -264,16 +262,13 @@ class ThresholdPolicy:
     """How to cut the singular spectrum into null / non-null.
 
     kind "fixed" cuts at sigma/sigma_max <= tau and is never ambiguous (the
-    caller chose it).  kind "auto" cuts at cap_scale * h and calls the cut
-    decisive only when the spectral ratio across it is at least gap_min;
+    caller chose it).  kind "auto" cuts at CAP_SCALE * h and calls the cut
+    decisive only when the spectral ratio across it is at least GAP_MIN;
     otherwise the result is flagged ambiguous.
     """
 
     kind: str = "auto"
     tau: float | None = None
-    cap_scale: float = CAP_SCALE
-    gap_min: float = GAP_MIN
-    floor_rel: float | None = None   # default: picked per solver method
 
     def __post_init__(self):
         if self.kind not in ("auto", "fixed"):
@@ -285,15 +280,12 @@ class ThresholdPolicy:
                 f"threshold must be a finite number in (0, 1), got {self.tau}")
 
     @staticmethod
-    def coerce(threshold="auto", policy: "ThresholdPolicy | None" = None):
-        if policy is not None:
-            return policy
+    def coerce(threshold) -> "ThresholdPolicy":
+        """A policy from itself, "auto" or a fixed relative cut."""
         if isinstance(threshold, ThresholdPolicy):
             return threshold
-        if isinstance(threshold, str):
-            if threshold == "auto":
-                return ThresholdPolicy()
-            return ThresholdPolicy(kind="fixed", tau=float(threshold))
+        if threshold == "auto":
+            return ThresholdPolicy()
         return ThresholdPolicy(kind="fixed", tau=float(threshold))
 
     def cut(self, rel: np.ndarray, h: float, floor: float):
@@ -302,9 +294,7 @@ class ThresholdPolicy:
         Returns (count_below, cap, gap_ratio, ambiguous).
         """
         rel = np.asarray(rel, dtype=float)
-        cap = self.tau if self.kind == "fixed" else self.cap_scale * h
-        if self.floor_rel is not None:
-            floor = self.floor_rel
+        cap = self.tau if self.kind == "fixed" else CAP_SCALE * h
         k = int(np.searchsorted(rel, cap, side="right"))
         if k == 0:
             gap = float(rel[0] / cap) if rel.size else np.inf
@@ -312,11 +302,11 @@ class ThresholdPolicy:
             gap = float(cap / max(rel[-1], floor))
         else:
             gap = float(rel[k] / max(rel[k - 1], floor))
-        ambiguous = self.kind == "auto" and gap < self.gap_min
+        ambiguous = self.kind == "auto" and gap < GAP_MIN
         return k, float(cap), gap, ambiguous
 
 
-# -- modes and null space ------------------------------------------------
+# -- modes ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RotationMode:
@@ -338,135 +328,20 @@ class RotationMode:
         return np.sqrt(g / total) if total > 0 else 0.0
 
 
-def mode_from_vector(system: ConstraintSystem, y: np.ndarray,
-                     sigma: float | None = None) -> RotationMode:
+def mode_from_vector(system: ConstraintSystem, y: np.ndarray) -> RotationMode:
     y = np.asarray(y, dtype=float)
     nrm = np.linalg.norm(y)
     if nrm == 0:
         raise ValueError("zero mode vector")
     y = y / nrm
-    if sigma is None:
-        sigma = float(np.linalg.norm(system.matrix @ y))
-    t1, t2 = grid_periods(system.grid)
+    sigma = float(np.linalg.norm(system.matrix @ y))
+    t1, t2 = system.grid.chart.period
     w, h1, h2 = system.split(y)
-    return RotationMode(w=w, W1=h1 / t1, W2=h2 / t2, sigma=float(sigma))
+    return RotationMode(w=w, W1=h1 / t1, W2=h2 / t2, sigma=sigma)
 
 
-def grid_periods(grid: PeriodicGrid) -> tuple[float, float]:
-    return grid.chart.period
-
-
-@dataclass(frozen=True)
-class NullspaceResult(Sequence):
-    """Modes below the threshold plus the full spectrum for reporting."""
-
-    modes: tuple[RotationMode, ...]
-    vectors: np.ndarray          # (N, dim), columns match modes order
-    spectrum: np.ndarray         # all sigma, descending
-    sigma_max: float
-    threshold_rel: float
-    gap: float
-    ambiguous: bool
-    method: str
-    policy: ThresholdPolicy
-
-    @property
-    def dim(self) -> int:
-        return len(self.modes)
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def __getitem__(self, i):
-        return self.modes[i]
-
-
-def _rotate_growth_out(V: np.ndarray, w_size: int) -> np.ndarray:
-    """Rotate a null basis so growth concentrates in the leading columns.
-
-    Any orthonormal basis of the null cluster is as good as another; this
-    one puts What-carrying directions first and leaves the rest exactly
-    periodic, which makes classification stable.
-    """
-    if V.shape[1] == 0:
-        return V
-    Wb = V[w_size:, :]
-    _, _, Vt = la.svd(Wb, full_matrices=True)
-    return V @ Vt.T
-
-
-def nullspace(system: ConstraintSystem, threshold="auto",
-              policy: ThresholdPolicy | None = None) -> NullspaceResult:
-    """Extract the sub-threshold right singular subspace.
-
-    Dense SVD while the unknown count allows it; beyond that the normal
-    matrix is eigen-decomposed instead, which costs ~8 digits of resolution
-    near zero (floor 5e-8 * sigma_max) but never changes the subspace.
-    """
-    pol = ThresholdPolicy.coerce(threshold, policy)
-    A = system.matrix
-    N = A.shape[1]
-    h = system.grid.h_max
-
-    if N <= DENSE_SVD_MAX:
-        method = "svd"
-        floor = FLOOR_SVD
-        dense = A.toarray()
-        _, s, Vt = la.svd(dense, full_matrices=A.shape[0] < N)
-        s_full = np.concatenate([s, np.zeros(N - len(s))])
-        order = np.argsort(s_full)          # ascending
-        s_asc = s_full[order]
-        smax = float(s_asc[-1])
-        rel = s_asc / smax
-        k, cap, gap, amb = pol.cut(rel, h, floor)
-        Vn = Vt[order[:k]].T
-        spectrum = s_full[np.argsort(s_full)[::-1]]
-    elif N <= GRAM_EIGH_MAX:
-        method = "gram"
-        floor = FLOOR_GRAM
-        G = (A.T @ A).toarray()
-        G = 0.5 * (G + G.T)
-        evals = la.eigvalsh(G)
-        s_asc = np.sqrt(np.clip(evals, 0.0, None))
-        smax = float(s_asc[-1])
-        rel = s_asc / smax
-        k, cap, gap, amb = pol.cut(rel, h, floor)
-        if k:
-            hi = 0.5 * (evals[k - 1] + evals[k]) if k < N else evals[-1] + 1.0
-            _, Vn = la.eigh(G, subset_by_value=(-np.inf, hi))
-            Vn = Vn[:, :k]
-        else:
-            Vn = np.zeros((N, 0))
-        spectrum = s_asc[::-1].copy()
-    else:
-        raise ValueError(
-            f"{N} unknowns is beyond the factorization caps "
-            f"({GRAM_EIGH_MAX}); use the strain-space forms instead of the "
-            "full null basis at this resolution")
-
-    system._sigma_max = smax
-    Vn = _rotate_growth_out(Vn, system.w_size)
-    modes = [mode_from_vector(system, Vn[:, i]) for i in range(Vn.shape[1])]
-    idx = np.argsort([m.sigma for m in modes])
-    modes = [modes[i] for i in idx]
-    Vn = Vn[:, idx]
-    return NullspaceResult(modes=tuple(modes), vectors=Vn, spectrum=spectrum,
-                           sigma_max=smax, threshold_rel=cap, gap=gap,
-                           ambiguous=amb, method=method, policy=pol)
-
-
-def projection_residual(result: NullspaceResult, vector: np.ndarray) -> float:
-    """Distance from a unit vector to the span of the extracted modes."""
-    v = np.asarray(vector, dtype=float)
-    v = v / np.linalg.norm(v)
-    if result.vectors.shape[1] == 0:
-        return 1.0
-    c = result.vectors.T @ v
-    return float(np.sqrt(max(0.0, 1.0 - float(c @ c))))
-
-
-def kernel_distance(system: ConstraintSystem, vectors, threshold_rel: float,
-                    refine: int = 1) -> np.ndarray:
+def kernel_distance(system: ConstraintSystem, vectors,
+                    threshold_rel: float) -> np.ndarray:
     """Distance from unit vectors to the sub-threshold singular subspace.
 
     Uses the spectral filter sigma^2/(sigma^2 + eps) with eps at the
@@ -485,8 +360,7 @@ def kernel_distance(system: ConstraintSystem, vectors, threshold_rel: float,
         v = v / np.linalg.norm(v)
         b = G @ v
         z = lu.solve(b)
-        for _ in range(refine):
-            z = z + lu.solve(b - H @ z)
+        z = z + lu.solve(b - H @ z)
         out.append(float(np.linalg.norm(z)))
     return np.array(out)
 
@@ -495,16 +369,21 @@ def kernel_distance(system: ConstraintSystem, vectors, threshold_rel: float,
 
 @dataclass(frozen=True)
 class QuadraticSpace:
-    """A small quadratic landscape q(c) = best residual^2 achieving c."""
+    """A small quadratic landscape q(c) = best residual^2 achieving c.
 
-    form: np.ndarray         # (m, m), PSD
+    Its square-root levels come ascending, with their c-directions as the
+    columns of ``directions``.
+    """
+
+    levels: np.ndarray       # (m,) singular values of A @ minimizers
+    directions: np.ndarray   # (m, m), orthonormal columns
     minimizers: np.ndarray   # (N, m)
     basis: np.ndarray        # (param_dim, m): c-coordinates -> natural ones
     eps: float
 
     @property
     def empty(self) -> bool:
-        return self.form.shape[0] == 0
+        return self.levels.size == 0
 
     def floor_sigma(self) -> float:
         """Regularization bias bound on the residual values."""
@@ -550,9 +429,7 @@ def _drop_leading_constraints(A, Y: np.ndarray, r: int,
     return Y[:, r:] + Y[:, :r] @ D
 
 
-def strain_forms(system: ConstraintSystem, L: np.ndarray,
-                 eps_rel: float = 1e-13, rep_eps_rel: float = 1e-7,
-                 rank_rtol: float = 1e-10):
+def strain_forms(system: ConstraintSystem, L: np.ndarray):
     """Best residual over the growth and over the membrane coordinates.
 
     Returns (growth, membrane) QuadraticSpaces: the forms over the 6 growth
@@ -564,11 +441,12 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray,
     One KKT matrix per ridge, bordered by C = [L w; growth], serves both:
     its r + 6 unit solves are the membrane minimizers and, with the membrane
     rows released, the growth ones.  The Schur step is (r + 6)-sized; the
-    ill-conditioned L (A^T A + eps I)^-1 L^T never forms.  A near-vanishing
-    ridge (eps_rel) leaves the residuals essentially unbiased, but its
-    minimizers wander deep into the strain-free continuum, so representative
-    fields come from a stronger ridge (rep_eps_rel) whose residuals are
-    discarded.
+    ill-conditioned L (A^T A + eps I)^-1 L^T never forms.  The levels are
+    the singular values of A times the minimizers, never square roots of
+    their Gram form.  A near-vanishing ridge (EPS_REL) leaves the residuals
+    essentially unbiased, but its minimizers wander deep into the
+    strain-free continuum, so representative fields come from a stronger
+    ridge (REP_EPS_REL) whose residuals are discarded.
     """
     A = system.matrix.tocsr()
     N = A.shape[1]
@@ -577,7 +455,7 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray,
     if L.shape[1] != ws:
         raise ValueError("row map width must be 3 * nnodes")
     U, sv, _ = la.svd(L, full_matrices=False)
-    r = int(np.sum(sv > rank_rtol * sv[0])) if sv.size and sv[0] > 0 else 0
+    r = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
     Ur = U[:, :r]
     C = np.zeros((r + 6, N))
     C[:r, :ws] = Ur.T @ L
@@ -589,16 +467,17 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray,
         Y = _ridge_minimizers(A, G, C, eps)
         return _drop_leading_constraints(A, Y, r, eps), Y[:, :r]
 
-    def gram(Y):
-        R = A @ Y
-        F = R.T @ R
-        return 0.5 * (F + F.T)
+    def spectrum(Y):
+        _, s, Vt = la.svd(A @ Y, full_matrices=False)
+        return s[::-1], Vt[::-1].T
 
-    eps = eps_rel * lam
-    Fg, Fm = (gram(Y) for Y in minimizers(eps))
-    Yg, Ym = minimizers(rep_eps_rel * lam)
-    return (QuadraticSpace(form=Fg, minimizers=Yg, basis=np.eye(6), eps=eps),
-            QuadraticSpace(form=Fm, minimizers=Ym, basis=Ur, eps=eps))
+    eps = EPS_REL * lam
+    (sg, Vg), (sm, Vm) = (spectrum(Y) for Y in minimizers(eps))
+    Yg, Ym = minimizers(REP_EPS_REL * lam)
+    return (QuadraticSpace(levels=sg, directions=Vg, minimizers=Yg,
+                           basis=np.eye(6), eps=eps),
+            QuadraticSpace(levels=sm, directions=Vm, minimizers=Ym,
+                           basis=Ur, eps=eps))
 
 
 # -- deflection recovery ---------------------------------------------------
@@ -609,11 +488,6 @@ class DeflectionField:
 
     values: np.ndarray               # (r, c, 3)
     fundamental_shape: tuple[int, int]
-
-    @property
-    def node_values(self) -> np.ndarray:
-        n1, n2 = self.fundamental_shape
-        return self.values[:n1, :n2]
 
 
 def _cover_rotation(mode: RotationMode, grid: PeriodicGrid):
@@ -650,18 +524,3 @@ def recover_deflection(mode: RotationMode, grid: PeriodicGrid,
     else:
         raise ValueError(f"unknown integration order {order!r}")
     return DeflectionField(values=out, fundamental_shape=grid.shape)
-
-
-def isometry_residual(deflection: DeflectionField, grid: PeriodicGrid) -> float:
-    """max over lattice edges of |<d xdot, dx>| / |dx|^2."""
-    P = display_positions(grid)
-    V = deflection.values
-    worst = 0.0
-    for dP, dV in ((P[1:] - P[:-1], V[1:] - V[:-1]),
-                   (P[:, 1:] - P[:, :-1], V[:, 1:] - V[:, :-1])):
-        den = np.einsum("...k,...k->...", dP, dP)
-        num = np.abs(np.einsum("...k,...k->...", dV, dP))
-        mask = den > 1e-20
-        if np.any(mask):
-            worst = max(worst, float((num[mask] / den[mask]).max()))
-    return worst

@@ -6,25 +6,29 @@ with growth bends: chi_mn = sym <W_n x p_m, n> with W_a the growth per unit
 parameter.  Spans of achievable E and chi obey dim{E} + dim{chi} <= 3, with
 each achievable pair satisfying E11 chi22 - 2 E12 chi12 + E22 chi11 = 0.
 
-Two routes to the spans are provided.  strain_space_dims stacks the tensors
-of an explicit mode list.  effective_spaces instead minimizes the constraint
-residual subject to hitting prescribed growth / strain coordinates, which
-needs no null basis and scales to fine grids.
+effective_spaces finds the spans by minimizing the constraint residual
+subject to hitting prescribed growth / strain coordinates, which needs no
+null basis and scales to fine grids.  Basis rows and representative modes
+carry a fixed sign: the leading entry of their vec_sym strain is positive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
 
 from .chart import PeriodGeometry
 from .grid import PeriodicGrid, cell_average, display_derivative, display_lattice
-from .solver import (ConstraintSystem, DeflectionField, QuadraticSpace,
-                     RotationMode, ThresholdPolicy, mode_from_vector,
-                     strain_forms)
+from .solver import (ConstraintSystem, DeflectionField, RotationMode,
+                     ThresholdPolicy, mode_from_vector, strain_forms)
 
 _SQRT2 = np.sqrt(2.0)
+
+SIGN_LEAD = 0.1       # sign-fixing entry: the first at this share of the peak
+SPAN_RTOL = 1e-9      # chi rows below this share of the largest are dropped
+GROWTH_TOL = 1e-6     # growth fraction above which a mode bends
+STRAIN_TOL = 1e-5     # relative E above which a mode stretches
 
 
 def vec_sym(M) -> np.ndarray:
@@ -42,8 +46,6 @@ def unvec_sym(v) -> np.ndarray:
 def _as_matrix(T) -> np.ndarray:
     if isinstance(T, EffectiveStrain):
         return T.E
-    if isinstance(T, EffectiveBending):
-        return T.chi
     M = np.asarray(T, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"expected a 2x2 tensor, got shape {M.shape}")
@@ -63,19 +65,6 @@ class EffectiveStrain:
         return float(np.linalg.norm(self.E))
 
 
-@dataclass(frozen=True)
-class EffectiveBending:
-    chi: np.ndarray
-    normal_used: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "chi", 0.5 * (self.chi + self.chi.T))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.chi))
-
-
 def mode_scale(mode: RotationMode, grid: PeriodicGrid) -> float:
     """RMS size of the rotation field including its growth share."""
     t1, t2 = grid.chart.period
@@ -84,20 +73,13 @@ def mode_scale(mode: RotationMode, grid: PeriodicGrid) -> float:
     return float(np.sqrt(np.mean(np.sum(mode.w ** 2, axis=-1)) + g))
 
 
-def effective_membrane_strain(mode: RotationMode, grid: PeriodicGrid,
-                              strict: bool = True,
-                              tol: float = 1e-6) -> EffectiveStrain:
-    """E of a periodic mode: E_mn = sym <p_m, mean(w x x_n)>.
+def effective_membrane_strain(mode: RotationMode,
+                              grid: PeriodicGrid) -> EffectiveStrain:
+    """E of a mode: E_mn = sym <p_m, mean(w x x_n)>.
 
-    Strict mode refuses fields with period growth beyond tol (E is defined
-    for periodic rotation fields only); pass strict=False to evaluate the
-    same formula on the periodic part regardless, e.g. for mixed-mode
-    reporting.
+    E is defined for periodic rotation fields; on a field with growth the
+    formula is evaluated on its periodic part, e.g. for mixed-mode reporting.
     """
-    if strict and mode.growth_fraction() > tol:
-        raise ValueError(
-            f"rotation field has growth fraction {mode.growth_fraction():.2e}"
-            f" > {tol:.0e}; not a membrane candidate")
     geom = grid.geometry
     pdot1 = cell_average(np.cross(mode.w, grid.x1), grid)
     pdot2 = cell_average(np.cross(mode.w, grid.x2), grid)
@@ -118,12 +100,6 @@ def chi_from_growth(W1, W2, geometry: PeriodGeometry) -> np.ndarray:
     chi[1, 1] = np.cross(W2, p2) @ n
     chi[0, 1] = chi[1, 0] = 0.5 * (np.cross(W2, p1) + np.cross(W1, p2)) @ n
     return chi
-
-
-def effective_bending_strain(mode: RotationMode,
-                             geometry: PeriodGeometry) -> EffectiveBending:
-    chi = chi_from_growth(mode.W1, mode.W2, geometry)
-    return EffectiveBending(chi=chi, normal_used=np.array(geometry.n))
 
 
 def membrane_strain_field(deflection: DeflectionField,
@@ -261,50 +237,57 @@ class StrainSpaces:
         return self.dims[0] + self.dims[1] <= 3
 
 
-def _orthonormal_rows(stack: np.ndarray, rtol: float = 1e-9):
-    """Orthonormal basis (rows) of the row span, with its singular values."""
-    if stack.size == 0:
-        return np.zeros((0, stack.shape[1] if stack.ndim == 2 else 3)), \
-            np.zeros(0)
-    U, sv, Vt = la.svd(stack, full_matrices=False)
-    rank = int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
-    return Vt[:rank], sv
+def _leading_sign(v) -> float:
+    """-1 when the first entry of v at least SIGN_LEAD times its largest
+    magnitude is negative, else +1: the fixed sign of a basis row or mode."""
+    a = np.abs(v)
+    return -1.0 if v[np.argmax(a >= SIGN_LEAD * a.max())] < 0 else 1.0
 
 
-def effective_spaces(system: ConstraintSystem, policy=None,
-                     eps_rel: float = 1e-13) -> StrainSpaces:
+def _negated(mode: RotationMode) -> RotationMode:
+    return replace(mode, w=-mode.w, W1=-mode.W1, W2=-mode.W2)
+
+
+def _orthonormal_rows(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (sign-fixed rows) of the row span of (k, 3) rows."""
+    if not len(stack):
+        return np.zeros((0, 3))
+    _, sv, Vt = la.svd(stack, full_matrices=False)
+    rank = int(np.sum(sv > SPAN_RTOL * sv[0])) if sv[0] > 0 else 0
+    return np.array([_leading_sign(r) * r for r in Vt[:rank]]).reshape(-1, 3)
+
+
+def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
     """Strain spans straight from the constraint system, no null basis.
 
-    Bending: the best-residual quadratic form over the 6 growth coordinates
-    is eigen-decomposed; directions below the threshold policy's cap are
-    achievable, and chi is a linear function of growth alone.  Membrane: the
-    analogous form over (E11, E12, E22) subject to strict periodicity.
-    Both forms come from one solver.strain_forms call; representative modes
-    come from its minimizers.
+    Bending: the best-residual levels over the 6 growth coordinates; their
+    directions below the threshold policy's cap are achievable, and chi is a
+    linear function of growth alone.  Membrane: the analogous levels over
+    (E11, E12, E22) subject to strict periodicity.  Both come from one
+    solver.strain_forms call; representative modes come from its minimizers.
     """
-    pol = ThresholdPolicy.coerce("auto", policy)
+    pol = policy or ThresholdPolicy()
     grid = system.grid
     geom = grid.geometry
     h = grid.h_max
     smax = system.sigma_max()
-    t1, t2 = grid.chart.period
 
-    gs, ms = strain_forms(system, membrane_row_map(grid), eps_rel=eps_rel)
+    gs, ms = strain_forms(system, membrane_row_map(grid))
 
     # bending side
-    lam, U = la.eigh(gs.form)
-    sig = np.sqrt(np.clip(lam, 0.0, None)) / smax
+    sig = gs.levels / smax
     floor = max(gs.floor_sigma() / smax, 1e-15)
     kG, capG, gapG, ambG = pol.cut(sig, h, floor)
     bending = []
     chis = []
-    for i in range(kG):
-        y = gs.minimizers @ U[:, i]
-        m = mode_from_vector(system, y)
+    for u in gs.directions[:, :kG].T:
+        m = mode_from_vector(system, gs.minimizers @ u)
+        chi = vec_sym(chi_from_growth(m.W1, m.W2, geom))
+        if _leading_sign(chi) < 0:
+            m, chi = _negated(m), -chi
         bending.append(m)
-        chis.append(vec_sym(chi_from_growth(m.W1, m.W2, geom)))
-    chi_rows, chi_sv = _orthonormal_rows(np.array(chis).reshape(-1, 3)
-                                         if chis else np.zeros((0, 3)))
+        chis.append(chi)
+    chi_rows = _orthonormal_rows(np.array(chis).reshape(-1, 3))
     chi_basis = np.array([unvec_sym(r) for r in chi_rows]) \
         if len(chi_rows) else np.zeros((0, 2, 2))
 
@@ -316,16 +299,16 @@ def effective_spaces(system: ConstraintSystem, policy=None,
         membrane = []
         E_basis = np.zeros((0, 2, 2))
     else:
-        lamE, UE = la.eigh(ms.form)
-        E_vals = np.sqrt(np.clip(lamE, 0.0, None)) / smax
+        E_vals = ms.levels / smax
         floorE = max(ms.floor_sigma() / smax, 1e-15)
         kE, capE, gapE, ambE = pol.cut(E_vals, h, floorE)
         membrane = []
-        for i in range(kE):
-            y = ms.minimizers @ UE[:, i]
-            membrane.append(mode_from_vector(system, y))
-        dirs = (ms.basis @ UE[:, :kE]).T      # rows: achievable vec_sym(E)
-        E_basis = np.array([unvec_sym(r) for r in dirs]) \
+        for u in ms.directions[:, :kE].T:
+            m = mode_from_vector(system, ms.minimizers @ u)
+            E = vec_sym(effective_membrane_strain(m, grid).E)
+            membrane.append(_negated(m) if _leading_sign(E) < 0 else m)
+        dirs = (ms.basis @ ms.directions[:, :kE]).T   # rows: vec_sym(E)
+        E_basis = np.array([unvec_sym(_leading_sign(r) * r) for r in dirs]) \
             if kE else np.zeros((0, 2, 2))
 
     return StrainSpaces(
@@ -337,61 +320,10 @@ def effective_spaces(system: ConstraintSystem, policy=None,
         membrane_modes=tuple(membrane), bending_modes=tuple(bending))
 
 
-def strain_space_dims(modes, grid: PeriodicGrid,
-                      geometry: PeriodGeometry | None = None, policy=None,
-                      membrane_tol: float = 1e-6,
-                      floor_abs: float = 1e-7) -> StrainSpaces:
-    """Spans from an explicit mode list (stack tensors, count the rank).
-
-    Modes are rescaled to unit RMS rotation before stacking so genuine
-    strains sit at O(1) and threshold floors are meaningful.  The membrane
-    stack uses only modes without period growth.
-    """
-    if geometry is None:
-        geometry = grid.geometry
-    pol = ThresholdPolicy.coerce("auto", policy)
-    h = grid.h_max
-    E_rows, chi_rows_in = [], []
-    membrane = []
-    for m in modes:
-        s = mode_scale(m, grid)
-        if s == 0:
-            continue
-        chi_rows_in.append(vec_sym(chi_from_growth(m.W1, m.W2, geometry)) / s)
-        if m.growth_fraction() <= membrane_tol:
-            E_rows.append(vec_sym(
-                effective_membrane_strain(m, grid, strict=False).E) / s)
-            membrane.append(m)
-
-    def cut_stack(rows):
-        if not rows:
-            return np.zeros((0, 2, 2)), np.zeros(0), \
-                SpectralCut(0, 0.0, np.inf, False)
-        stack = np.array(rows)
-        _, sv, Vt = la.svd(stack, full_matrices=False)
-        if sv[0] <= floor_abs:
-            return np.zeros((0, 2, 2)), sv, SpectralCut(0, 0.0, np.inf, False)
-        rel = np.sort(sv / sv[0])
-        below, cap, gap, amb = pol.cut(rel, h, floor_abs / sv[0])
-        rank = len(sv) - below
-        basis = np.array([unvec_sym(r) for r in Vt[:rank]]) \
-            if rank else np.zeros((0, 2, 2))
-        return basis, sv, SpectralCut(rank, cap, gap, amb)
-
-    E_basis, E_sv, E_cut = cut_stack(E_rows)
-    chi_basis, chi_sv, chi_cut = cut_stack(chi_rows_in)
-    return StrainSpaces(E_basis=E_basis, chi_basis=chi_basis,
-                        dims=(E_cut.count, chi_cut.count),
-                        E_values=E_sv, chi_values=chi_sv,
-                        E_cut=E_cut, chi_cut=chi_cut,
-                        membrane_modes=tuple(membrane))
-
-
 # -- classification ---------------------------------------------------------
 
 def classify_mode(mode: RotationMode, grid: PeriodicGrid,
-                  geometry: PeriodGeometry | None = None,
-                  growth_tol: float = 1e-6, strain_tol: float = 1e-5) -> str:
+                  geometry: PeriodGeometry | None = None) -> str:
     """One of constant / membrane / bending / mixed / strain-free."""
     if geometry is None:
         geometry = grid.geometry
@@ -404,15 +336,15 @@ def classify_mode(mode: RotationMode, grid: PeriodicGrid,
     if dev / s < 1e-10 and gf < 1e-10:
         return "constant"
     p_scale = np.linalg.norm(geometry.p1) ** 2 + np.linalg.norm(geometry.p2) ** 2
-    E = effective_membrane_strain(mode, grid, strict=False).E
-    tol = strain_tol
-    if gf > growth_tol:
+    E = effective_membrane_strain(mode, grid).E
+    tol = STRAIN_TOL
+    if gf > GROWTH_TOL:
         # fields with per-period growth are sampled one-sidedly at the seam,
         # which limits the quadrature of their lattice stretch to O(h) times
         # the growth magnitude
         gsize = np.sqrt(np.dot(mode.W1, mode.W1) + np.dot(mode.W2, mode.W2))
-        tol = max(strain_tol, grid.h_max * gsize / s)
+        tol = max(STRAIN_TOL, grid.h_max * gsize / s)
     has_E = np.linalg.norm(E) / (s * p_scale) > tol
-    if gf > growth_tol:
+    if gf > GROWTH_TOL:
         return "mixed" if has_E else "bending"
     return "membrane" if has_E else "strain-free"

@@ -44,10 +44,6 @@ class SectionCurve:
             raise ValueError("a closed section must end at its first sample")
 
     @property
-    def nsamples(self) -> int:
-        return len(self.x)
-
-    @property
     def arclength(self) -> np.ndarray:
         """Cumulative chord length, starting at 0."""
         steps = np.hypot(np.diff(self.x), np.diff(self.y))
@@ -118,22 +114,3 @@ def dislocation(section: SectionCurve, alpha: float) -> float:
                          "use warping_function()")
     return float(alpha * np.sum(_increments(section)))
 
-
-# -- CSV plumbing ----------------------------------------------------------
-
-def load_section(path, closed: bool | None = None) -> SectionCurve:
-    """Read an s-ordered x,y polyline from CSV (optional one-line header)."""
-    try:
-        pts = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError:
-        pts = np.loadtxt(path, delimiter=",", comments="#", ndmin=2,
-                         skiprows=1)
-    if pts.shape[1] < 2:
-        raise ValueError("section CSV needs two columns (x, y)")
-    return section_from_points(pts[:, :2], closed)
-
-
-def save_warping(path, section: SectionCurve, result: WarpingResult) -> None:
-    """Write (s, w) rows as CSV with a header line."""
-    data = np.column_stack([section.arclength, result.w])
-    np.savetxt(path, data, delimiter=",", header="s,w", comments="")

@@ -63,6 +63,16 @@ def test_make_profile_rejects_bad_input():
         make_profile(SINUSOIDAL, 1.0, TAU, (1.0, 2.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_make_profile_rejects_non_finite_numbers(value):
+    with pytest.raises(ValueError, match="amplitude must be a finite"):
+        make_profile(PIECEWISE_LINEAR, value)
+    with pytest.raises(ValueError, match="period must be a finite"):
+        make_profile(SINUSOIDAL, 1.0, value)
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        make_profile(PIECEWISE_QUADRATIC, 1.0, TAU, (1.0, value))
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from((PIECEWISE_LINEAR, PIECEWISE_QUADRATIC,
                              SINUSOIDAL)),

@@ -1,4 +1,4 @@
-"""Constraint assembly, nullspace extraction, deflection recovery."""
+"""Constraint assembly, the operator kernel, strain forms, deflection recovery."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from corruga.grid import build_grid, differentiate
 from corruga.oracle import analytic_mode, sample_rotation
 from corruga.solver import (ROW_CREASE, ROW_PDE, SIGMA_DENSE_MAX,
                             SolverError, ThresholdPolicy, assemble_system,
-                            kernel_distance, nullspace, recover_deflection)
+                            kernel_distance, recover_deflection)
 from corruga.strains import effective_spaces, membrane_strain_field
 
 
@@ -42,17 +42,26 @@ def test_constant_rotation_is_exact():
     assert resid <= 1e-12 * system.sigma_max() * np.linalg.norm(v)
 
 
+def _dense_spectrum(system):
+    """sigma/sigma_max ascending (zeros for missing rows) and the matching
+    right singular vectors as columns, from a dense SVD of the operator."""
+    A = system.matrix.toarray()
+    _, s, Vt = la.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    s = np.concatenate([s, np.zeros(A.shape[1] - s.size)])
+    order = np.argsort(s)
+    return s[order] / s.max(), Vt[order].T
+
+
 def test_plane_exact_kernel_is_six_dimensional():
     # the operator kernel proper: 3 constants + 3 growth modes, all at
     # machine-precision sigma; everything else sits orders above 1e-6
     system = assemble_system(build_grid(builtin_chart("plane"), 32))
-    result = nullspace(system, threshold=1e-6)
-    assert len(result.modes) == 6
-    sigmas = sorted(m.sigma for m in result.modes)
-    assert sigmas[-1] <= 1e-9 * system.sigma_max()
+    rel, V = _dense_spectrum(system)
+    k = int(np.sum(rel <= 1e-6))
+    assert k == 6
+    assert rel[k - 1] <= 1e-9
     # the kernel carries exactly three independent growth directions
-    G = np.array([np.concatenate([m.W1, m.W2]) for m in result.modes])
-    svals = np.linalg.svd(G, compute_uv=False)
+    svals = np.linalg.svd(V[system.w_size:, :k], compute_uv=False)
     assert np.sum(svals > 1e-8 * svals[0]) == 3
 
 
@@ -60,23 +69,26 @@ def test_eggbox_exact_kernel_contains_catalogue_and_folds():
     # 3 constants + 1 membrane + 2 bending, plus exact per-panel fold
     # mechanisms admitted by the crease conditions; all at machine sigma
     system = assemble_system(build_grid(builtin_chart("eggbox"), 32))
-    result = nullspace(system, threshold=1e-6)
-    assert len(result.modes) >= 6
-    assert max(m.sigma for m in result.modes) <= 1e-9 * system.sigma_max()
+    rel, _ = _dense_spectrum(system)
+    k = int(np.sum(rel <= 1e-6))
+    assert k >= 6
+    assert rel[k - 1] <= 1e-9
 
 
 def test_plane_near_kernel_is_a_continuum_slice():
     # sub-threshold strain-free oscillations accumulate under the auto cap;
     # the policy must flag that rather than pick an arbitrary rank
     system = assemble_system(build_grid(builtin_chart("plane"), 16))
-    result = nullspace(system)
-    assert result.ambiguous or len(result.modes) >= 6
+    rel, _ = _dense_spectrum(system)
+    count, _, _, ambiguous = ThresholdPolicy().cut(rel, system.grid.h_max,
+                                                   1e-12)
+    assert ambiguous or count >= 6
 
 
 def test_threshold_policy_coercion():
-    pol = ThresholdPolicy.coerce("auto", None)
+    pol = ThresholdPolicy.coerce("auto")
     assert pol.kind == "auto"
-    pol = ThresholdPolicy.coerce(1e-5, None)
+    pol = ThresholdPolicy.coerce(1e-5)
     assert pol.kind == "fixed" and pol.tau == 1e-5
 
 
