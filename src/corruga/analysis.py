@@ -64,14 +64,15 @@ def run_analysis(chart: SurfaceChart, resolution=32,
 
     smax = system.sigma_max()
     geom = grid.geometry
-    reps = []
+    reps = {}
     for kind, modes in (("membrane", spaces.membrane_modes),
                         ("bending", spaces.bending_modes)):
+        reps[kind] = []
         for i, m in enumerate(modes):
             s = mode_scale(m, grid)
             E = effective_membrane_strain(m, grid).E / s
             chi = chi_from_growth(m.W1, m.W2, geom) / s
-            reps.append({
+            reps[kind].append({
                 "id": f"{kind}-{i}",
                 "class": classify_mode(m, grid),
                 "sigma_rel": m.sigma / smax,
@@ -81,25 +82,14 @@ def run_analysis(chart: SurfaceChart, resolution=32,
             })
 
     pairs = []
-    for a in reps:
-        if not a["id"].startswith("membrane"):
-            continue
-        for b in reps:
-            if not b["id"].startswith("bending"):
-                continue
+    poisson = []
+    for a in reps["membrane"]:
+        for b in reps["bending"]:
             pairs.append({
                 "E_of": a["id"], "chi_of": b["id"],
                 "residual": orthogonality_residual(a["E"], b["chi"]),
                 "residual_rel": orthogonality_residual_rel(a["E"], b["chi"]),
             })
-
-    poisson = []
-    for a in reps:
-        if not a["id"].startswith("membrane"):
-            continue
-        for b in reps:
-            if not b["id"].startswith("bending"):
-                continue
             try:
                 pr = poisson_ratios(a["E"], b["chi"])
             except ValueError:
@@ -133,7 +123,7 @@ def run_analysis(chart: SurfaceChart, resolution=32,
                       "chi_cut": _cut_dict(spaces.chi_cut),
                       "ambiguous": spaces.E_cut.ambiguous
                       or spaces.chi_cut.ambiguous},
-        "modes": reps,
+        "modes": reps["membrane"] + reps["bending"],
         "pairs": pairs,
         "poisson": poisson,
         "sigma_spectrum_ref": levels,

@@ -2,17 +2,21 @@
 
 A chart maps parameters (xi1, xi2) to a position in R^3 and is periodic
 modulo a linear part: x(xi + T_a e_a) = x(xi) + T_a p_a with constant
-lattice tangents p_a.  Supported families:
+lattice tangents p_a.  Every family the structured grid supports is a
+surface of translation x = alpha(xi1) + beta(xi2), and ``SurfaceChart.curves``
+gives its pair of space curves (a missing component is zero):
 
-* ``plane``: x = (xi1, xi2, 0)
-* ``simple-corrugation``: x = (xi1, xi2, f(xi1))
-* ``double-corrugation``: x = (xi1, xi2, f(xi1) + g(xi2))
-* ``miura-like``: x = (xi1, xi2 + f(xi1), g(xi2))
-* ``translation-surface``: x = alpha(xi1) + beta(xi2) for space curves
-  alpha, beta built from profiles
-* ``sheared-double-corrugation``: x = (xi1, xi2 + gamma*xi1,
-  f(xi1) + g(xi2 + gamma*xi1)) — analytic use only; its panel joints are
-  oblique in parameter space, which the structured grid does not support.
+* ``plane``: alpha = (t, 0, 0), beta = (0, t, 0)
+* ``simple-corrugation``: alpha = (t, 0, f(t)), beta = (0, t, 0)
+* ``double-corrugation``: alpha = (t, 0, f(t)), beta = (0, t, g(t))
+* ``miura-like``: alpha = (t, f(t), 0), beta = (0, t, g(t))
+* ``translation-surface``: alpha, beta given as curves built from profiles
+
+Positions, one-sided partials and breakpoints all come from that pair.  The
+one exception is ``sheared-double-corrugation``: x = (xi1, xi2 + gamma*xi1,
+f(xi1) + g(xi2 + gamma*xi1)) is not a translation surface in its chart
+parameters, and it is for analytic use only; its panel joints are oblique in
+parameter space, which the structured grid does not support.
 
 Tangent discontinuities (creases) happen exactly on the parameter lines
 passing through piecewise-linear profile breakpoints; piecewise-quadratic
@@ -49,8 +53,8 @@ class SpaceCurve:
 
     c(t) = t*e_axis + lateral(t)*e_other + vertical(t)*e_3, where e_other
     is the remaining in-plane direction.  Either component profile may be
-    absent.  The mean tangent is exactly e_axis since profiles have
-    zero-mean slopes.
+    absent; with neither, c is the straight line along e_axis.  The mean
+    tangent is exactly e_axis since profiles have zero-mean slopes.
     """
 
     axis: int
@@ -60,8 +64,6 @@ class SpaceCurve:
     def __post_init__(self):
         if self.axis not in (0, 1):
             raise ValueError("curve axis must be 0 or 1")
-        if self.lateral is None and self.vertical is None:
-            raise ValueError("a translation curve needs at least one profile")
         periods = {p.period for p in (self.lateral, self.vertical) if p is not None}
         if len(periods) > 1:
             raise ValueError("lateral and vertical profiles must share a period")
@@ -91,19 +93,18 @@ class SpaceCurve:
             out[..., 2] = self.vertical.slope(t, side)
         return out
 
-    def panel_breakpoints(self) -> tuple[float, ...]:
+    def _breakpoints(self, attr: str) -> tuple[float, ...]:
         vals = set()
         for p in (self.lateral, self.vertical):
             if p is not None:
-                vals.update(p.panel_breakpoints)
+                vals.update(getattr(p, attr))
         return tuple(sorted(vals))
 
+    def panel_breakpoints(self) -> tuple[float, ...]:
+        return self._breakpoints("panel_breakpoints")
+
     def crease_breakpoints(self) -> tuple[float, ...]:
-        vals = set()
-        for p in (self.lateral, self.vertical):
-            if p is not None:
-                vals.update(p.crease_breakpoints)
-        return tuple(sorted(vals))
+        return self._breakpoints("crease_breakpoints")
 
     def to_config(self) -> dict:
         return {"axis": self.axis,
@@ -151,7 +152,20 @@ class SurfaceChart:
 
     @property
     def curves(self) -> tuple[SpaceCurve, SpaceCurve]:
-        return self.profiles
+        """The (alpha, beta) pair with x = alpha(xi1) + beta(xi2)."""
+        fam = self.family
+        if fam == TRANSLATION_SURFACE:
+            return self.profiles
+        if fam == PLANE:
+            return SpaceCurve(0), SpaceCurve(1)
+        if fam == SIMPLE_CORRUGATION:
+            return SpaceCurve(0, vertical=self.f), SpaceCurve(1)
+        if fam == DOUBLE_CORRUGATION:
+            return SpaceCurve(0, vertical=self.f), SpaceCurve(1, vertical=self.g)
+        if fam == MIURA_LIKE:
+            return SpaceCurve(0, lateral=self.f), SpaceCurve(1, vertical=self.g)
+        raise ValueError(f"family {fam!r} is not a translation surface in its "
+                         "chart parameters")
 
     @property
     def grid_compatible(self) -> bool:
@@ -160,32 +174,16 @@ class SurfaceChart:
 
     def panel_breakpoints(self, direction: int) -> tuple[float, ...]:
         """Parameter values in (0, T) where smoothness ends, per direction."""
-        fam = self.family
-        if fam == PLANE or fam == SHEARED_DOUBLE_CORRUGATION:
+        if not self.grid_compatible:
             # sheared panels are oblique; never queried by the grid
             return ()
-        if fam == SIMPLE_CORRUGATION:
-            return self.f.panel_breakpoints if direction == 0 else ()
-        if fam in (DOUBLE_CORRUGATION, MIURA_LIKE):
-            p = self.f if direction == 0 else self.g
-            return p.panel_breakpoints
-        if fam == TRANSLATION_SURFACE:
-            return self.curves[direction].panel_breakpoints()
-        raise ValueError(f"unknown family {fam!r}")
+        return self.curves[direction].panel_breakpoints()
 
     def crease_breakpoints(self, direction: int) -> tuple[float, ...]:
         """The subset of panel breakpoints where the tangent plane jumps."""
-        fam = self.family
-        if fam == PLANE or fam == SHEARED_DOUBLE_CORRUGATION:
+        if not self.grid_compatible:
             return ()
-        if fam == SIMPLE_CORRUGATION:
-            return self.f.crease_breakpoints if direction == 0 else ()
-        if fam in (DOUBLE_CORRUGATION, MIURA_LIKE):
-            p = self.f if direction == 0 else self.g
-            return p.crease_breakpoints
-        if fam == TRANSLATION_SURFACE:
-            return self.curves[direction].crease_breakpoints()
-        raise ValueError(f"unknown family {fam!r}")
+        return self.curves[direction].crease_breakpoints()
 
 
 def _validate_chart(chart: SurfaceChart) -> None:
@@ -228,6 +226,8 @@ def _validate_chart(chart: SurfaceChart) -> None:
                 or not all(isinstance(c, SpaceCurve) for c in chart.profiles)):
             raise ValueError("translation-surface needs two SpaceCurve values")
         a, b = chart.profiles
+        if any(c.lateral is None and c.vertical is None for c in (a, b)):
+            raise ValueError("a translation curve needs at least one profile")
         if (a.axis, b.axis) != (0, 1):
             raise ValueError("translation curves must have axes (0, 1)")
         if a.period != t1 or b.period != t2:
@@ -265,34 +265,15 @@ def evaluate_chart(chart: SurfaceChart, xi1, xi2) -> np.ndarray:
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     xi1, xi2 = np.broadcast_arrays(xi1, xi2)
-    fam = chart.family
-    out = np.zeros(xi1.shape + (3,))
-    if fam == PLANE:
-        out[..., 0] = xi1
-        out[..., 1] = xi2
-    elif fam == SIMPLE_CORRUGATION:
-        out[..., 0] = xi1
-        out[..., 1] = xi2
-        out[..., 2] = chart.f.value(xi1)
-    elif fam == DOUBLE_CORRUGATION:
-        out[..., 0] = xi1
-        out[..., 1] = xi2
-        out[..., 2] = chart.f.value(xi1) + chart.g.value(xi2)
-    elif fam == MIURA_LIKE:
-        out[..., 0] = xi1
-        out[..., 1] = xi2 + chart.f.value(xi1)
-        out[..., 2] = chart.g.value(xi2)
-    elif fam == TRANSLATION_SURFACE:
-        a, b = chart.curves
-        out = a.point(xi1) + b.point(xi2)
-    elif fam == SHEARED_DOUBLE_CORRUGATION:
+    if chart.family == SHEARED_DOUBLE_CORRUGATION:
         eta = xi2 + chart.gamma * xi1
+        out = np.zeros(xi1.shape + (3,))
         out[..., 0] = xi1
         out[..., 1] = eta
         out[..., 2] = chart.f.value(xi1) + chart.g.value(eta)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return out
+        return out
+    a, b = chart.curves
+    return a.point(xi1) + b.point(xi2)
 
 
 def chart_partials(chart: SurfaceChart, xi1, xi2, side=(1, 1)):
@@ -305,59 +286,30 @@ def chart_partials(chart: SurfaceChart, xi1, xi2, side=(1, 1)):
     xi2 = np.asarray(xi2, dtype=float)
     xi1, xi2 = np.broadcast_arrays(xi1, xi2)
     s1, s2 = side
-    fam = chart.family
-    x1 = np.zeros(xi1.shape + (3,))
-    x2 = np.zeros(xi1.shape + (3,))
-    if fam == PLANE:
-        x1[..., 0] = 1.0
-        x2[..., 1] = 1.0
-    elif fam == SIMPLE_CORRUGATION:
-        x1[..., 0] = 1.0
-        x1[..., 2] = chart.f.slope(xi1, s1)
-        x2[..., 1] = 1.0
-    elif fam == DOUBLE_CORRUGATION:
-        x1[..., 0] = 1.0
-        x1[..., 2] = chart.f.slope(xi1, s1)
-        x2[..., 1] = 1.0
-        x2[..., 2] = chart.g.slope(xi2, s2)
-    elif fam == MIURA_LIKE:
-        x1[..., 0] = 1.0
-        x1[..., 1] = chart.f.slope(xi1, s1)
-        x2[..., 1] = 1.0
-        x2[..., 2] = chart.g.slope(xi2, s2)
-    elif fam == TRANSLATION_SURFACE:
-        a, b = chart.curves
-        x1 = a.tangent(xi1, s1)
-        x2 = b.tangent(xi2, s2)
-    elif fam == SHEARED_DOUBLE_CORRUGATION:
+    if chart.family == SHEARED_DOUBLE_CORRUGATION:
         eta = xi2 + chart.gamma * xi1
         gs = chart.g.slope(eta, s2)
+        x1 = np.zeros(xi1.shape + (3,))
+        x2 = np.zeros(xi1.shape + (3,))
         x1[..., 0] = 1.0
         x1[..., 1] = chart.gamma
         x1[..., 2] = chart.f.slope(xi1, s1) + chart.gamma * gs
         x2[..., 1] = 1.0
         x2[..., 2] = gs
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return x1, x2
+        return x1, x2
+    a, b = chart.curves
+    return a.tangent(xi1, s1), b.tangent(xi2, s2)
 
 
 def period_geometry(chart: SurfaceChart) -> PeriodGeometry:
     """Exact mean tangents p_a and the unit normal of their plane.
 
-    Profiles have zero-mean slopes, so the means reduce to the linear part
-    of each family in closed form.
+    Profiles have zero-mean slopes, so the means are the linear part of the
+    chart: (1, gamma, 0) and (0, 1, 0), with gamma = 0 outside the sheared
+    family.
     """
-    fam = chart.family
-    if fam in (PLANE, SIMPLE_CORRUGATION, DOUBLE_CORRUGATION, MIURA_LIKE):
-        p1, p2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    elif fam == TRANSLATION_SURFACE:
-        p1, p2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    elif fam == SHEARED_DOUBLE_CORRUGATION:
-        p1, p2 = np.array([1.0, chart.gamma, 0.0]), np.array([0.0, 1.0, 0.0])
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return PeriodGeometry.from_tangents(p1, p2)
+    return PeriodGeometry.from_tangents([1.0, chart.gamma, 0.0],
+                                        [0.0, 1.0, 0.0])
 
 
 # -- construction and serialization -------------------------------------
@@ -394,9 +346,7 @@ BUILTIN_NAMES = ("plane", "corrugation", "eggbox", "eggbox-hybrid",
 
 def chart_to_config(chart: SurfaceChart) -> dict:
     cfg = {"family": chart.family, "period": list(chart.period)}
-    if chart.family == TRANSLATION_SURFACE:
-        cfg["profiles"] = [c.to_config() for c in chart.curves]
-    elif chart.profiles:
+    if chart.profiles:
         cfg["profiles"] = [p.to_config() for p in chart.profiles]
     if chart.family == SHEARED_DOUBLE_CORRUGATION:
         cfg["gamma"] = chart.gamma

@@ -3,7 +3,7 @@
 Exit codes form a stable contract: 0 success, 1 unreadable or invalid
 surface config (also one the analysis rejects, such as a degenerate crease
 tangent), an invalid resolution or threshold, or a solver step that
-did not converge, 2 verification failure, 3 ambiguous rank (no clear
+did not converge or lost all precision, 2 verification failure, 3 ambiguous rank (no clear
 spectral gap; the report is still written).  argparse keeps its own
 exit code 2 for usage errors.
 """

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .chart import (SurfaceChart, PeriodGeometry, chart_partials,
-                    evaluate_chart, period_geometry)
+from .chart import SpaceCurve, SurfaceChart, PeriodGeometry, period_geometry
 
 MIN_RESOLUTION = 8
 
@@ -272,6 +271,12 @@ class PeriodicGrid:
                 np.tile(sw, n1))
 
 
+def _node_tangents(curve: SpaceCurve, axis: Axis) -> np.ndarray:
+    """One-sided curve tangents at the axis nodes, each from its own arc."""
+    return np.where(axis.sides[:, None] > 0, curve.tangent(axis.xi, 1),
+                    curve.tangent(axis.xi, -1))
+
+
 def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
     """Discretize one period of ``chart``.
 
@@ -292,25 +297,12 @@ def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
     axis1 = _build_axis(t1, n1, chart.panel_breakpoints(0), chart.crease_breakpoints(0))
     axis2 = _build_axis(t2, n2, chart.panel_breakpoints(1), chart.crease_breakpoints(1))
 
-    XI1 = axis1.xi[:, None]
-    XI2 = axis2.xi[None, :]
-    positions = evaluate_chart(chart, XI1, XI2)
-
-    # one-sided partials, evaluated per side pairing and scattered per node
-    x1 = np.empty(positions.shape)
-    x2 = np.empty(positions.shape)
-    for s1 in (1, -1):
-        rows = np.flatnonzero(axis1.sides == s1)
-        if rows.size == 0:
-            continue
-        for s2 in (1, -1):
-            cols = np.flatnonzero(axis2.sides == s2)
-            if cols.size == 0:
-                continue
-            a, b = chart_partials(chart, axis1.xi[rows, None],
-                                  axis2.xi[None, cols], (s1, s2))
-            x1[np.ix_(rows, cols)] = a
-            x2[np.ix_(rows, cols)] = b
+    alpha, beta = chart.curves
+    positions = alpha.point(axis1.xi)[:, None] + beta.point(axis2.xi)[None]
+    x1 = np.broadcast_to(_node_tangents(alpha, axis1)[:, None],
+                         positions.shape).copy()
+    x2 = np.broadcast_to(_node_tangents(beta, axis2)[None],
+                         positions.shape).copy()
 
     geom = period_geometry(chart)
     m1 = axis1.wrap_m[:, None, None]

@@ -265,7 +265,8 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
     the profile closes up over a period.  The default breakpoint layout
     (pi/2, 3*pi/2) with the default period 2*pi gives f' = sgn(cos x) for
     the piecewise-linear kind and the unit triangle wave with mean square
-    1/3 for the piecewise-quadratic kind.
+    1/3 for the piecewise-quadratic kind.  An amplitude so large that the
+    exact integrals overflow is refused.
     """
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}")
@@ -280,7 +281,7 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
     if kind == SINUSOIDAL:
         if breakpoints:
             raise ValueError("sinusoidal profiles take no breakpoints")
-        return Profile(kind, float(amplitude), float(period))
+        return _checked(Profile(kind, amplitude, period))
 
     if breakpoints is None:
         breakpoints = (period / 4.0, 3.0 * period / 4.0)
@@ -298,8 +299,22 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError("breakpoints must be strictly increasing")
 
-    tables = _build_tables(kind, float(amplitude), float(period), bp)
-    return Profile(kind, float(amplitude), float(period), bp, tables)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _build_tables(kind, amplitude, period, bp)
+    return _checked(Profile(kind, amplitude, period, bp, tables))
+
+
+def _checked(profile: Profile) -> Profile:
+    """Refuse a profile whose exact tables or mean square slope overflow."""
+    try:
+        sms = profile.slope_mean_square()
+    except OverflowError:   # float ** overflows instead of returning inf
+        sms = math.inf
+    tables = vars(profile._tables).values() if profile._tables else ()
+    if not (math.isfinite(sms) and all(np.isfinite(t).all() for t in tables)):
+        raise ValueError(f"amplitude {profile.amplitude} is too large: the "
+                         "profile's exact integrals overflow")
+    return profile
 
 
 def profile_from_config(cfg: dict, default_period: float | None = None) -> Profile:

@@ -40,6 +40,7 @@ indecisive gap is flagged, never silently resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import warnings
 
 import numpy as np
 import scipy.linalg as la
@@ -73,7 +74,8 @@ RANK_RTOL = 1e-10        # rows of the membrane map below this are dropped
 
 
 class SolverError(RuntimeError):
-    """A numerical step did not converge; there is no result to report."""
+    """A numerical step did not converge or lost all precision; there is no
+    result to report."""
 
 
 def cross_blocks(vs: np.ndarray) -> np.ndarray:
@@ -381,16 +383,10 @@ class QuadraticSpace:
     basis: np.ndarray        # (param_dim, m): c-coordinates -> natural ones
     eps: float
 
-    @property
-    def empty(self) -> bool:
-        return self.levels.size == 0
-
     def floor_sigma(self) -> float:
         """Regularization bias bound on the residual values."""
-        if self.empty:
-            return 0.0
         norms = np.linalg.norm(self.minimizers, axis=0)
-        return float(np.sqrt(self.eps) * max(1.0, norms.max()))
+        return float(np.sqrt(self.eps) * norms.max(initial=1.0))
 
 
 def _ridge_minimizers(A, G, C: np.ndarray, eps: float) -> np.ndarray:
@@ -419,13 +415,21 @@ def _drop_leading_constraints(A, Y: np.ndarray, r: int,
 
     Column r + j of Y also pins the first r coordinates to zero; the best
     field with those free is Y[:, r + j] + Y[:, :r] d, d minimizing the
-    regularized objective over the (r + 6)-dimensional span of Y.
+    regularized objective over the (r + 6)-dimensional span of Y.  An
+    ill-conditioned Q[:r, :r] would give fields that break the rank bound,
+    so it raises SolverError instead.
     """
     if r == 0:
         return Y
     AY = A @ Y
     Q = AY.T @ AY + eps * (Y.T @ Y)
-    D = la.solve(Q[:r, :r], -Q[:r, r:], assume_a="sym")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", la.LinAlgWarning)
+        try:
+            D = la.solve(Q[:r, :r], -Q[:r, r:], assume_a="sym")
+        except la.LinAlgWarning as exc:
+            raise SolverError("releasing the membrane constraints lost all "
+                              f"precision: {exc}") from exc
     return Y[:, r:] + Y[:, :r] @ D
 
 

@@ -292,24 +292,17 @@ def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
         if len(chi_rows) else np.zeros((0, 2, 2))
 
     # membrane side
-    if ms.empty:
-        kE, capE, gapE, ambE = 0, pol.cut(np.array([1.0]), h, 1e-15)[1], \
-            np.inf, False
-        E_vals = np.zeros(0)
-        membrane = []
-        E_basis = np.zeros((0, 2, 2))
-    else:
-        E_vals = ms.levels / smax
-        floorE = max(ms.floor_sigma() / smax, 1e-15)
-        kE, capE, gapE, ambE = pol.cut(E_vals, h, floorE)
-        membrane = []
-        for u in ms.directions[:, :kE].T:
-            m = mode_from_vector(system, ms.minimizers @ u)
-            E = vec_sym(effective_membrane_strain(m, grid).E)
-            membrane.append(_negated(m) if _leading_sign(E) < 0 else m)
-        dirs = (ms.basis @ ms.directions[:, :kE]).T   # rows: vec_sym(E)
-        E_basis = np.array([unvec_sym(_leading_sign(r) * r) for r in dirs]) \
-            if kE else np.zeros((0, 2, 2))
+    E_vals = ms.levels / smax
+    floorE = max(ms.floor_sigma() / smax, 1e-15)
+    kE, capE, gapE, ambE = pol.cut(E_vals, h, floorE)
+    membrane = []
+    for u in ms.directions[:, :kE].T:
+        m = mode_from_vector(system, ms.minimizers @ u)
+        E = vec_sym(effective_membrane_strain(m, grid).E)
+        membrane.append(_negated(m) if _leading_sign(E) < 0 else m)
+    dirs = (ms.basis @ ms.directions[:, :kE]).T   # rows: vec_sym(E)
+    E_basis = np.array([unvec_sym(_leading_sign(r) * r) for r in dirs]) \
+        if kE else np.zeros((0, 2, 2))
 
     return StrainSpaces(
         E_basis=E_basis, chi_basis=chi_basis,

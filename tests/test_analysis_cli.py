@@ -220,13 +220,43 @@ def test_cli_analysis_value_error_exits_1(tmp_path, capsys):
     # assemble_system rejects it after the CLI's own argument checks
     cfg = _write_json(tmp_path / "steep.json",
                       '{"family": "simple-corrugation", "profiles": '
-                      '[{"kind": "piecewise-linear", "amplitude": 1e200}]}')
+                      '[{"kind": "piecewise-linear", "amplitude": 1e150}]}')
     out = tmp_path / "run"
     code = cli.main(["analyze", "--surface", cfg, "--resolution", "8",
                      "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert "bad surface config" in err and "crease tangent" in err
+    assert not out.exists()
+
+
+def test_cli_ill_conditioned_release_exits_1(tmp_path, capsys):
+    # so steep a lateral fold leaves the membrane release step with no
+    # precision; the report it used to give broke the rank bound
+    cfg = _write_json(tmp_path / "steep-miura.json",
+                      '{"family": "miura-like", "profiles": ['
+                      '{"kind": "piecewise-linear", "amplitude": 1e8}, '
+                      '{"kind": "piecewise-linear", "amplitude": 1.0}]}')
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", cfg, "--resolution", "8",
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "solver failed" in err and "rcond" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_profile_less_translation_curve(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "bare.json",
+                      '{"family": "translation-surface", "profiles": ['
+                      '{"axis": 0, "vertical": {"kind": "piecewise-linear", '
+                      '"amplitude": 1.0}}, {"axis": 1}]}')
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", cfg, "--resolution", "8",
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad surface config" in err and "at least one profile" in err
     assert not out.exists()
 
 

@@ -73,6 +73,15 @@ def test_make_profile_rejects_non_finite_numbers(value):
         make_profile(PIECEWISE_QUADRATIC, 1.0, TAU, (1.0, value))
 
 
+@pytest.mark.parametrize("kind", [PIECEWISE_LINEAR, PIECEWISE_QUADRATIC,
+                                  SINUSOIDAL])
+def test_make_profile_rejects_overflowing_amplitude(kind):
+    # finite, but its square overflows the exact slope-square integrals
+    with pytest.raises(ValueError, match=r"amplitude 1e\+200"):
+        make_profile(kind, 1e200)
+    assert math.isfinite(make_profile(kind, 1e150).slope_mean_square())
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from((PIECEWISE_LINEAR, PIECEWISE_QUADRATIC,
                              SINUSOIDAL)),
