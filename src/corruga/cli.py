@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite",
                    choices=("examples", "lemma", "scaling", "warping", "all"))
     v.add_argument("--resolution", type=int, default=32,
-                   help="grid resolution for the examples suite (default 32)")
+                   help="grid resolution for the examples suite, also "
+                        "within all (default 32)")
     v.add_argument("--seed", type=int, default=2024,
                    help="seed for the random fields of the lemma suite")
     v.add_argument("--out", default=None,
@@ -124,7 +125,8 @@ def cmd_verify(args) -> int:
     elif args.suite == "warping":
         ok, lines = analysis.verify_warping()
     else:
-        ok, lines = analysis.verify_all()
+        ok, lines = analysis.verify_all(resolution=args.resolution,
+                                        seed=args.seed)
 
     for line in lines:
         print(line)

@@ -30,12 +30,12 @@ The null set of these systems is large: besides the handful of modes with
 nonzero effective strains it holds rigid rotations and a swarm of strain-free
 oscillatory fields, so no basis of it is ever formed.  strain_forms instead
 takes the best residual over the 6 growth coordinates and over the membrane
-strain coordinates from one bordered KKT factorization per ridge (a weak
-ridge for the residual levels, a strong one for the representative fields),
-and dimension counts are taken on those strain images.  A threshold policy
-cuts the levels at sigma/sigma_max: the automatic policy cuts at a
-resolution-dependent cap and checks that the gap at the cut is decisive; an
-indecisive gap is flagged, never silently resolved.
+strain coordinates from one bordered KKT factorization, whose minimizers are
+also the representative fields, and dimension counts are taken on those
+strain images.  A threshold policy cuts the levels at sigma/sigma_max: the
+automatic policy cuts at a resolution-dependent cap and checks that the gap
+at the cut is decisive; an indecisive gap is flagged, never silently
+resolved.
 """
 from __future__ import annotations
 
@@ -67,9 +67,8 @@ SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
 CAP_SCALE = 0.2          # cap on sigma/sigma_max is CAP_SCALE * h
 GAP_MIN = 10.0           # spectral ratio at the cut for a decisive split
 
-# strain_forms constants; the ridges are relative to sigma_max^2
-EPS_REL = 1e-13          # weak ridge: the residual levels
-REP_EPS_REL = 1e-7       # strong ridge: the representative fields
+# strain_forms constants; the ridge is relative to sigma_max^2
+EPS_REL = 1e-13          # ridge of the one KKT factorization
 RANK_RTOL = 1e-10        # rows of the membrane map below this are dropped
 
 
@@ -148,10 +147,13 @@ def _largest_singular_value(A: sp.spmatrix) -> float:
     """Dense SVD up to the cap, else ARPACK retried once, never dense."""
     if min(A.shape) <= SIGMA_DENSE_MAX:
         return float(la.svdvals(A.toarray())[0])
+    # a fixed start makes repeated calls agree to the bit; not a constant
+    # one, which is orthogonal to the checkerboard top singular vector
+    v0 = np.random.default_rng(0).standard_normal(min(A.shape))
     for opts in ({}, SVDS_RETRY):
         try:
-            return float(spla.svds(A, k=1, return_singular_vectors=False,
-                                   **opts)[0])
+            return float(spla.svds(A, k=1, v0=v0,
+                                   return_singular_vectors=False, **opts)[0])
         except spla.ArpackNoConvergence as exc:
             err = exc
     raise SolverError(
@@ -293,17 +295,20 @@ class ThresholdPolicy:
     def cut(self, rel: np.ndarray, h: float, floor: float):
         """Cut a sorted-ascending sigma/sigma_max array.
 
-        Returns (count_below, cap, gap_ratio, ambiguous).
+        ``floor`` bounds the regularization bias of the levels, one value for
+        all or one per level; the gap's denominator is never taken below the
+        largest floor of the levels under the cap, and the count does not
+        depend on it.  Returns (count_below, cap, gap_ratio, ambiguous).
         """
         rel = np.asarray(rel, dtype=float)
+        floor = np.broadcast_to(np.asarray(floor, dtype=float), rel.shape)
         cap = self.tau if self.kind == "fixed" else CAP_SCALE * h
         k = int(np.searchsorted(rel, cap, side="right"))
         if k == 0:
             gap = float(rel[0] / cap) if rel.size else np.inf
-        elif k == rel.size:
-            gap = float(cap / max(rel[-1], floor))
         else:
-            gap = float(rel[k] / max(rel[k - 1], floor))
+            top = rel[k] if k < rel.size else cap
+            gap = float(top / max(rel[k - 1], floor[:k].max()))
         ambiguous = self.kind == "auto" and gap < GAP_MIN
         return k, float(cap), gap, ambiguous
 
@@ -383,20 +388,23 @@ class QuadraticSpace:
     basis: np.ndarray        # (param_dim, m): c-coordinates -> natural ones
     eps: float
 
-    def floor_sigma(self) -> float:
-        """Regularization bias bound on the residual values."""
-        norms = np.linalg.norm(self.minimizers, axis=0)
-        return float(np.sqrt(self.eps) * norms.max(initial=1.0))
+    def floor_sigma(self) -> np.ndarray:
+        """Regularization bias bound of each level: sqrt(eps) times the norm
+        of its minimizer.  Per level, since the minimizers of non-achievable
+        directions wander into the strain-free continuum and grow with
+        resolution; ThresholdPolicy.cut reads only those under the cap."""
+        return np.sqrt(self.eps) * np.linalg.norm(
+            self.minimizers @ self.directions, axis=0)
 
 
-def _ridge_minimizers(A, G, C: np.ndarray, eps: float) -> np.ndarray:
-    """Minimizers of ||A y||^2 + eps ||y||^2 subject to C y = e_i, every i.
+def _ridge_minimizers(G, C: np.ndarray, eps: float) -> np.ndarray:
+    """Minimizers of ||A y||^2 + eps ||y||^2, G = A^T A, s.t. C y = e_i, all i.
 
     One sparse LU of the stationarity (KKT) system, one block solve over all
     unit right-hand sides with two refinement steps; the factorization is
     freed on return.
     """
-    N = A.shape[1]
+    N = G.shape[1]
     k = C.shape[0]
     Cs = sp.csr_matrix(C)
     K = sp.bmat([[G + eps * sp.identity(N), Cs.T], [Cs, None]], format="csc")
@@ -442,15 +450,14 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     of L are projected out first; ``basis`` maps the surviving r coordinates
     back (r = 0 gives an empty membrane space).
 
-    One KKT matrix per ridge, bordered by C = [L w; growth], serves both:
-    its r + 6 unit solves are the membrane minimizers and, with the membrane
-    rows released, the growth ones.  The Schur step is (r + 6)-sized; the
+    One KKT matrix, bordered by C = [L w; growth], serves both: its r + 6
+    unit solves are the membrane minimizers and, with the membrane rows
+    released, the growth ones.  The Schur step is (r + 6)-sized; the
     ill-conditioned L (A^T A + eps I)^-1 L^T never forms.  The levels are
     the singular values of A times the minimizers, never square roots of
-    their Gram form.  A near-vanishing ridge (EPS_REL) leaves the residuals
-    essentially unbiased, but its minimizers wander deep into the
-    strain-free continuum, so representative fields come from a stronger
-    ridge (REP_EPS_REL) whose residuals are discarded.
+    their Gram form.  The near-vanishing ridge (EPS_REL) leaves the
+    residuals essentially unbiased, and the minimizers along the directions
+    under the cap are the representative fields.
     """
     A = system.matrix.tocsr()
     N = A.shape[1]
@@ -464,24 +471,16 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     C = np.zeros((r + 6, N))
     C[:r, :ws] = Ur.T @ L
     C[r:, ws:] = np.eye(6)
-    G = (A.T @ A).tocsr()
-    lam = system.sigma_max() ** 2
+    eps = EPS_REL * system.sigma_max() ** 2
+    Y = _ridge_minimizers((A.T @ A).tocsr(), C, eps)
 
-    def minimizers(eps):
-        Y = _ridge_minimizers(A, G, C, eps)
-        return _drop_leading_constraints(A, Y, r, eps), Y[:, :r]
+    def space(Ys, basis):
+        _, s, Vt = la.svd(A @ Ys, full_matrices=False)
+        return QuadraticSpace(levels=s[::-1], directions=Vt[::-1].T,
+                              minimizers=Ys, basis=basis, eps=eps)
 
-    def spectrum(Y):
-        _, s, Vt = la.svd(A @ Y, full_matrices=False)
-        return s[::-1], Vt[::-1].T
-
-    eps = EPS_REL * lam
-    (sg, Vg), (sm, Vm) = (spectrum(Y) for Y in minimizers(eps))
-    Yg, Ym = minimizers(REP_EPS_REL * lam)
-    return (QuadraticSpace(levels=sg, directions=Vg, minimizers=Yg,
-                           basis=np.eye(6), eps=eps),
-            QuadraticSpace(levels=sm, directions=Vm, minimizers=Ym,
-                           basis=Ur, eps=eps))
+    return (space(_drop_leading_constraints(A, Y, r, eps), np.eye(6)),
+            space(Y[:, :r], Ur))
 
 
 # -- deflection recovery ---------------------------------------------------

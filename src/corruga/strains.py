@@ -257,6 +257,11 @@ def _orthonormal_rows(stack: np.ndarray) -> np.ndarray:
     return np.array([_leading_sign(r) * r for r in Vt[:rank]]).reshape(-1, 3)
 
 
+def _tensors(rows) -> np.ndarray:
+    """(k, 2, 2) symmetric tensors from (k, 3) vec_sym rows, k possibly 0."""
+    return np.array([unvec_sym(r) for r in rows]).reshape(-1, 2, 2)
+
+
 def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
     """Strain spans straight from the constraint system, no null basis.
 
@@ -268,49 +273,41 @@ def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
     """
     pol = policy or ThresholdPolicy()
     grid = system.grid
-    geom = grid.geometry
-    h = grid.h_max
     smax = system.sigma_max()
 
+    def cut(space):
+        rel = space.levels / smax
+        floor = np.maximum(space.floor_sigma() / smax, 1e-15)
+        return rel, SpectralCut(*pol.cut(rel, grid.h_max, floor))
+
+    def representatives(space, count, strain):
+        """Sign-fixed modes along the first count directions, with their
+        vec_sym strains as rows."""
+        modes, strains = [], []
+        for u in space.directions[:, :count].T:
+            m = mode_from_vector(system, space.minimizers @ u)
+            s = vec_sym(strain(m))
+            if _leading_sign(s) < 0:
+                m, s = _negated(m), -s
+            modes.append(m)
+            strains.append(s)
+        return tuple(modes), np.array(strains).reshape(-1, 3)
+
     gs, ms = strain_forms(system, membrane_row_map(grid))
-
-    # bending side
-    sig = gs.levels / smax
-    floor = max(gs.floor_sigma() / smax, 1e-15)
-    kG, capG, gapG, ambG = pol.cut(sig, h, floor)
-    bending = []
-    chis = []
-    for u in gs.directions[:, :kG].T:
-        m = mode_from_vector(system, gs.minimizers @ u)
-        chi = vec_sym(chi_from_growth(m.W1, m.W2, geom))
-        if _leading_sign(chi) < 0:
-            m, chi = _negated(m), -chi
-        bending.append(m)
-        chis.append(chi)
-    chi_rows = _orthonormal_rows(np.array(chis).reshape(-1, 3))
-    chi_basis = np.array([unvec_sym(r) for r in chi_rows]) \
-        if len(chi_rows) else np.zeros((0, 2, 2))
-
-    # membrane side
-    E_vals = ms.levels / smax
-    floorE = max(ms.floor_sigma() / smax, 1e-15)
-    kE, capE, gapE, ambE = pol.cut(E_vals, h, floorE)
-    membrane = []
-    for u in ms.directions[:, :kE].T:
-        m = mode_from_vector(system, ms.minimizers @ u)
-        E = vec_sym(effective_membrane_strain(m, grid).E)
-        membrane.append(_negated(m) if _leading_sign(E) < 0 else m)
-    dirs = (ms.basis @ ms.directions[:, :kE]).T   # rows: vec_sym(E)
-    E_basis = np.array([unvec_sym(_leading_sign(r) * r) for r in dirs]) \
-        if kE else np.zeros((0, 2, 2))
-
+    chi_vals, chi_cut = cut(gs)
+    E_vals, E_cut = cut(ms)
+    bending, chis = representatives(
+        gs, chi_cut.count, lambda m: chi_from_growth(m.W1, m.W2, grid.geometry))
+    membrane, _ = representatives(
+        ms, E_cut.count, lambda m: effective_membrane_strain(m, grid).E)
+    chi_rows = _orthonormal_rows(chis)
+    E_rows = [_leading_sign(r) * r
+              for r in (ms.basis @ ms.directions[:, :E_cut.count]).T]
     return StrainSpaces(
-        E_basis=E_basis, chi_basis=chi_basis,
-        dims=(int(kE), int(len(chi_rows))),
-        E_values=E_vals, chi_values=sig,
-        E_cut=SpectralCut(int(kE), capE, float(gapE), bool(ambE)),
-        chi_cut=SpectralCut(int(kG), capG, float(gapG), bool(ambG)),
-        membrane_modes=tuple(membrane), bending_modes=tuple(bending))
+        E_basis=_tensors(E_rows), chi_basis=_tensors(chi_rows),
+        dims=(E_cut.count, len(chi_rows)),
+        E_values=E_vals, chi_values=chi_vals, E_cut=E_cut, chi_cut=chi_cut,
+        membrane_modes=membrane, bending_modes=bending)
 
 
 # -- classification ---------------------------------------------------------

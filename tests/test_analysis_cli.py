@@ -34,9 +34,8 @@ def test_report_schema(analysis_bundle):
 
 
 def test_report_is_deterministic():
+    # 16 takes sigma_max's dense branch, 24 its ARPACK branch
     chart = builtin_chart("corrugation")
-    a = run_analysis(chart, 16)
-    b = run_analysis(chart, 16)
 
     def strip(r):
         r = {k: v for k, v in r.items() if not k.startswith("_")}
@@ -46,7 +45,10 @@ def test_report_is_deterministic():
         return json.dumps(r, sort_keys=True,
                           default=lambda o: np.asarray(o).tolist())
 
-    assert strip(a) == strip(b)
+    for resolution in (16, 24):
+        a = run_analysis(chart, resolution)
+        b = run_analysis(chart, resolution)
+        assert strip(a) == strip(b), resolution
 
 
 def test_writers_produce_artifacts(tmp_path, analysis_bundle):
@@ -155,6 +157,26 @@ def test_cli_verify_warping(tmp_path, capsys):
     data = json.loads(summary.read_text())
     assert data["passed"] is True
     assert "warping" in capsys.readouterr().out
+
+
+def test_cli_verify_all_passes_resolution_and_seed(monkeypatch, capsys):
+    import corruga.analysis as analysis_mod
+
+    calls = {}
+
+    def suite(name):
+        def run(**kwargs):
+            calls[name] = kwargs
+            return True, [name]
+        return run
+
+    for name in ("examples", "lemma", "scaling", "warping"):
+        monkeypatch.setattr(analysis_mod, f"verify_{name}", suite(name))
+    code = cli.main(["verify", "all", "--resolution", "16", "--seed", "5"])
+    assert code == 0
+    assert calls == {"examples": {"resolution": 16}, "lemma": {"seed": 5},
+                     "scaling": {}, "warping": {}}
+    assert '"passed": true' in capsys.readouterr().out
 
 
 def test_cli_rejects_unknown_suite():

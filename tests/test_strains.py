@@ -145,3 +145,17 @@ def test_mode_scale_is_positive_and_scales_linearly():
                            W2=2.0 * mode.W2, sigma=mode.sigma)
     assert s > 0
     assert_allclose(mode_scale(doubled, grid), 2.0 * s, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name, sign", [("eggbox", -1.0), ("miura", 1.0)])
+def test_membrane_representative_matches_catalogue(analysis_bundle, name,
+                                                   sign):
+    # the reported field is the KKT minimizer itself, so its E per unit RMS
+    # rotation is the catalogue mode's: diag(1, sign) / sqrt(3)
+    report = analysis_bundle(name, 16)
+    grid = report["_grid"]
+    am = analytic_mode(f"{name}-membrane")
+    ref = am.E / mode_scale(sample_rotation(am, grid, normalize=False), grid)
+    assert_allclose(ref, np.diag([1.0, sign]) / np.sqrt(3.0), atol=1e-12)
+    (E,) = [m["E"] for m in report["modes"] if m["id"].startswith("membrane")]
+    assert np.linalg.norm(E - ref) <= 1e-4 * np.linalg.norm(ref)
