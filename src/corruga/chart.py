@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .profiles import (PIECEWISE_LINEAR, Profile, make_profile,
+from .profiles import (PIECEWISE_LINEAR, Profile, as_float, make_profile,
                        profile_from_config)
 
 PLANE = "plane"
@@ -354,13 +354,21 @@ def chart_to_config(chart: SurfaceChart) -> dict:
 
 
 def chart_from_config(cfg: dict) -> SurfaceChart:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a surface config must be an object, got {cfg!r}")
     fam = cfg["family"]
     period = cfg.get("period", [TAU, TAU])
-    t1, t2 = float(period[0]), float(period[1])
+    if not isinstance(period, (list, tuple)) or len(period) != 2:
+        raise ValueError(f"period must be two numbers, got {period!r}")
+    t1, t2 = (as_float(t, "period") for t in period)
     raw = cfg.get("profiles", [])
+    if not isinstance(raw, list):
+        raise ValueError(f"profiles must be a list, got {raw!r}")
     if fam == TRANSLATION_SURFACE:
         curves = []
         for i, c in enumerate(raw):
+            if not isinstance(c, dict):
+                raise ValueError(f"a curve entry must be an object, got {c!r}")
             default = t1 if i == 0 else t2
             lat = profile_from_config(c["lateral"], default) if c.get("lateral") else None
             ver = profile_from_config(c["vertical"], default) if c.get("vertical") else None
@@ -369,7 +377,8 @@ def chart_from_config(cfg: dict) -> SurfaceChart:
     else:
         profiles = tuple(profile_from_config(p, t1 if i == 0 else t2)
                          for i, p in enumerate(raw))
-    return SurfaceChart(fam, (t1, t2), profiles, float(cfg.get("gamma", 0.0)))
+    return SurfaceChart(fam, (t1, t2), profiles,
+                        as_float(cfg.get("gamma", 0.0), "gamma"))
 
 
 def load_chart(path) -> SurfaceChart:

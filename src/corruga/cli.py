@@ -2,10 +2,10 @@
 
 Exit codes form a stable contract: 0 success, 1 unreadable or invalid
 surface config (also one the analysis rejects, such as a degenerate crease
-tangent), an invalid resolution or threshold, or a solver step that
-did not converge or lost all precision, 2 verification failure, 3 ambiguous rank (no clear
-spectral gap; the report is still written).  argparse keeps its own
-exit code 2 for usage errors.
+tangent), an invalid resolution, threshold or seed, an output that cannot
+be written, or a solver step that did not converge or lost all precision,
+2 verification failure, 3 ambiguous rank (no clear spectral gap; the report
+is still written).  argparse keeps its own exit code 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -91,11 +91,15 @@ def cmd_analyze(args) -> int:
         return 1
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(report, out / "report.json")
-    write_spectrum(report, out / "spectrum.csv")
-    if args.export_obj:
-        export_modes(report, out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_report(report, out / "report.json")
+        write_spectrum(report, out / "spectrum.csv")
+        if args.export_obj:
+            export_modes(report, out)
+    except OSError as exc:
+        print(f"corruga: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
     d = report["dims"]
     print(f"surface {args.surface}: dims (membrane, bending) = "
@@ -115,7 +119,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import analysis
+    from .grid import MIN_RESOLUTION
 
+    if args.resolution < MIN_RESOLUTION or args.seed < 0:
+        print(f"corruga: bad argument: resolution must be at least "
+              f"{MIN_RESOLUTION} and seed non-negative, got "
+              f"{args.resolution} and {args.seed}", file=sys.stderr)
+        return 1
     if args.suite == "examples":
         ok, lines = analysis.verify_examples(resolution=args.resolution)
     elif args.suite == "lemma":
@@ -133,8 +143,12 @@ def cmd_verify(args) -> int:
     summary = {"suite": args.suite, "passed": bool(ok)}
     print(json.dumps(summary))
     if args.out:
-        Path(args.out).write_text(json.dumps(summary | {"log": lines},
-                                             indent=2) + "\n")
+        try:
+            Path(args.out).write_text(json.dumps(summary | {"log": lines},
+                                                 indent=2) + "\n")
+        except OSError as exc:
+            print(f"corruga: cannot write output: {exc}", file=sys.stderr)
+            return 1
     return 0 if ok else 2
 
 

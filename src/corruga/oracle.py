@@ -5,7 +5,8 @@ rotation field, its deflection, the per-period growth vectors, and the
 predicted effective tensors.  Everything is evaluated from exact piecewise
 antiderivatives (profiles.py) and small closed-form means; none of it
 touches the finite-difference machinery, so these objects can arbitrate
-solver output.
+solver output.  Whether a sampled field solves the discrete system is the
+solver's question (solver.kernel_distance), never asked here.
 
 Catalogue ids:
 
@@ -320,12 +321,12 @@ def analytic_mode(mode_id: str, chart: SurfaceChart | None = None) -> AnalyticMo
 # -- grid sampling ---------------------------------------------------------
 
 def sample_rotation(amode: AnalyticMode, grid: PeriodicGrid,
-                    normalize: bool = True, system=None) -> RotationMode:
+                    normalize: bool = True) -> RotationMode:
     """Evaluate the analytic rotation on the grid's node set.
 
     Breakpoint instances are evaluated with the side of the arc they belong
-    to, matching how the grid samples chart partials.  With ``system`` the
-    discrete operator residual of the sampled vector is recorded as sigma.
+    to, matching how the grid samples chart partials.  sigma stays NaN: the
+    oracle never applies the discrete operator (solver.kernel_distance does).
     """
     if grid.chart != amode.chart:
         raise ValueError("grid was built for a different chart")
@@ -344,16 +345,14 @@ def sample_rotation(amode: AnalyticMode, grid: PeriodicGrid,
 
     mode = RotationMode(w=w, W1=amode.W1.copy(), W2=amode.W2.copy(),
                         sigma=float("nan"))
-    vec = mode.vector(grid)
-    nrm = float(np.linalg.norm(vec))
+    nrm = float(np.linalg.norm(mode.vector(grid)))
     if nrm == 0.0:
         raise ValueError("analytic mode sampled to zero")
-    scale = 1.0 / nrm if normalize else 1.0
-    sigma = float("nan")
-    if system is not None:
-        sigma = float(np.linalg.norm(system.matrix @ (vec / nrm)))
+    if not normalize:
+        return mode
+    scale = 1.0 / nrm
     return RotationMode(w=w * scale, W1=amode.W1 * scale,
-                        W2=amode.W2 * scale, sigma=sigma)
+                        W2=amode.W2 * scale, sigma=float("nan"))
 
 
 # -- random periodic fields and the pairing identity ----------------------

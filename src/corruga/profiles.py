@@ -256,6 +256,14 @@ class Profile:
                 "period": self.period, "breakpoints": list(self.breakpoints)}
 
 
+def as_float(value, name: str) -> float:
+    """float(value), with a value of the wrong type a ValueError as well."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
                  breakpoints=None) -> Profile:
     """Validate and construct a :class:`Profile`.
@@ -270,7 +278,8 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
     """
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}")
-    amplitude, period = float(amplitude), float(period)
+    amplitude = as_float(amplitude, "amplitude")
+    period = as_float(period, "period")
     if not math.isfinite(amplitude) or amplitude == 0.0:
         raise ValueError(f"amplitude must be a finite nonzero number, got "
                          f"{amplitude} (zero makes the profile constant)")
@@ -285,7 +294,11 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
 
     if breakpoints is None:
         breakpoints = (period / 4.0, 3.0 * period / 4.0)
-    bp = tuple(float(b) for b in breakpoints)
+    try:
+        bp = tuple(float(b) for b in breakpoints)
+    except TypeError:
+        raise ValueError(f"breakpoints must be a list of numbers, got "
+                         f"{breakpoints!r}") from None
     if len(bp) == 0:
         raise ValueError(f"{kind} profiles need breakpoints")
     if len(bp) % 2 != 0:
@@ -318,6 +331,8 @@ def _checked(profile: Profile) -> Profile:
 
 
 def profile_from_config(cfg: dict, default_period: float | None = None) -> Profile:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a profile entry must be an object, got {cfg!r}")
     period = cfg.get("period", default_period)
     if period is None:
         period = 2.0 * math.pi

@@ -32,10 +32,11 @@ oscillatory fields, so no basis of it is ever formed.  strain_forms instead
 takes the best residual over the 6 growth coordinates and over the membrane
 strain coordinates from one bordered KKT factorization, whose minimizers are
 also the representative fields, and dimension counts are taken on those
-strain images.  A threshold policy cuts the levels at sigma/sigma_max: the
-automatic policy cuts at a resolution-dependent cap and checks that the gap
-at the cut is decisive; an indecisive gap is flagged, never silently
-resolved.
+strain images.  That is the module's only factorization: kernel_distance
+certifies a sampled field by its residual, one sparse product.  A threshold
+policy cuts the levels at sigma/sigma_max: the automatic policy cuts at a
+resolution-dependent cap and checks that the gap at the cut is decisive; an
+indecisive gap is flagged, never silently resolved.
 """
 from __future__ import annotations
 
@@ -349,27 +350,18 @@ def mode_from_vector(system: ConstraintSystem, y: np.ndarray) -> RotationMode:
 
 def kernel_distance(system: ConstraintSystem, vectors,
                     threshold_rel: float) -> np.ndarray:
-    """Distance from unit vectors to the sub-threshold singular subspace.
+    """Upper bound on the distance from unit vectors to the span of the
+    right singular vectors with sigma <= threshold_rel * sigma_max.
 
-    Uses the spectral filter sigma^2/(sigma^2 + eps) with eps at the
-    threshold, so no basis of the (large) null set is ever formed.  Accurate
-    when the spectrum stays clear of the threshold by a decade or so.
+    Every component above the threshold adds at least threshold_rel *
+    sigma_max to ||A v||, so min(1, ||A v|| / (threshold_rel * sigma_max))
+    bounds that distance for any spectrum; one sparse product serves all
+    vectors, and no basis of the (large) null set is ever formed.
     """
-    A = system.matrix.tocsr()
-    smax = system.sigma_max()
-    eps = (threshold_rel * smax) ** 2
-    G = (A.T @ A).tocsc()
-    H = (G + eps * sp.identity(A.shape[1], format="csc")).tocsc()
-    lu = spla.splu(H)
     vs = np.atleast_2d(np.asarray(vectors, dtype=float))
-    out = []
-    for v in vs:
-        v = v / np.linalg.norm(v)
-        b = G @ v
-        z = lu.solve(b)
-        z = z + lu.solve(b - H @ z)
-        out.append(float(np.linalg.norm(z)))
-    return np.array(out)
+    vs = vs / np.linalg.norm(vs, axis=1, keepdims=True)
+    residual = np.linalg.norm(system.matrix @ vs.T, axis=0)
+    return np.minimum(1.0, residual / (threshold_rel * system.sigma_max()))
 
 
 # -- constrained least-squares forms --------------------------------------

@@ -300,6 +300,61 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    '[]',
+    '{"family": "plane", "period": 5}',
+    '{"family": "plane", "period": [1]}',
+    '{"family": "plane", "period": [1, 2, 3]}',
+    '{"family": "plane", "gamma": [1]}',
+    '{"family": "simple-corrugation", "profiles": [1]}',
+    '{"family": "simple-corrugation", "profiles": {"kind": "sinusoidal"}}',
+    '{"family": "translation-surface", "profiles": [5, 6]}',
+    '{"family": "simple-corrugation", "profiles": '
+    '[{"kind": "sinusoidal", "amplitude": null}]}',
+    '{"family": "simple-corrugation", "profiles": '
+    '[{"kind": "piecewise-linear", "amplitude": 1, "breakpoints": 5}]}',
+], ids=["array", "period-number", "period-short", "period-long",
+        "gamma-array", "profile-number", "profiles-object", "curve-number",
+        "amplitude-null", "breakpoints-number"])
+def test_cli_rejects_malformed_config_types(tmp_path, capsys, config):
+    cfg = _write_json(tmp_path / "bad.json", config)
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", cfg, "--resolution", "8",
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("corruga: bad surface config")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "examples", "--resolution", "4"],
+    ["verify", "lemma", "--seed", "-1"],
+], ids=["resolution", "seed"])
+def test_cli_verify_rejects_bad_arguments(capsys, argv):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("corruga: bad argument:")
+
+
+def test_cli_analyze_unwritable_out_exits_1(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = cli.main(["analyze", "--surface", "plane", "--resolution", "8",
+                     "--out", str(out)])
+    assert code == 1
+    assert "corruga: cannot write output:" in capsys.readouterr().err
+
+
+def test_cli_verify_unwritable_out_exits_1(tmp_path, capsys, monkeypatch):
+    import corruga.analysis as analysis_mod
+
+    monkeypatch.setattr(analysis_mod, "verify_all",
+                        lambda **kwargs: (True, ["all"]))
+    code = cli.main(["verify", "all",
+                     "--out", str(tmp_path / "missing" / "s.json")])
+    assert code == 1
+    assert "corruga: cannot write output:" in capsys.readouterr().err
+
+
 def test_cli_analyze_has_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "--surface", "plane", "--seed", "1",

@@ -238,6 +238,26 @@ def test_kernel_distance_separates_members_from_probes():
     assert outside >= 0.5
 
 
+def test_kernel_distance_bounds_the_exact_distance():
+    # the residual bound sits above the exact distance to the sub-threshold
+    # right singular subspace, for a member, an outsider and a mixture
+    am = analytic_mode("eggbox-membrane")
+    grid = build_grid(am.chart, 8)
+    system = assemble_system(grid)
+    rel, V = _dense_spectrum(system)
+    member = sample_rotation(am, grid).vector(grid)
+    probe = np.random.default_rng(7).normal(size=system.nunknowns)
+    probe /= np.linalg.norm(probe)
+    vs = np.array([member, probe, member + 1e-3 * probe])
+    bound = kernel_distance(system, vs, threshold_rel=1e-3)
+    unit = vs / np.linalg.norm(vs, axis=1, keepdims=True)
+    exact = np.linalg.norm(unit @ V[:, rel > 1e-3], axis=1)
+    # 1e-12 is the dense SVD's own rounding
+    assert np.all(exact <= bound + 1e-12), (exact, bound)
+    assert bound[0] <= 1e-12
+    assert exact[1] >= 0.5
+
+
 def test_recover_deflection_constant_mode_is_rigid():
     grid = build_grid(builtin_chart("corrugation"), 16)
     system = assemble_system(grid)
@@ -314,5 +334,6 @@ def test_sampled_analytic_modes_have_tiny_residual():
         am = analytic_mode(mid)
         grid = build_grid(am.chart, 24)
         system = assemble_system(grid)
-        mode = sample_rotation(am, grid, system=system)
-        assert mode.sigma <= 1e-9 * system.sigma_max(), mid
+        mode = sample_rotation(am, grid)
+        assert (np.linalg.norm(system.matrix @ mode.vector(grid))
+                <= 1e-9 * system.sigma_max()), mid
