@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .profiles import (PIECEWISE_LINEAR, Profile, as_float, make_profile,
-                       profile_from_config)
+                       profile_from_config, required)
 
 PLANE = "plane"
 SIMPLE_CORRUGATION = "simple-corrugation"
@@ -356,7 +356,7 @@ def chart_to_config(chart: SurfaceChart) -> dict:
 def chart_from_config(cfg: dict) -> SurfaceChart:
     if not isinstance(cfg, dict):
         raise ValueError(f"a surface config must be an object, got {cfg!r}")
-    fam = cfg["family"]
+    fam = required(cfg, "family", "the surface config")
     period = cfg.get("period", [TAU, TAU])
     if not isinstance(period, (list, tuple)) or len(period) != 2:
         raise ValueError(f"period must be two numbers, got {period!r}")

@@ -264,6 +264,14 @@ def as_float(value, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
+def required(cfg: dict, key: str, what: str):
+    """cfg[key], with a missing key a ValueError naming it and ``what``."""
+    try:
+        return cfg[key]
+    except KeyError:
+        raise ValueError(f"{what} has no {key!r} key: {cfg!r}") from None
+
+
 def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
                  breakpoints=None) -> Profile:
     """Validate and construct a :class:`Profile`.
@@ -336,5 +344,6 @@ def profile_from_config(cfg: dict, default_period: float | None = None) -> Profi
     period = cfg.get("period", default_period)
     if period is None:
         period = 2.0 * math.pi
-    return make_profile(cfg["kind"], cfg["amplitude"], period,
+    return make_profile(required(cfg, "kind", "a profile entry"),
+                        required(cfg, "amplitude", "a profile entry"), period,
                         cfg.get("breakpoints") or None)

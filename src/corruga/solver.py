@@ -30,10 +30,15 @@ The null set of these systems is large: besides the handful of modes with
 nonzero effective strains it holds rigid rotations and a swarm of strain-free
 oscillatory fields, so no basis of it is ever formed.  strain_forms instead
 takes the best residual over the 6 growth coordinates and over the membrane
-strain coordinates from one bordered KKT factorization, whose minimizers are
-also the representative fields, and dimension counts are taken on those
-strain images.  That is the module's only factorization: kernel_distance
-certifies a sampled field by its residual, one sparse product.  A threshold
+strain coordinates from one bordered KKT system, whose minimizers are also
+the representative fields, and dimension counts are taken on those strain
+images.  The KKT system is solved by block elimination: its symmetric
+positive definite rotation-sample block A^T A + eps I is factored once by a
+minimum-degree sparse LU with diagonal pivots, the border (6 growth
+unknowns and the constraint multipliers) is folded in by a dense Schur
+complement, and two refinement steps against the full KKT matrix follow.
+That LU is the module's only factorization: kernel_distance certifies a
+sampled field by its residual, one sparse product.  A threshold
 policy cuts the levels at sigma/sigma_max: the automatic policy cuts at a
 resolution-dependent cap and checks that the gap at the cut is decisive; an
 indecisive gap is flagged, never silently resolved.
@@ -69,7 +74,7 @@ CAP_SCALE = 0.2          # cap on sigma/sigma_max is CAP_SCALE * h
 GAP_MIN = 10.0           # spectral ratio at the cut for a decisive split
 
 # strain_forms constants; the ridge is relative to sigma_max^2
-EPS_REL = 1e-13          # ridge of the one KKT factorization
+EPS_REL = 1e-13          # ridge of the one KKT system
 RANK_RTOL = 1e-10        # rows of the membrane map below this are dropped
 
 
@@ -389,24 +394,43 @@ class QuadraticSpace:
             self.minimizers @ self.directions, axis=0)
 
 
-def _ridge_minimizers(G, C: np.ndarray, eps: float) -> np.ndarray:
+def _ridge_minimizers(G, C: np.ndarray, eps: float, ws: int) -> np.ndarray:
     """Minimizers of ||A y||^2 + eps ||y||^2, G = A^T A, s.t. C y = e_i, all i.
 
-    One sparse LU of the stationarity (KKT) system, one block solve over all
-    unit right-hand sides with two refinement steps; the factorization is
-    freed on return.
+    The stationarity (KKT) system K = [[G + eps I, C^T], [C, 0]] is solved
+    by block elimination.  Only its rotation-sample block H = G[:ws, :ws] +
+    eps I enters the sparse LU: it is symmetric positive definite, so a
+    minimum-degree ordering of H + H^T with diagonal pivots is stable.  The
+    zero-diagonal multiplier rows and the dense growth and membrane columns
+    stay out of it, where they would force off-diagonal pivots and fill.
+    That border (the 6 growth unknowns and the C multipliers) couples to it
+    through B = K[:ws, ws:] and is folded in by a dense Schur complement
+    S = K[ws:, ws:] - B^T H^-1 B.  One block solve over all unit right-hand
+    sides and two refinement steps against the full K follow; the
+    factorization is freed on return.  Returns the refined KKT solution,
+    the minimizers Y (N rows) over the multipliers (k rows).
     """
     N = G.shape[1]
     k = C.shape[0]
     Cs = sp.csr_matrix(C)
     K = sp.bmat([[G + eps * sp.identity(N), Cs.T], [Cs, None]], format="csc")
-    lu = spla.splu(K)
+    lu = spla.splu(K[:ws, :ws], permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    B = K[:ws, ws:].toarray()
+    X = lu.solve(B)
+    S = la.lu_factor(K[ws:, ws:].toarray() - B.T @ X)
+
+    def solve(rhs):
+        t = lu.solve(rhs[:ws])
+        zb = la.lu_solve(S, rhs[ws:] - B.T @ t)
+        return np.vstack([t - X @ zb, zb])
+
     b = np.zeros((N + k, k))
     b[N:] = np.eye(k)
-    z = lu.solve(b)
+    z = solve(b)
     for _ in range(2):
-        z = z + lu.solve(b - K @ z)
-    return z[:N]
+        z = z + solve(b - K @ z)
+    return z
 
 
 def _drop_leading_constraints(A, Y: np.ndarray, r: int,
@@ -444,8 +468,11 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
 
     One KKT matrix, bordered by C = [L w; growth], serves both: its r + 6
     unit solves are the membrane minimizers and, with the membrane rows
-    released, the growth ones.  The Schur step is (r + 6)-sized; the
-    ill-conditioned L (A^T A + eps I)^-1 L^T never forms.  The levels are
+    released, the growth ones.  _ridge_minimizers factors only its
+    rotation-sample block and folds the growth unknowns and the multipliers
+    in by a dense (12 + r)-sized Schur complement, refined against the full
+    KKT matrix.  The release step is (r + 6)-sized; the ill-conditioned
+    L (A^T A + eps I)^-1 L^T never forms.  The levels are
     the singular values of A times the minimizers, never square roots of
     their Gram form.  The near-vanishing ridge (EPS_REL) leaves the
     residuals essentially unbiased, and the minimizers along the directions
@@ -464,7 +491,7 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     C[:r, :ws] = Ur.T @ L
     C[r:, ws:] = np.eye(6)
     eps = EPS_REL * system.sigma_max() ** 2
-    Y = _ridge_minimizers((A.T @ A).tocsr(), C, eps)
+    Y = _ridge_minimizers((A.T @ A).tocsr(), C, eps, ws)[:N]
 
     def space(Ys, basis):
         _, s, Vt = la.svd(A @ Ys, full_matrices=False)

@@ -326,6 +326,22 @@ def test_cli_rejects_malformed_config_types(tmp_path, capsys, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ('{}', "the surface config has no 'family' key"),
+    ('{"family": "simple-corrugation", "profiles": [{"amplitude": 1}]}',
+     "a profile entry has no 'kind' key"),
+], ids=["family", "kind"])
+def test_cli_names_missing_config_key(tmp_path, capsys, config, message):
+    cfg = _write_json(tmp_path / "missing.json", config)
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", cfg, "--resolution", "8",
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corruga: bad surface config") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "examples", "--resolution", "4"],
     ["verify", "lemma", "--seed", "-1"],

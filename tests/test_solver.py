@@ -9,13 +9,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+from corruga import solver
 from corruga.chart import builtin_chart
 from corruga.grid import build_grid, differentiate
 from corruga.oracle import analytic_mode, sample_rotation
 from corruga.solver import (ROW_CREASE, ROW_PDE, SIGMA_DENSE_MAX,
                             SolverError, ThresholdPolicy, assemble_system,
-                            kernel_distance, recover_deflection)
-from corruga.strains import effective_spaces, membrane_strain_field
+                            kernel_distance, recover_deflection,
+                            strain_forms)
+from corruga.strains import (effective_spaces, membrane_row_map,
+                             membrane_strain_field)
 
 
 def test_plane_system_counts():
@@ -105,20 +108,52 @@ def test_threshold_policy_rejects_tau_outside_unit_interval(tau):
 
 @pytest.mark.parametrize("name", ["eggbox", "plane"])
 def test_effective_spaces_factors_once(name, monkeypatch):
-    # one KKT factorization gives the growth and the membrane levels, the
-    # cuts and the representative fields
+    # one factorization, of the symmetric rotation-sample block alone, gives
+    # the growth and the membrane levels, the cuts and the representatives
     system = assemble_system(build_grid(builtin_chart(name), 16))
     system.sigma_max()
-    shapes = []
+    factored = []
     splu = spla.splu
 
-    def counted(K, *args, **kwargs):
-        shapes.append(K.shape)
-        return splu(K, *args, **kwargs)
+    def counted(H, *args, **kwargs):
+        factored.append(H)
+        return splu(H, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
     effective_spaces(system)
-    assert len(shapes) == 1
+    assert len(factored) == 1
+    H = factored[0]
+    assert H.shape == (system.w_size, system.w_size)
+    assert abs(H - H.T).max() == 0.0
+
+
+@pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
+def test_ridge_minimizers_match_dense_kkt(name, monkeypatch):
+    # the block-eliminated, refined solve against a dense LU of the same
+    # bordered KKT matrix K = [[A^T A + eps I, C^T], [C, 0]]
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    calls = []
+    ridge = solver._ridge_minimizers
+
+    def spy(G, C, eps, ws):
+        z = ridge(G, C, eps, ws)
+        calls.append((G, C, eps, z))
+        return z
+
+    monkeypatch.setattr(solver, "_ridge_minimizers", spy)
+    strain_forms(system, membrane_row_map(system.grid))
+    (G, C, eps, z), = calls
+    N, k = C.shape[1], C.shape[0]
+    K = np.block([[G.toarray() + eps * np.eye(N), C.T],
+                  [C, np.zeros((k, k))]])
+    b = np.zeros((N + k, k))
+    b[N:] = np.eye(k)
+    Y, Y_ref = z[:N], la.solve(K, b)[:N]
+    assert_allclose(C @ Y, np.eye(k), rtol=0, atol=1e-10)
+    A = system.matrix
+    s, s_ref = la.svdvals(A @ Y), la.svdvals(A @ Y_ref)
+    assert_allclose(s, s_ref, rtol=0, atol=1e-9 * s_ref.max())
+    assert np.linalg.norm(b - K @ z) <= 1e-10 * np.linalg.norm(b)
 
 
 def _growth_levels_own_kkt(system, eps_rel=1e-13):
