@@ -2,21 +2,22 @@
 
 A chart maps parameters (xi1, xi2) to a position in R^3 and is periodic
 modulo a linear part: x(xi + T_a e_a) = x(xi) + T_a p_a with constant
-lattice tangents p_a.  Every family the structured grid supports is a
-surface of translation x = alpha(xi1) + beta(xi2), and ``SurfaceChart.curves``
-gives its pair of space curves (a missing component is zero):
+lattice tangents p_a.  Every family is a pair of space curves under the
+lattice shear eta = xi2 + gamma*xi1, x = alpha(xi1) + beta(eta), with
+gamma = 0 outside the sheared family.  ``SurfaceChart.curves`` gives the
+pair (a missing component is zero):
 
 * ``plane``: alpha = (t, 0, 0), beta = (0, t, 0)
 * ``simple-corrugation``: alpha = (t, 0, f(t)), beta = (0, t, 0)
-* ``double-corrugation``: alpha = (t, 0, f(t)), beta = (0, t, g(t))
+* ``double-corrugation`` and ``sheared-double-corrugation``:
+  alpha = (t, 0, f(t)), beta = (0, t, g(t))
 * ``miura-like``: alpha = (t, f(t), 0), beta = (0, t, g(t))
 * ``translation-surface``: alpha, beta given as curves built from profiles
 
-Positions, one-sided partials and breakpoints all come from that pair.  The
-one exception is ``sheared-double-corrugation``: x = (xi1, xi2 + gamma*xi1,
-f(xi1) + g(xi2 + gamma*xi1)) is not a translation surface in its chart
-parameters, and it is for analytic use only; its panel joints are oblique in
-parameter space, which the structured grid does not support.
+Positions and one-sided partials all come from that pair.  The sheared
+family is for analytic use only: its panel joints are oblique in parameter
+space, which the structured grid does not support, so it reports no
+breakpoints and is not grid-compatible.
 
 Tangent discontinuities (creases) happen exactly on the parameter lines
 passing through piecewise-linear profile breakpoints; piecewise-quadratic
@@ -152,7 +153,7 @@ class SurfaceChart:
 
     @property
     def curves(self) -> tuple[SpaceCurve, SpaceCurve]:
-        """The (alpha, beta) pair with x = alpha(xi1) + beta(xi2)."""
+        """The (alpha, beta) pair with x = alpha(xi1) + beta(xi2 + gamma*xi1)."""
         fam = self.family
         if fam == TRANSLATION_SURFACE:
             return self.profiles
@@ -160,12 +161,10 @@ class SurfaceChart:
             return SpaceCurve(0), SpaceCurve(1)
         if fam == SIMPLE_CORRUGATION:
             return SpaceCurve(0, vertical=self.f), SpaceCurve(1)
-        if fam == DOUBLE_CORRUGATION:
-            return SpaceCurve(0, vertical=self.f), SpaceCurve(1, vertical=self.g)
         if fam == MIURA_LIKE:
             return SpaceCurve(0, lateral=self.f), SpaceCurve(1, vertical=self.g)
-        raise ValueError(f"family {fam!r} is not a translation surface in its "
-                         "chart parameters")
+        # double corrugation, sheared or not
+        return SpaceCurve(0, vertical=self.f), SpaceCurve(1, vertical=self.g)
 
     @property
     def grid_compatible(self) -> bool:
@@ -265,15 +264,8 @@ def evaluate_chart(chart: SurfaceChart, xi1, xi2) -> np.ndarray:
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     xi1, xi2 = np.broadcast_arrays(xi1, xi2)
-    if chart.family == SHEARED_DOUBLE_CORRUGATION:
-        eta = xi2 + chart.gamma * xi1
-        out = np.zeros(xi1.shape + (3,))
-        out[..., 0] = xi1
-        out[..., 1] = eta
-        out[..., 2] = chart.f.value(xi1) + chart.g.value(eta)
-        return out
     a, b = chart.curves
-    return a.point(xi1) + b.point(xi2)
+    return a.point(xi1) + b.point(xi2 + chart.gamma * xi1)
 
 
 def chart_partials(chart: SurfaceChart, xi1, xi2, side=(1, 1)):
@@ -286,19 +278,9 @@ def chart_partials(chart: SurfaceChart, xi1, xi2, side=(1, 1)):
     xi2 = np.asarray(xi2, dtype=float)
     xi1, xi2 = np.broadcast_arrays(xi1, xi2)
     s1, s2 = side
-    if chart.family == SHEARED_DOUBLE_CORRUGATION:
-        eta = xi2 + chart.gamma * xi1
-        gs = chart.g.slope(eta, s2)
-        x1 = np.zeros(xi1.shape + (3,))
-        x2 = np.zeros(xi1.shape + (3,))
-        x1[..., 0] = 1.0
-        x1[..., 1] = chart.gamma
-        x1[..., 2] = chart.f.slope(xi1, s1) + chart.gamma * gs
-        x2[..., 1] = 1.0
-        x2[..., 2] = gs
-        return x1, x2
     a, b = chart.curves
-    return a.tangent(xi1, s1), b.tangent(xi2, s2)
+    tb = b.tangent(xi2 + chart.gamma * xi1, s2)
+    return a.tangent(xi1, s1) + chart.gamma * tb, tb
 
 
 def period_geometry(chart: SurfaceChart) -> PeriodGeometry:

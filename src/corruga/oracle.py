@@ -17,6 +17,11 @@ Catalogue ids:
 * ``miura-membrane``        stretch of the miura-like chart
 * ``translation-twist``     twist of a translation surface (linear growth)
 * ``sheared-membrane``      eggbox membrane composed with a lattice shear
+
+Each entry is stated once: ``corrugation-twist`` is the translation twist on
+the corrugation's curve pair, and ``sheared-membrane`` is the eggbox
+membrane pulled back by the lattice shear eta = xi2 + gamma*xi1.  The one
+table ``_CATALOGUE`` maps every id to its canonical chart and builder.
 """
 from __future__ import annotations
 
@@ -25,36 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import (TAU, MIURA_LIKE, PLANE, DOUBLE_CORRUGATION,
-                    SHEARED_DOUBLE_CORRUGATION, SIMPLE_CORRUGATION,
-                    TRANSLATION_SURFACE, SpaceCurve, SurfaceChart,
-                    builtin_chart, period_geometry)
+from .chart import (TAU, SHEARED_DOUBLE_CORRUGATION, SpaceCurve,
+                    SurfaceChart, builtin_chart, period_geometry)
 from .grid import PeriodicGrid, cell_average
-from .profiles import Profile, make_profile
+from .profiles import Profile
 from .solver import RotationMode
-
-MODE_IDS = ("plane-bending", "corrugation-membrane", "corrugation-twist",
-            "eggbox-membrane", "miura-membrane", "translation-twist",
-            "sheared-membrane")
-
-_FAMILY_OF = {
-    "plane-bending": PLANE,
-    "corrugation-membrane": SIMPLE_CORRUGATION,
-    "corrugation-twist": SIMPLE_CORRUGATION,
-    "eggbox-membrane": DOUBLE_CORRUGATION,
-    "miura-membrane": MIURA_LIKE,
-    "translation-twist": TRANSLATION_SURFACE,
-    "sheared-membrane": SHEARED_DOUBLE_CORRUGATION,
-}
-
-_BUILTIN_OF = {
-    "plane-bending": "plane",
-    "corrugation-membrane": "corrugation",
-    "corrugation-twist": "corrugation",
-    "eggbox-membrane": "eggbox",
-    "miura-membrane": "miura",
-    "translation-twist": "translation",
-}
+from .strains import chi_from_growth, orthogonality_residual
 
 
 @dataclass(frozen=True)
@@ -93,17 +74,6 @@ class AnalyticMode:
         return bool(np.any(self.W1) or np.any(self.W2))
 
 
-def _growth_chi(W1, W2, geom) -> np.ndarray:
-    W = (W1, W2)
-    p = (geom.p1, geom.p2)
-    chi = np.empty((2, 2))
-    for a in range(2):
-        for b in range(2):
-            chi[a, b] = 0.5 * (np.dot(np.cross(W[b], p[a]), geom.n)
-                               + np.dot(np.cross(W[a], p[b]), geom.n))
-    return chi
-
-
 # -- per-id constructions -------------------------------------------------
 
 def _plane_bending(chart):
@@ -119,7 +89,7 @@ def _plane_bending(chart):
 
     W1 = np.array([0.0, -1.0, 0.0])
     W2 = np.zeros(3)
-    chi = _growth_chi(W1, W2, period_geometry(chart))
+    chi = chi_from_growth(W1, W2, period_geometry(chart))
     return rot, defl, W1, W2, np.zeros((2, 2)), chi
 
 
@@ -139,28 +109,6 @@ def _corrugation_membrane(chart):
 
     E = np.diag([f.slope_mean_square(), 0.0])
     return rot, defl, np.zeros(3), np.zeros(3), E, np.zeros((2, 2))
-
-
-def _corrugation_twist(chart):
-    f = chart.f
-
-    def rot(xi1, xi2, side):
-        return np.stack([xi1, -xi2, f.value(xi1)], axis=-1)
-
-    def defl(xi1, xi2):
-        fv = f.value(xi1)
-        return np.stack([-xi2 * fv,
-                         2.0 * f.value_integral(xi1) - xi1 * fv,
-                         xi1 * xi2], axis=-1)
-
-    W1 = np.array([1.0, 0.0, 0.0])
-    W2 = np.array([0.0, -1.0, 0.0])
-    chi = _growth_chi(W1, W2, period_geometry(chart))
-    # cell average of the induced stretch; exactly zero for profiles with
-    # f(0) = 0 and zero mean, nonzero otherwise (origin-dependent quantity)
-    e12 = 0.5 * (f.value_mean() - float(f.value(0.0)))
-    E = np.array([[0.0, e12], [e12, 0.0]])
-    return rot, defl, W1, W2, E, chi
 
 
 def _eggbox_membrane(chart):
@@ -220,13 +168,13 @@ def _curve_swirl(curve: SpaceCurve, t):
     return np.stack(comps, axis=-1)
 
 
-def _curve_mean(curve: SpaceCurve) -> np.ndarray:
+def _curve_mean(curve: SpaceCurve, period: float) -> np.ndarray:
+    """Mean of c over [0, period]; a straight line has no period of its own."""
     out = np.zeros(3)
-    out[curve.axis] = 0.5 * curve.period
-    if curve.lateral is not None:
-        out[1 - curve.axis] = curve.lateral.value_mean()
-    if curve.vertical is not None:
-        out[2] = curve.vertical.value_mean()
+    out[curve.axis] = 0.5 * period
+    for p, k in ((curve.lateral, 1 - curve.axis), (curve.vertical, 2)):
+        if p is not None:
+            out[k] = p.value_integral(period) / period
     return out
 
 
@@ -244,11 +192,13 @@ def _translation_twist(chart):
 
     W1 = np.array([1.0, 0.0, 0.0])
     W2 = np.array([0.0, -1.0, 0.0])
-    chi = _growth_chi(W1, W2, geom)
+    chi = chi_from_growth(W1, W2, geom)
 
     # exact cell-averaged stretch from one-period means
-    pdot1 = _curve_swirl(alpha, t1) / t1 + np.cross(geom.p1, _curve_mean(beta))
-    pdot2 = -_curve_swirl(beta, t2) / t2 + np.cross(_curve_mean(alpha), geom.p2)
+    pdot1 = (_curve_swirl(alpha, t1) / t1
+             + np.cross(geom.p1, _curve_mean(beta, t2)))
+    pdot2 = (-_curve_swirl(beta, t2) / t2
+             + np.cross(_curve_mean(alpha, t1), geom.p2))
     E = np.array([
         [np.dot(pdot1, geom.p1),
          0.5 * (np.dot(pdot1, geom.p2) + np.dot(pdot2, geom.p1))],
@@ -257,63 +207,62 @@ def _translation_twist(chart):
     return rot, defl, W1, W2, E, chi
 
 
-def _sheared_membrane(chart):
-    f, g, gamma = chart.f, chart.g, chart.gamma
+def _sheared(build):
+    """``build``'s periodic mode pulled back by eta = xi2 + gamma*xi1.
 
-    def rot(xi1, xi2, side):
-        eta = xi2 + gamma * xi1
-        fs = f.slope(xi1, side[0])
-        gs = g.slope(eta, side[1])
-        return np.stack([gs, fs, fs * gs], axis=-1)
-
-    def defl(xi1, xi2):
-        eta = xi2 + gamma * xi1
-        return np.stack([f.running_slope_square(xi1),
-                         -g.running_slope_square(eta),
-                         g.value(eta) - f.value(xi1)], axis=-1)
-
-    a = f.slope_mean_square()
-    b = g.slope_mean_square()
-    E = np.array([[a - gamma * gamma * b, -gamma * b],
-                  [-gamma * b, -b]])
-    return rot, defl, np.zeros(3), np.zeros(3), E, np.zeros((2, 2))
+    The stretch tensor transforms by congruence, E -> S^T E S with
+    S = [[1, 0], [gamma, 1]]; the mode must carry no growth.
+    """
+    def pulled(chart):
+        rot, defl, W1, W2, E, chi = build(chart)
+        gamma = chart.gamma
+        S = np.array([[1.0, 0.0], [gamma, 1.0]])
+        return (lambda xi1, xi2, side: rot(xi1, xi2 + gamma * xi1, side),
+                lambda xi1, xi2: defl(xi1, xi2 + gamma * xi1),
+                W1, W2, S.T @ E @ S, chi)
+    return pulled
 
 
-_BUILDERS = {
-    "plane-bending": _plane_bending,
-    "corrugation-membrane": _corrugation_membrane,
-    "corrugation-twist": _corrugation_twist,
-    "eggbox-membrane": _eggbox_membrane,
-    "miura-membrane": _miura_membrane,
-    "translation-twist": _translation_twist,
-    "sheared-membrane": _sheared_membrane,
+# id -> (canonical chart, builder); a mode accepts charts of its canonical
+# chart's family
+_CATALOGUE = {
+    "plane-bending": (builtin_chart("plane"), _plane_bending),
+    "corrugation-membrane": (builtin_chart("corrugation"),
+                             _corrugation_membrane),
+    "corrugation-twist": (builtin_chart("corrugation"), _translation_twist),
+    "eggbox-membrane": (builtin_chart("eggbox"), _eggbox_membrane),
+    "miura-membrane": (builtin_chart("miura"), _miura_membrane),
+    "translation-twist": (builtin_chart("translation"), _translation_twist),
+    "sheared-membrane": (SurfaceChart(SHEARED_DOUBLE_CORRUGATION, (TAU, TAU),
+                                      builtin_chart("eggbox").profiles,
+                                      gamma=1.0),
+                         _sheared(_eggbox_membrane)),
 }
+
+MODE_IDS = tuple(_CATALOGUE)
+
+
+def _entry(mode_id: str):
+    if mode_id not in _CATALOGUE:
+        raise ValueError(f"unknown analytic mode {mode_id!r}; "
+                         f"choose from {', '.join(MODE_IDS)}")
+    return _CATALOGUE[mode_id]
 
 
 def canonical_chart(mode_id: str) -> SurfaceChart:
     """The default chart each catalogue entry is stated on."""
-    if mode_id == "sheared-membrane":
-        sgn = make_profile("piecewise-linear", 1.0, TAU)
-        return SurfaceChart(SHEARED_DOUBLE_CORRUGATION, (TAU, TAU),
-                            (sgn, sgn), gamma=1.0)
-    if mode_id not in _BUILTIN_OF:
-        raise ValueError(f"unknown analytic mode {mode_id!r}; "
-                         f"choose from {', '.join(MODE_IDS)}")
-    return builtin_chart(_BUILTIN_OF[mode_id])
+    return _entry(mode_id)[0]
 
 
 def analytic_mode(mode_id: str, chart: SurfaceChart | None = None) -> AnalyticMode:
     """Build a catalogue entry on ``chart`` (default: its canonical chart)."""
-    if mode_id not in _BUILDERS:
-        raise ValueError(f"unknown analytic mode {mode_id!r}; "
-                         f"choose from {', '.join(MODE_IDS)}")
+    canonical, build = _entry(mode_id)
     if chart is None:
-        chart = canonical_chart(mode_id)
-    want = _FAMILY_OF[mode_id]
-    if chart.family != want:
-        raise ValueError(f"mode {mode_id!r} needs a {want!r} chart, "
-                         f"got {chart.family!r}")
-    rot, defl, W1, W2, E, chi = _BUILDERS[mode_id](chart)
+        chart = canonical
+    if chart.family != canonical.family:
+        raise ValueError(f"mode {mode_id!r} needs a {canonical.family!r} "
+                         f"chart, got {chart.family!r}")
+    rot, defl, W1, W2, E, chi = build(chart)
     return AnalyticMode(mode_id=mode_id, chart=chart, W1=W1, W2=W2,
                         E=E, chi=chi, _rotation=rot, _deflection=defl)
 
@@ -366,20 +315,23 @@ class TrigField:
     cos_c: np.ndarray   # (nk, 3)
     sin_c: np.ndarray   # (nk, 3)
 
-    def _phases(self, xi1, xi2):
+    def sample(self, xi1, xi2):
+        """The value and both partials (v, v_1, v_2) at (xi1, xi2).
+
+        All three come from one phase table and one cos/sin pair.
+        """
         k1 = TAU * self.waves[:, 0] / self.period[0]
         k2 = TAU * self.waves[:, 1] / self.period[1]
-        return (np.asarray(xi1, dtype=float)[..., None] * k1
-                + np.asarray(xi2, dtype=float)[..., None] * k2)
-
-    def value(self, xi1, xi2):
-        th = self._phases(xi1, xi2)
-        return np.cos(th) @ self.cos_c + np.sin(th) @ self.sin_c
-
-    def partial(self, xi1, xi2, direction: int):
-        th = self._phases(xi1, xi2)
-        k = TAU * self.waves[:, direction] / self.period[direction]
-        return ((-np.sin(th) * k) @ self.cos_c + (np.cos(th) * k) @ self.sin_c)
+        th = (np.asarray(xi1, dtype=float)[..., None] * k1
+              + np.asarray(xi2, dtype=float)[..., None] * k2)
+        c = np.cos(th)
+        s = np.sin(th, out=th)   # the phase table is not needed past here
+        # the wavenumbers go into the coefficients, so no table is scaled
+        k1, k2 = k1[:, None], k2[:, None]
+        out = (c @ np.hstack([self.cos_c, k1 * self.sin_c, k2 * self.sin_c])
+               + s @ np.hstack([self.sin_c, -k1 * self.cos_c,
+                                -k2 * self.cos_c]))
+        return out[..., :3], out[..., 3:6], out[..., 6:]
 
     def rms(self) -> float:
         # mean square over the cell is exactly half the coefficient energy
@@ -420,14 +372,13 @@ def symmetry_lemma_check(chart: SurfaceChart, omega: TrigField, w: TrigField,
     X1 = grid.axis1.xi[:, None]
     X2 = grid.axis2.xi[None, :]
 
-    def dop(fld):
-        return (np.cross(fld.partial(X1, X2, 1), grid.x1)
-                - np.cross(fld.partial(X1, X2, 0), grid.x2))
+    def dop(v1, v2):
+        return np.cross(v2, grid.x1) - np.cross(v1, grid.x2)
 
-    wv = w.value(X1, X2)
-    ov = omega.value(X1, X2)
-    lhs = float(cell_average(np.einsum("ijk,ijk->ij", ov, dop(w)), grid))
-    rhs = float(cell_average(np.einsum("ijk,ijk->ij", wv, dop(omega)), grid))
+    ov, o1, o2 = omega.sample(X1, X2)
+    wv, w1, w2 = w.sample(X1, X2)
+    lhs = float(cell_average(np.einsum("ijk,ijk->ij", ov, dop(w1, w2)), grid))
+    rhs = float(cell_average(np.einsum("ijk,ijk->ij", wv, dop(o1, o2)), grid))
     return lhs, rhs
 
 
@@ -470,18 +421,11 @@ def fitted_rate(eps_list, errors) -> float:
 
 # -- lattice shear covariance ----------------------------------------------
 
-def _pair_residual(E: np.ndarray, chi: np.ndarray) -> float:
-    return float(E[0, 0] * chi[1, 1] - 2.0 * E[0, 1] * chi[0, 1]
-                 + E[1, 1] * chi[0, 0])
-
-
 @dataclass(frozen=True)
 class ReparametrizationResult:
     """Outcome of the shear-covariance identity checks."""
 
-    shear: np.ndarray                # S, unit-determinant
-    E_base: np.ndarray               # straight-chart stretch diag(a, -b)
-    E_congruent: np.ndarray          # S^T E_base S
+    E_congruent: np.ndarray          # S^T diag(a, -b) S
     E_direct: np.ndarray             # from first-principles cell means
     congruence_residual: float
     invariance_residual: float       # pair residual vs untransformed pairs
@@ -530,8 +474,8 @@ def reparametrization_check(f: Profile, g: Profile,
     exp_res = 0.0
     for chi in chis:
         chi_s = S.T @ chi @ S
-        r_s = _pair_residual(E_cong, chi_s)
-        inv_res = max(inv_res, abs(r_s - _pair_residual(E0, chi)))
+        r_s = orthogonality_residual(E_cong, chi_s)
+        inv_res = max(inv_res, abs(r_s - orthogonality_residual(E0, chi)))
         expansion = a * chi_s[1, 1] - b * (gamma * gamma * chi_s[1, 1]
                                            - 2.0 * gamma * chi_s[0, 1]
                                            + chi_s[0, 0])
@@ -540,10 +484,10 @@ def reparametrization_check(f: Profile, g: Profile,
     zero_res = 0.0
     for t, u in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, -3.0)):
         chi = np.array([[a * t, u], [u, b * t]])
-        zero_res = max(zero_res, abs(_pair_residual(E_cong, S.T @ chi @ S)))
+        zero_res = max(zero_res,
+                       abs(orthogonality_residual(E_cong, S.T @ chi @ S)))
 
-    return ReparametrizationResult(shear=S, E_base=E0, E_congruent=E_cong,
-                                   E_direct=E_direct,
+    return ReparametrizationResult(E_congruent=E_cong, E_direct=E_direct,
                                    congruence_residual=cong_res,
                                    invariance_residual=inv_res,
                                    expansion_residual=exp_res,

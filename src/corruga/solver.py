@@ -62,7 +62,6 @@ ROW_OSCILLATION = "oscillation-control"
 
 OSC_SCALE = 0.25         # weight of the checkerboard-control rows
 
-SIGMA_DENSE_MAX = 1500   # dense SVD for sigma_max up to this min(shape)
 SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
 
 # default threshold-policy constants (calibrated on the built-in families;
@@ -119,10 +118,6 @@ class ConstraintSystem:
     _sigma_max: float | None = field(default=None, repr=False)
 
     @property
-    def nrows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def nunknowns(self) -> int:
         return self.matrix.shape[1]
 
@@ -150,9 +145,10 @@ class ConstraintSystem:
 
 
 def _largest_singular_value(A: sp.spmatrix) -> float:
-    """Dense SVD up to the cap, else ARPACK retried once, never dense."""
-    if min(A.shape) <= SIGMA_DENSE_MAX:
-        return float(la.svdvals(A.toarray())[0])
+    """ARPACK at every size, retried once; never a dense SVD.
+
+    Raises SolverError when neither try converges.
+    """
     # a fixed start makes repeated calls agree to the bit; not a constant
     # one, which is orthogonal to the checkerboard top singular vector
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
@@ -509,7 +505,6 @@ class DeflectionField:
     """Deflection samples on the display lattice, anchored to 0 at [0, 0]."""
 
     values: np.ndarray               # (r, c, 3)
-    fundamental_shape: tuple[int, int]
 
 
 def _cover_rotation(mode: RotationMode, grid: PeriodicGrid):
@@ -545,4 +540,4 @@ def recover_deflection(mode: RotationMode, grid: PeriodicGrid,
         out[1:, :] = out[:1, :] + np.cumsum(d0, axis=0)
     else:
         raise ValueError(f"unknown integration order {order!r}")
-    return DeflectionField(values=out, fundamental_shape=grid.shape)
+    return DeflectionField(values=out)

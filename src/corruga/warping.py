@@ -43,12 +43,6 @@ class SectionCurve:
         if self.closed and (x[0] != x[-1] or y[0] != y[-1]):
             raise ValueError("a closed section must end at its first sample")
 
-    @property
-    def arclength(self) -> np.ndarray:
-        """Cumulative chord length, starting at 0."""
-        steps = np.hypot(np.diff(self.x), np.diff(self.y))
-        return np.concatenate([[0.0], np.cumsum(steps)])
-
 
 def section_from_points(points, closed: bool | None = None) -> SectionCurve:
     """Build a section from an (n, 2) array; detect or enforce closure.
@@ -71,11 +65,10 @@ def section_from_points(points, closed: bool | None = None) -> SectionCurve:
 
 @dataclass(frozen=True)
 class WarpingResult:
-    """Twist rate, per-sample warping values, and closed-loop dislocation."""
+    """Twist rate and per-sample warping values of an open section."""
 
     alpha: float
     w: np.ndarray
-    dislocation: float | None = None
 
 
 def _increments(section: SectionCurve) -> np.ndarray:

@@ -319,6 +319,9 @@ def test_criterion_13_reparametrization_congruence():
             checks.append((res.invariance_residual <= 1e-12,
                            f"gamma={gamma}: invariance "
                            f"{res.invariance_residual:.2e}"))
+            checks.append((res.ok, f"gamma={gamma}: expansion "
+                           f"{res.expansion_residual:.2e}, zero set "
+                           f"{res.zero_residual:.2e}"))
     ref = reparametrization_check(sgn, sgn, 1.0)
     checks.append((np.allclose(ref.E_congruent, [[0.0, -1.0], [-1.0, -1.0]],
                                atol=1e-12),

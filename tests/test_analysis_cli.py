@@ -34,7 +34,6 @@ def test_report_schema(analysis_bundle):
 
 
 def test_report_is_deterministic():
-    # 16 takes sigma_max's dense branch, 24 its ARPACK branch
     chart = builtin_chart("corrugation")
 
     def strip(r):

@@ -82,11 +82,19 @@ def _closed_form(chart, xi1, xi2, s1, s2):
         f, g = chart.profiles
         x = [xi1, xi2, f.value(xi1) + g.value(xi2)]
         x1, x2 = [one, zero, f.slope(xi1, s1)], [zero, one, g.slope(xi2, s2)]
-    else:
-        assert fam == "miura-like"
+    elif fam == "miura-like":
         f, g = chart.profiles
         x = [xi1, xi2 + f.value(xi1), g.value(xi2)]
         x1, x2 = [one, f.slope(xi1, s1), zero], [zero, one, g.slope(xi2, s2)]
+    else:
+        assert fam == "sheared-double-corrugation"
+        f, g = chart.profiles
+        gamma = chart.gamma
+        eta = xi2 + gamma * xi1
+        gs = g.slope(eta, s2)
+        x = [xi1, eta, f.value(xi1) + g.value(eta)]
+        x1 = [one, gamma * one, f.slope(xi1, s1) + gamma * gs]
+        x2 = [zero, one, gs]
     return tuple(np.stack(c, axis=-1) for c in (x, x1, x2))
 
 
@@ -98,15 +106,27 @@ def _lateral_translation():
                          SpaceCurve(1, lateral=bump)))
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("translation-lateral",))
+def _sheared(gamma):
+    sgn = make_profile("piecewise-linear", 1.0, TAU)
+    bump = make_profile("piecewise-quadratic", 0.8, TAU)
+    return SurfaceChart("sheared-double-corrugation", (TAU, TAU), (sgn, bump),
+                        gamma=gamma)
+
+
+_EXTRA_CHARTS = {"translation-lateral": _lateral_translation,
+                 "sheared@1": lambda: _sheared(1.0),
+                 "sheared@-2": lambda: _sheared(-2.0)}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(_EXTRA_CHARTS))
 def test_grid_families_match_their_closed_forms(name):
-    chart = (_lateral_translation() if name == "translation-lateral"
+    chart = (_EXTRA_CHARTS[name]() if name in _EXTRA_CHARTS
              else builtin_chart(name))
     rng = np.random.default_rng(3)
-    # breakpoints of both directions, approached from either side; the
-    # first offset is 0, where only ``side`` picks the panel
-    b1 = chart.panel_breakpoints(0) or (1.0,)
-    b2 = chart.panel_breakpoints(1) or (2.0,)
+    # breakpoints of both curves, approached from either side; the first
+    # offset is 0, where only ``side`` picks the panel
+    b1 = chart.curves[0].panel_breakpoints() or (1.0,)
+    b2 = chart.curves[1].panel_breakpoints() or (2.0,)
     offsets = np.concatenate([[0.0], rng.uniform(0.0, 0.3, 39)])
     for s1 in (1, -1):
         for s2 in (1, -1):

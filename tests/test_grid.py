@@ -1,9 +1,10 @@
 """Grid construction, quadrature, differentiation, oscillation rows, OBJ."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from corruga.chart import TAU, builtin_chart, period_geometry
+from corruga.chart import TAU, SurfaceChart, builtin_chart, period_geometry
 from corruga.grid import (build_grid, cell_average, differentiate,
                           display_positions, write_obj)
 
@@ -13,6 +14,15 @@ def test_plane_grid_counts():
     assert grid.shape == (8, 8)
     assert grid.nnodes == 64
     assert_allclose(np.sum(grid.weights), grid.cell_area, rtol=1e-14)
+
+
+def test_sheared_family_is_refused():
+    # its curve pair evaluates, but its panel joints are oblique lines
+    sheared = SurfaceChart("sheared-double-corrugation", (TAU, TAU),
+                           builtin_chart("eggbox").profiles, gamma=1.0)
+    assert sheared.curves and not sheared.panel_breakpoints(0)
+    with pytest.raises(ValueError, match="not axis-aligned"):
+        build_grid(sheared, 8)
 
 
 def test_corrugation_grid_duplicates_crease_columns():

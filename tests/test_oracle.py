@@ -3,13 +3,14 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from corruga.chart import SIMPLE_CORRUGATION, TAU, SurfaceChart, builtin_chart
+from corruga.chart import (SHEARED_DOUBLE_CORRUGATION, SIMPLE_CORRUGATION,
+                           TAU, SurfaceChart, builtin_chart)
 from corruga.grid import build_grid, cell_average
 from corruga.oracle import (MODE_IDS, TrigField, analytic_mode, fitted_rate,
                             make_trig_field, reparametrization_check,
                             sample_rotation, scaling_limit_check,
                             symmetry_lemma_check)
-from corruga.profiles import SINUSOIDAL, make_profile
+from corruga.profiles import PIECEWISE_QUADRATIC, SINUSOIDAL, make_profile
 from corruga.solver import assemble_system
 
 
@@ -35,6 +36,35 @@ def test_sampled_modes_are_discrete_solutions():
         mode = sample_rotation(am, grid)
         assert (np.linalg.norm(system.matrix @ mode.vector(grid))
                 <= 1e-9 * system.sigma_max()), mid
+
+
+def test_sheared_membrane_matches_first_principles():
+    # the catalogue pulls the eggbox membrane back through the shear; the
+    # reparametrization check assembles E from the sheared cell means
+    sgn = make_profile("piecewise-linear", 1.0, TAU)
+    quad = make_profile(PIECEWISE_QUADRATIC, 0.7, TAU / 2)
+    for f, g, gamma in ((sgn, sgn, 1.0), (sgn, sgn, -2.0), (quad, sgn, 2.0),
+                        (sgn, quad, 0.5)):
+        chart = SurfaceChart(SHEARED_DOUBLE_CORRUGATION,
+                             (f.period, g.period), (f, g), gamma=gamma)
+        am = analytic_mode("sheared-membrane", chart)
+        want = reparametrization_check(f, g, gamma).E_direct
+        assert_allclose(am.E, want, rtol=1e-14, atol=1e-14,
+                        err_msg=f"gamma={gamma}")
+
+
+def test_corrugation_twist_stretch_is_origin_offset():
+    # E12 = (mean f - f(0)) / 2 on a simple corrugation, read here off the
+    # translation twist of its curve pair
+    wave = make_profile(SINUSOIDAL, 0.8, TAU)
+    quad = make_profile(PIECEWISE_QUADRATIC, 1.3, 3.0)
+    for chart in (SurfaceChart(SIMPLE_CORRUGATION, (TAU, TAU), (wave,)),
+                  SurfaceChart(SIMPLE_CORRUGATION, (3.0, 5.0), (quad,))):
+        f = chart.f
+        e12 = 0.5 * (f.value_mean() - float(f.value(0.0)))
+        E = analytic_mode("corrugation-twist", chart).E
+        assert_allclose(E, [[0.0, e12], [e12, 0.0]], rtol=1e-14, atol=1e-15)
+    assert abs(e12) > 0.1
 
 
 def test_membrane_catalogue_matches_cell_quadrature():
@@ -115,11 +145,12 @@ def test_reparametrization_congruence():
     assert_allclose(res.E_congruent, [[0.0, -1.0], [-1.0, -1.0]], atol=1e-14)
     assert res.congruence_residual <= 1e-12
     assert res.invariance_residual <= 1e-12
+    assert res.ok
 
 
 def test_trig_field_rms_matches_sampling():
     f = make_trig_field(123)
     xi = np.random.default_rng(0).uniform(0, TAU, size=(20000, 2))
-    vals = f.value(xi[:, 0], xi[:, 1])
+    vals, _, _ = f.sample(xi[:, 0], xi[:, 1])
     sampled = np.sqrt(np.mean(np.sum(vals**2, axis=-1)))
     assert_allclose(sampled, f.rms(), rtol=5e-2)
