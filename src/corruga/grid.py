@@ -205,8 +205,7 @@ class PeriodicGrid:
     """Tensor-product grid over one period of a chart.
 
     Node (i, j) flattens to i * n2 + j.  ``positions`` are fundamental-domain
-    evaluations; ``cover_positions`` add the exact lattice offsets m_a T_a p_a
-    so they are continuous in the unwrapped coordinate window.
+    evaluations; display_positions adds the exact lattice offsets m_a T_a p_a.
     """
 
     chart: SurfaceChart
@@ -214,7 +213,6 @@ class PeriodicGrid:
     axis2: Axis
     geometry: PeriodGeometry
     positions: np.ndarray        # (n1, n2, 3)
-    cover_positions: np.ndarray  # (n1, n2, 3)
     x1: np.ndarray               # (n1, n2, 3) one-sided partials
     x2: np.ndarray
     weights: np.ndarray = field(init=False)  # (n1, n2), sums to T1*T2
@@ -304,11 +302,8 @@ def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
     x2 = np.broadcast_to(_node_tangents(beta, axis2)[None],
                          positions.shape).copy()
 
-    geom = period_geometry(chart)
-    m1 = axis1.wrap_m[:, None, None]
-    m2 = axis2.wrap_m[None, :, None]
-    cover = positions + m1 * t1 * geom.p1 + m2 * t2 * geom.p2
-    return PeriodicGrid(chart, axis1, axis2, geom, positions, cover, x1, x2)
+    return PeriodicGrid(chart, axis1, axis2, period_geometry(chart),
+                        positions, x1, x2)
 
 
 def cell_average(values, grid: PeriodicGrid):
@@ -391,13 +386,26 @@ def display_lattice(grid: PeriodicGrid):
     return i % n1, j % n2, i // n1, j // n2
 
 
-def display_positions(grid: PeriodicGrid) -> np.ndarray:
+def display_cover(grid: PeriodicGrid, values: np.ndarray, growth1,
+                  growth2) -> np.ndarray:
+    """A cover field on the display lattice, continuous over the period.
+
+    ``values`` (n1, n2, k) are fundamental-domain samples and ``growth1``,
+    ``growth2`` the field's growth over one period in each direction; each
+    lattice node adds its period counts m_a times growth_a.
+    """
     ib, jb, e1, e2 = display_lattice(grid)
+    m1 = grid.axis1.wrap_m[ib] + e1
+    m2 = grid.axis2.wrap_m[jb] + e2
+    out = np.asarray(values, dtype=float)[np.ix_(ib, jb)]
+    out = out + m1[:, None, None] * growth1
+    return out + m2[None, :, None] * growth2
+
+
+def display_positions(grid: PeriodicGrid) -> np.ndarray:
     t1, t2 = grid.chart.period
-    pos = grid.cover_positions[np.ix_(ib, jb)]
-    pos = pos + e1[:, None, None] * t1 * grid.geometry.p1
-    pos = pos + e2[None, :, None] * t2 * grid.geometry.p2
-    return pos
+    return display_cover(grid, grid.positions, t1 * grid.geometry.p1,
+                         t2 * grid.geometry.p2)
 
 
 def write_obj(path, vertices: np.ndarray) -> None:

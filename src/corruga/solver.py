@@ -30,13 +30,13 @@ The null set of these systems is large: besides the handful of modes with
 nonzero effective strains it holds rigid rotations and a swarm of strain-free
 oscillatory fields, so no basis of it is ever formed.  strain_forms instead
 takes the best residual over the 6 growth coordinates and over the membrane
-strain coordinates from one bordered KKT system, whose minimizers are also
-the representative fields, and dimension counts are taken on those strain
-images.  The KKT system is solved by block elimination: its symmetric
-positive definite rotation-sample block A^T A + eps I is factored once by a
-minimum-degree sparse LU with diagonal pivots, the border (6 growth
-unknowns and the constraint multipliers) is folded in by a dense Schur
-complement, and two refinement steps against the full KKT matrix follow.
+strain coordinates; those minimizers are also the representative fields,
+and dimension counts are taken on their strain images.  The growth
+coordinates are data: each growth minimizer fixes them and solves for the
+rotation samples alone.  The symmetric positive definite rotation-sample
+block H = A_w^T A_w + eps I is factored once by a minimum-degree sparse LU
+with diagonal pivots; the membrane constraints enter through the r x r
+(r <= 3) Schur complement Lr H^-1 Lr^T, and two refinement steps follow.
 That LU is the module's only factorization: kernel_distance certifies a
 sampled field by its residual, one sparse product.  A threshold
 policy cuts the levels at sigma/sigma_max: the automatic policy cuts at a
@@ -53,7 +53,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import PeriodicGrid, display_lattice, display_positions
+from .grid import PeriodicGrid, display_cover, display_positions
 
 ROW_PDE = "interior-PDE"
 ROW_CREASE = "crease-admissibility"
@@ -114,7 +114,7 @@ class ConstraintSystem:
 
     matrix: sp.csr_matrix
     grid: PeriodicGrid
-    segments: tuple[tuple[str, int, int], ...]
+    rows: dict[str, int]             # row count per row family
     _sigma_max: float | None = field(default=None, repr=False)
 
     @property
@@ -126,10 +126,7 @@ class ConstraintSystem:
         return 3 * self.grid.nnodes
 
     def row_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for tag, start, stop in self.segments:
-            counts[tag] = counts.get(tag, 0) + (stop - start)
-        return counts
+        return dict(self.rows)
 
     def sigma_max(self) -> float:
         if self._sigma_max is None:
@@ -190,12 +187,11 @@ def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
     B1 = growth_col(-wc1, cross_blocks(x2))
     B2 = growth_col(wc2, cross_blocks(x1))
     parts = [sp.hstack([Aw, B1, B2], format="csr")]
-    segments: list[tuple[str, int, int]] = [(ROW_PDE, 0, 3 * n)]
+    rows = {ROW_PDE: 3 * n}
 
     # jump rows at duplicated breakpoints
     blocks: list[np.ndarray] = []
     bcols: list[int] = []
-    tags: list[str] = []
     eye3 = np.eye(3)
     for direction in (0, 1):
         axis = grid.axis(direction)
@@ -217,29 +213,21 @@ def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
                             f"degenerate crease tangent at breakpoint "
                             f"{pair.value} (direction {direction})")
                     R = cross_blocks(tangent)[0] * inv_h
-                    tags.append(ROW_CREASE)
+                    tag = ROW_CREASE
                 else:
                     R = eye3 * inv_h
-                    tags.append(ROW_CONTINUITY)
+                    tag = ROW_CONTINUITY
+                rows[tag] = rows.get(tag, 0) + 3
                 blocks.extend((R, -R))
                 bcols.extend((kp, km))
 
-    if tags:
-        nb = len(tags)
+    if bcols:
+        nb = len(bcols) // 2
         P = sp.bsr_matrix((np.array(blocks), np.array(bcols),
                            2 * np.arange(nb + 1)), shape=(3 * nb, 3 * n))
         parts.append(sp.hstack([P, sp.csr_matrix((3 * nb, 6))], format="csr"))
-        start = 3 * n
-        run_tag, run_start = tags[0], start
-        for t in tags[1:]:
-            start += 3
-            if t != run_tag:
-                segments.append((run_tag, run_start, start))
-                run_tag, run_start = t, start
-        segments.append((run_tag, run_start, start + 3))
 
     # checkerboard control, applied to the cover field w + m * What
-    offset = sum(p.shape[0] for p in parts)
     for direction in (0, 1):
         S, sw = grid.fourth_difference_operator(direction)
         m = S.shape[0]
@@ -254,11 +242,12 @@ def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
         zcol = sp.csr_matrix((3 * m, 3))
         cols = [Sw, gcol, zcol] if direction == 0 else [Sw, zcol, gcol]
         parts.append(sp.hstack(cols, format="csr"))
-        segments.append((ROW_OSCILLATION, offset, offset + 3 * m))
-        offset += 3 * m
+        rows[ROW_OSCILLATION] = rows.get(ROW_OSCILLATION, 0) + 3 * m
 
+    # the 3x3 blocks store the zeros of cross_blocks and of the tangents
     A = sp.vstack(parts, format="csr")
-    return ConstraintSystem(matrix=A, grid=grid, segments=tuple(segments))
+    A.eliminate_zeros()
+    return ConstraintSystem(matrix=A, grid=grid, rows=rows)
 
 
 # -- threshold policy ----------------------------------------------------
@@ -390,67 +379,50 @@ class QuadraticSpace:
             self.minimizers @ self.directions, axis=0)
 
 
-def _ridge_minimizers(G, C: np.ndarray, eps: float, ws: int) -> np.ndarray:
-    """Minimizers of ||A y||^2 + eps ||y||^2, G = A^T A, s.t. C y = e_i, all i.
+def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray) -> np.ndarray:
+    """Ridge minimizers over the rotation samples w, H = A_w^T A_w + eps I.
 
-    The stationarity (KKT) system K = [[G + eps I, C^T], [C, 0]] is solved
-    by block elimination.  Only its rotation-sample block H = G[:ws, :ws] +
-    eps I enters the sparse LU: it is symmetric positive definite, so a
-    minimum-degree ordering of H + H^T with diagonal pivots is stable.  The
-    zero-diagonal multiplier rows and the dense growth and membrane columns
-    stay out of it, where they would force off-diagonal pivots and fill.
-    That border (the 6 growth unknowns and the C multipliers) couples to it
-    through B = K[:ws, ws:] and is folded in by a dense Schur complement
-    S = K[ws:, ws:] - B^T H^-1 B.  One block solve over all unit right-hand
-    sides and two refinement steps against the full K follow; the
-    factorization is freed on return.  Returns the refined KKT solution,
-    the minimizers Y (N rows) over the multipliers (k rows).
+    Column j < g (g = Gwg.shape[1]) pins growth coordinate j to 1: it
+    minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2 with w free, so
+    w = -H^-1 Gwg e_j, Gwg = A_w^T A_g.  Column g + i keeps the growth at 0
+    and solves Lr w = e_i, the KKT system [[H, Lr^T], [Lr, 0]], by the
+    r x r Schur complement S = Lr H^-1 Lr^T.  Only H enters the sparse LU:
+    it is symmetric positive definite, so a minimum-degree ordering of
+    H + H^T with diagonal pivots is stable.  One block solve over
+    [-Gwg | Lr^T] and two refinement steps follow, the growth columns
+    against H and the membrane ones against the KKT matrix; the
+    factorization is freed on return.  Returns the w part of all g + r
+    minimizers as columns.  An ill-conditioned S would give fields that
+    break the rank bound, so it raises SolverError instead.
     """
-    N = G.shape[1]
-    k = C.shape[0]
-    Cs = sp.csr_matrix(C)
-    K = sp.bmat([[G + eps * sp.identity(N), Cs.T], [Cs, None]], format="csc")
-    lu = spla.splu(K[:ws, :ws], permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    B = K[:ws, ws:].toarray()
-    X = lu.solve(B)
-    S = la.lu_factor(K[ws:, ws:].toarray() - B.T @ X)
+    lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    g, r = Gwg.shape[1], Lr.shape[0]
+    X = lu.solve(np.hstack([-Gwg, Lr.T]))
+    Z = X[:, g:]
+    S = Lr @ Z
 
-    def solve(rhs):
-        t = lu.solve(rhs[:ws])
-        zb = la.lu_solve(S, rhs[ws:] - B.T @ t)
-        return np.vstack([t - X @ zb, zb])
+    def schur(rhs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", la.LinAlgWarning)
+            try:
+                return la.solve(S, rhs, assume_a="sym")
+            except la.LinAlgWarning as exc:
+                raise SolverError("the membrane Schur complement lost all "
+                                  f"precision: {exc}") from exc
 
-    b = np.zeros((N + k, k))
-    b[N:] = np.eye(k)
-    z = solve(b)
+    lam = -schur(np.eye(r))
+    W = np.hstack([X[:, :g], -Z @ lam])
+    b = np.hstack([-Gwg, np.zeros((H.shape[0], r))])
     for _ in range(2):
-        z = z + solve(b - K @ z)
-    return z
-
-
-def _drop_leading_constraints(A, Y: np.ndarray, r: int,
-                              eps: float) -> np.ndarray:
-    """Release the first r constraints from the minimizers Y of C y = e_i.
-
-    Column r + j of Y also pins the first r coordinates to zero; the best
-    field with those free is Y[:, r + j] + Y[:, :r] d, d minimizing the
-    regularized objective over the (r + 6)-dimensional span of Y.  An
-    ill-conditioned Q[:r, :r] would give fields that break the rank bound,
-    so it raises SolverError instead.
-    """
-    if r == 0:
-        return Y
-    AY = A @ Y
-    Q = AY.T @ AY + eps * (Y.T @ Y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", la.LinAlgWarning)
-        try:
-            D = la.solve(Q[:r, :r], -Q[:r, r:], assume_a="sym")
-        except la.LinAlgWarning as exc:
-            raise SolverError("releasing the membrane constraints lost all "
-                              f"precision: {exc}") from exc
-    return Y[:, r:] + Y[:, :r] @ D
+        R = b - H @ W
+        R[:, g:] -= Lr.T @ lam
+        T = lu.solve(R)
+        d = schur(Lr @ (W[:, g:] + T[:, g:]) - np.eye(r))
+        T[:, g:] -= Z @ d
+        W += T
+        lam += d
+    return W
 
 
 def strain_forms(system: ConstraintSystem, L: np.ndarray):
@@ -462,20 +434,20 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     of L are projected out first; ``basis`` maps the surviving r coordinates
     back (r = 0 gives an empty membrane space).
 
-    One KKT matrix, bordered by C = [L w; growth], serves both: its r + 6
-    unit solves are the membrane minimizers and, with the membrane rows
-    released, the growth ones.  _ridge_minimizers factors only its
-    rotation-sample block and folds the growth unknowns and the multipliers
-    in by a dense (12 + r)-sized Schur complement, refined against the full
-    KKT matrix.  The release step is (r + 6)-sized; the ill-conditioned
-    L (A^T A + eps I)^-1 L^T never forms.  The levels are
+    The 6 growth coordinates are data, not unknowns: growth minimizer j
+    fixes them to e_j and minimizes over w alone, with no membrane
+    constraint; membrane minimizer i keeps them at 0 and solves Lr w = e_i.
+    _ridge_minimizers gets both from one factorization of the rotation
+    block H = A_w^T A_w + eps I.  The membrane columns go through the
+    r x r Schur complement S = Lr H^-1 Lr^T, which is formed; it is
+    ill-conditioned on the finest grids, and the two refinement steps
+    against the KKT matrix restore what its solve loses.  The levels are
     the singular values of A times the minimizers, never square roots of
     their Gram form.  The near-vanishing ridge (EPS_REL) leaves the
     residuals essentially unbiased, and the minimizers along the directions
     under the cap are the representative fields.
     """
     A = system.matrix.tocsr()
-    N = A.shape[1]
     ws = system.w_size
     L = np.atleast_2d(np.asarray(L, dtype=float))
     if L.shape[1] != ws:
@@ -483,19 +455,18 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     U, sv, _ = la.svd(L, full_matrices=False)
     r = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
     Ur = U[:, :r]
-    C = np.zeros((r + 6, N))
-    C[:r, :ws] = Ur.T @ L
-    C[r:, ws:] = np.eye(6)
     eps = EPS_REL * system.sigma_max() ** 2
-    Y = _ridge_minimizers((A.T @ A).tocsr(), C, eps, ws)[:N]
+    Aw = A[:, :ws]
+    H = (Aw.T @ Aw + eps * sp.identity(ws)).tocsc()
+    W = _ridge_minimizers(H, (Aw.T @ A[:, ws:]).toarray(), Ur.T @ L)
 
     def space(Ys, basis):
         _, s, Vt = la.svd(A @ Ys, full_matrices=False)
         return QuadraticSpace(levels=s[::-1], directions=Vt[::-1].T,
                               minimizers=Ys, basis=basis, eps=eps)
 
-    return (space(_drop_leading_constraints(A, Y, r, eps), np.eye(6)),
-            space(Y[:, :r], Ur))
+    return (space(np.vstack([W[:, :6], np.eye(6)]), np.eye(6)),
+            space(np.vstack([W[:, 6:], np.zeros((6, r))]), Ur))
 
 
 # -- deflection recovery ---------------------------------------------------
@@ -507,18 +478,6 @@ class DeflectionField:
     values: np.ndarray               # (r, c, 3)
 
 
-def _cover_rotation(mode: RotationMode, grid: PeriodicGrid):
-    """Rotation samples on the display lattice, growth offsets included."""
-    ib, jb, e1, e2 = display_lattice(grid)
-    t1, t2 = grid.chart.period
-    m1 = grid.axis1.wrap_m[ib] + e1
-    m2 = grid.axis2.wrap_m[jb] + e2
-    w = mode.w[np.ix_(ib, jb)].astype(float)
-    w = w + m1[:, None, None] * (t1 * mode.W1)
-    w = w + m2[None, :, None] * (t2 * mode.W2)
-    return w
-
-
 def recover_deflection(mode: RotationMode, grid: PeriodicGrid,
                        order: str = "rows") -> DeflectionField:
     """Path-integrate d(deflection) = w x dx over the display lattice.
@@ -527,8 +486,9 @@ def recover_deflection(mode: RotationMode, grid: PeriodicGrid,
     column then each row ("rows") or the transpose ("cols").  Duplicated
     breakpoint nodes are zero-length edges and pick up no increment.
     """
+    t1, t2 = grid.chart.period
     P = display_positions(grid)
-    w = _cover_rotation(mode, grid)
+    w = display_cover(grid, mode.w, t1 * mode.W1, t2 * mode.W2)
     d0 = np.cross(0.5 * (w[1:] + w[:-1]), P[1:] - P[:-1])
     d1 = np.cross(0.5 * (w[:, 1:] + w[:, :-1]), P[:, 1:] - P[:, :-1])
     out = np.zeros_like(P)

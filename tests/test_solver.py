@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from corruga import solver
-from corruga.chart import builtin_chart
+from corruga.chart import BUILTIN_NAMES, builtin_chart
 from corruga.grid import build_grid, differentiate
 from corruga.oracle import analytic_mode, sample_rotation
 from corruga.solver import (ROW_CREASE, ROW_PDE, SolverError,
@@ -36,6 +36,15 @@ def test_corrugation_row_count_formula():
     assert counts[ROW_PDE] == 3 * n1 * n2
     # two crease columns, one vector condition per duplicated node pair
     assert counts[ROW_CREASE] == 3 * 2 * n2
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_assembled_matrix_stores_no_zeros(name):
+    # the 3x3 blocks of assembly hold zeros that every product would pay for
+    system = assemble_system(build_grid(builtin_chart(name), 12))
+    A = system.matrix
+    assert A.nnz > 0 and np.all(A.data != 0)
+    assert sum(system.row_counts().values()) == A.shape[0]
 
 
 def test_constant_rotation_is_exact():
@@ -129,31 +138,39 @@ def test_effective_spaces_factors_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
 def test_ridge_minimizers_match_dense_kkt(name, monkeypatch):
-    # the block-eliminated, refined solve against a dense LU of the same
-    # bordered KKT matrix K = [[A^T A + eps I, C^T], [C, 0]]
+    # the factored, refined solves against dense ones, H = A_w^T A_w + eps I:
+    # growth minimizers are -H^-1 A_w^T A_g with w free of the membrane
+    # constraint, membrane ones solve [[H, Lr^T], [Lr, 0]] with growth 0
     system = assemble_system(build_grid(builtin_chart(name), 16))
     calls = []
     ridge = solver._ridge_minimizers
 
-    def spy(G, C, eps, ws):
-        z = ridge(G, C, eps, ws)
-        calls.append((G, C, eps, z))
-        return z
+    def spy(H, Gwg, Lr):
+        W = ridge(H, Gwg, Lr)
+        calls.append((H, Gwg, Lr))
+        return W
 
     monkeypatch.setattr(solver, "_ridge_minimizers", spy)
-    strain_forms(system, membrane_row_map(system.grid))
-    (G, C, eps, z), = calls
-    N, k = C.shape[1], C.shape[0]
-    K = np.block([[G.toarray() + eps * np.eye(N), C.T],
-                  [C, np.zeros((k, k))]])
-    b = np.zeros((N + k, k))
-    b[N:] = np.eye(k)
-    Y, Y_ref = z[:N], la.solve(K, b)[:N]
-    assert_allclose(C @ Y, np.eye(k), rtol=0, atol=1e-10)
+    growth, membrane = strain_forms(system, membrane_row_map(system.grid))
+    (H, Gwg, Lr), = calls
+    ws, r = H.shape[0], Lr.shape[0]
+    H = H.toarray()
+    K = np.block([[H, Lr.T], [Lr, np.zeros((r, r))]])
+    b = np.zeros((ws + r, r))
+    b[ws:] = np.eye(r)
+    refs = (np.vstack([la.solve(H, -Gwg), np.eye(6)]),
+            np.vstack([la.solve(K, b)[:ws], np.zeros((6, r))]))
     A = system.matrix
-    s, s_ref = la.svdvals(A @ Y), la.svdvals(A @ Y_ref)
-    assert_allclose(s, s_ref, rtol=0, atol=1e-9 * s_ref.max())
-    assert np.linalg.norm(b - K @ z) <= 1e-10 * np.linalg.norm(b)
+    for space, Y_ref in zip((growth, membrane), refs):
+        Y = space.minimizers
+        assert_allclose(Y[ws:], Y_ref[ws:], rtol=0, atol=0)
+        s, s_ref = la.svdvals(A @ Y), la.svdvals(A @ Y_ref)
+        assert_allclose(s, s_ref, rtol=0, atol=1e-9 * s_ref.max(initial=0))
+    W, Wm = growth.minimizers[:ws], membrane.minimizers[:ws]
+    assert_allclose(Lr @ Wm, np.eye(r), rtol=0, atol=1e-10)
+    assert np.linalg.norm(Gwg + H @ W) <= 1e-10 * np.linalg.norm(Gwg)
+    lam = la.lstsq(Lr.T, -H @ Wm)[0]
+    assert np.linalg.norm(H @ Wm + Lr.T @ lam) <= 1e-10 * np.sqrt(r)
 
 
 def _growth_levels_own_kkt(system, eps_rel=1e-13):
