@@ -30,10 +30,10 @@ from .profiles import Profile, make_profile, profile_from_config
 from .chart import (SurfaceChart, SpaceCurve, PeriodGeometry, builtin_chart,
                     evaluate_chart, chart_partials, period_geometry,
                     chart_from_config, chart_to_config, load_chart, save_chart)
-from .grid import PeriodicGrid, build_grid, cell_average, differentiate
+from .grid import PeriodicGrid, build_grid, cell_average
 from .solver import (ConstraintSystem, RotationMode, DeflectionField,
                      assemble_system, recover_deflection, ThresholdPolicy)
-from .strains import (EffectiveStrain, StrainSpaces, PoissonRatios,
+from .strains import (StrainSpaces, PoissonRatios,
                       effective_membrane_strain, membrane_strain_field,
                       effective_spaces, classify_mode,
                       orthogonality_residual, poisson_ratios)
@@ -49,10 +49,10 @@ __all__ = [
     "SurfaceChart", "SpaceCurve", "PeriodGeometry", "builtin_chart",
     "evaluate_chart", "chart_partials", "period_geometry",
     "chart_from_config", "chart_to_config", "load_chart", "save_chart",
-    "PeriodicGrid", "build_grid", "cell_average", "differentiate",
+    "PeriodicGrid", "build_grid", "cell_average",
     "ConstraintSystem", "RotationMode", "DeflectionField",
     "assemble_system", "recover_deflection", "ThresholdPolicy",
-    "EffectiveStrain", "StrainSpaces", "PoissonRatios",
+    "StrainSpaces", "PoissonRatios",
     "effective_membrane_strain", "membrane_strain_field", "effective_spaces",
     "classify_mode", "orthogonality_residual", "poisson_ratios",
     "AnalyticMode", "MODE_IDS", "analytic_mode", "canonical_chart",

@@ -70,7 +70,7 @@ def run_analysis(chart: SurfaceChart, resolution=32,
         reps[kind] = []
         for i, m in enumerate(modes):
             s = mode_scale(m, grid)
-            E = effective_membrane_strain(m, grid).E / s
+            E = effective_membrane_strain(m, grid) / s
             chi = chi_from_growth(m.W1, m.W2, geom) / s
             reps[kind].append({
                 "id": f"{kind}-{i}",

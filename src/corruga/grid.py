@@ -6,14 +6,18 @@ always grid nodes and are *duplicated*, one instance per adjacent arc, so
 fields may be double-valued there (rotation fields jump across creases).
 The chain starts at the first breakpoint and its last arc wraps across the
 periodicity seam; nodes past the seam carry a period count m = 1 and have
-unwrapped coordinate u = xi + m*T.  A direction without breakpoints gets a
-single circular arc whose centered stencils wrap around.
+unwrapped coordinate u = xi + m*T.  A direction without breakpoints is one
+arc that closes on itself: its chain wraps around and has no arc ends.
 
-Derivatives never cross an arc end.  Stencils are second order: centered
-inside an arc, one-sided (-3, 4, -1)/2h at its ends.  For fields that grow
-by a constant G per period (cover fields v + m*G), the derivative of the
-cover field is D @ v + wrap_coef * G, where wrap_coef row-sums the stencil
-coefficients against the period counts of the referenced nodes.
+Every operator comes from one stencil rule (_stencil).  Node i reads cover
+index k = i + offset, stored at k mod n with period count wrap_m + k // n,
+and a row exists only where its window stays inside one arc.  Stencils are
+second order: first derivatives centered inside an arc, one-sided
+(-3, 4, -1)/2h at its ends; fourth differences (1, -4, 6, -4, 1)/h on
+interior windows only.  For fields that grow by a constant G per period
+(cover fields v + m*G), the stencil of the cover field is M @ v + wrap * G,
+where wrap row-sums the coefficients against the period counts.  The
+display lattice is the same chain left open at both ends.
 
 Quadrature is per-arc trapezoid, so breakpoint instances contribute half
 weights from both sides.
@@ -31,6 +35,52 @@ MIN_RESOLUTION = 8
 
 # tolerance for recognizing a node that sits mathematically on the seam
 _SEAM_RTOL = 1e-9
+
+# stencil rules, (offsets, coefficients) in the order a node tries them
+_FIRST = (((-1, 1), (-0.5, 0.5)),               # centered inside an arc
+          ((0, 1, 2), (-1.5, 2.0, -0.5)),       # one-sided at an arc start
+          ((0, -1, -2), (1.5, -2.0, 0.5)))      # one-sided at an arc end
+# The fourth difference annihilates cubics, so it is exactly zero on
+# arc-wise polynomial fields of degree <= 3 and O(h^3) on smooth ones (1/h
+# scaling matches the first-derivative rows), while a mesh-frequency
+# checkerboard, which the centered first-derivative stencils cannot see at
+# all, responds at 16/h times its amplitude.
+_FOURTH = (((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),)
+
+
+def _stencil(arc, h, m, closed: bool, rules):
+    """One stencil rule on a chain of nodes; returns (M, wrap).
+
+    Node i reads cover index k = i + offset, stored at k mod n with period
+    count m[k mod n] + k // n.  It takes the first of ``rules`` whose window
+    stays inside its own arc, a closed chain wrapping around and an open
+    one ending, with each coefficient over its arc spacing h[i]; a node
+    with none gets no row.  wrap row-sums the coefficients against the
+    period counts, so the stencil of a cover field v + m*G is M @ v + wrap*G.
+    """
+    n = arc.size
+    node = np.arange(n)
+    free = np.ones(n, dtype=bool)
+    rows, ks, vals = [], [], []
+    for offsets, coefs in rules:
+        k = node[:, None] + np.asarray(offsets)
+        fits = free & np.all(arc[k % n] == arc[:, None], axis=1)
+        if not closed:
+            fits &= np.all((k >= 0) & (k < n), axis=1)
+        free &= ~fits
+        rows.append(np.repeat(node[fits], len(offsets)))
+        ks.append(k[fits].ravel())
+        vals.append((np.asarray(coefs) / h[fits, None]).ravel())
+    # rows are numbered over the nodes that got one, in node order
+    rows = (np.cumsum(~free) - 1)[np.concatenate(rows)]
+    k, vals = np.concatenate(ks), np.concatenate(vals)
+    shape = (n - np.count_nonzero(free), n)
+    # columns over the cover indices -n <= k < 2n keep each row's sum in
+    # the order of its stored columns
+    cover = np.arange(-n, 2 * n)
+    wrap = sp.csr_matrix((vals, (rows, k + n)), shape=(shape[0], 3 * n)) \
+        @ (m[cover % n] + cover // n)
+    return sp.csr_matrix((vals, (rows, k % n)), shape=shape), wrap
 
 
 @dataclass(frozen=True)
@@ -54,77 +104,18 @@ class Axis:
     wrap_m: np.ndarray        # period count per node (0 or 1)
     sides: np.ndarray         # +1 at arc starts, -1 at arc ends
     weights: np.ndarray       # trapezoid weights, sum = period
-    D: sp.csr_matrix
-    wrap_coef: np.ndarray
+    spacing: np.ndarray       # node spacing of each node's arc
     pairs: tuple[AxisPair, ...]
-    circular: bool
-    h_max: float
     arc_of: np.ndarray        # arc index per node
 
     @property
     def n(self) -> int:
         return len(self.u)
 
-
-_D4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
-
-
-def _axis_fourth_difference(axis: Axis):
-    """Interior fourth differences (1, -4, 6, -4, 1) / h on 5-node windows.
-
-    Returns (S, swrap) with S of shape (nrows, n), one row per node whose
-    5-point neighborhood lies inside a single arc, and swrap = S @ m for
-    the conceptual period counts of the referenced nodes, so the fourth
-    difference of a cover field v + m*G is S @ v + swrap * G.  The stencil
-    annihilates cubics, so it is exactly zero on arc-wise polynomial fields
-    of degree <= 3 and O(h^3) on smooth fields (1/h scaling matches the
-    first-derivative rows), while a mesh-frequency checkerboard, which the
-    centered first-derivative stencils cannot see at all, responds at
-    16/h times its amplitude.
-    """
-    n = axis.n
-    if axis.circular:
-        h = axis.h_max
-        idx = np.arange(n)
-        offs = np.arange(-2, 3)
-        rows = np.repeat(idx, 5)
-        refs = idx[:, None] + offs[None, :]
-        cols = (refs % n).ravel()
-        vals = np.tile(_D4 / h, n)
-        S = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        # conceptual period count of out-of-window references: -1 left, +1 right
-        m_conc = np.where(refs < 0, -1.0, np.where(refs >= n, 1.0, 0.0))
-        swrap = (m_conc * (_D4 / h)[None, :]).sum(axis=1)
-        return S, swrap
-    a = axis.arc_of
-    same = (a[:-4] == a[1:-3]) & (a[1:-3] == a[2:-2]) \
-        & (a[2:-2] == a[3:-1]) & (a[3:-1] == a[4:])
-    keep = np.flatnonzero(same) + 2
-    m = keep.size
-    if m == 0:
-        return sp.csr_matrix((0, n)), np.zeros(0)
-    rows = np.repeat(np.arange(m), 5)
-    cols = (keep[:, None] + np.arange(-2, 3)[None, :]).ravel()
-    inv_h = 1.0 / axis.weights[keep]   # interior trapezoid weight is h
-    vals = (inv_h[:, None] * _D4[None, :]).ravel()
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
-    swrap = np.asarray(S @ axis.wrap_m, dtype=float)
-    return S, swrap
-
-
-def _arc_stencil(m: int, h: float):
-    """Rows (i, j, c) of the 3-point first-derivative stencil on m+1 nodes."""
-    rows = [0, 0, 0]
-    cols = [0, 1, 2]
-    vals = [-1.5 / h, 2.0 / h, -0.5 / h]
-    for i in range(1, m):
-        rows.extend((i, i))
-        cols.extend((i - 1, i + 1))
-        vals.extend((-0.5 / h, 0.5 / h))
-    rows.extend((m, m, m))
-    cols.extend((m, m - 1, m - 2))
-    vals.extend((1.5 / h, -2.0 / h, 0.5 / h))
-    return rows, cols, vals
+    @property
+    def closed(self) -> bool:
+        """Without breakpoints the one arc closes on itself."""
+        return not self.pairs
 
 
 def _build_axis(period: float, resolution: int, panel_breaks, crease_breaks) -> Axis:
@@ -132,20 +123,13 @@ def _build_axis(period: float, resolution: int, panel_breaks, crease_breaks) -> 
     breaks = sorted(panel_breaks)
 
     if not breaks:
+        # one closed arc: no node is duplicated and none lies past the seam
         n = resolution
         h = period / n
         u = h * np.arange(n)
-        D = sp.lil_matrix((n, n))
-        for i in range(n):
-            D[i, (i - 1) % n] = -0.5 / h
-            D[i, (i + 1) % n] = 0.5 / h
-        # stencil references that leave [0, period) sit one period away
-        wrap_coef = np.zeros(n)
-        wrap_coef[0] = 0.5 / h       # left neighbor of node 0 has m = -1
-        wrap_coef[n - 1] = 0.5 / h   # right neighbor of node n-1 has m = +1
-        return Axis(period, u, u.copy(), np.zeros(n, dtype=int),
-                    np.ones(n, dtype=int), np.full(n, h), D.tocsr(),
-                    wrap_coef, (), True, h, np.zeros(n, dtype=int))
+        zeros = np.zeros(n, dtype=int)
+        return Axis(period, u, u.copy(), zeros, zeros + 1, np.full(n, h),
+                    np.full(n, h), (), zeros)
 
     # arcs between consecutive breaks; the last one wraps past the seam
     ends = breaks[1:] + [breaks[0] + period]
@@ -153,10 +137,10 @@ def _build_axis(period: float, resolution: int, panel_breaks, crease_breaks) -> 
     intervals = [max(2, round(resolution * (b - a) / period)) for a, b in arcs]
     spacings = [(b - a) / m for (a, b), m in zip(arcs, intervals)]
 
-    u_parts, side_parts, weight_parts, arc_parts = [], [], [], []
+    u_parts, side_parts, weight_parts = [], [], []
     starts = []
     total = 0
-    for r, ((a, b), m, h) in enumerate(zip(arcs, intervals, spacings)):
+    for (a, b), m, h in zip(arcs, intervals, spacings):
         starts.append(total)
         total += m + 1
         u_parts.append(np.linspace(a, b, m + 1))
@@ -166,7 +150,7 @@ def _build_axis(period: float, resolution: int, panel_breaks, crease_breaks) -> 
         w = np.full(m + 1, h)
         w[0] = w[-1] = h / 2
         weight_parts.append(w)
-        arc_parts.append(np.full(m + 1, r, dtype=int))
+    arc_of = np.repeat(np.arange(len(arcs)), np.add(intervals, 1))
 
     u = np.concatenate(u_parts)
     u[np.abs(u - period) <= _SEAM_RTOL * period] = period
@@ -175,16 +159,6 @@ def _build_axis(period: float, resolution: int, panel_breaks, crease_breaks) -> 
     # the wrapped copy of the first breakpoint must land on it exactly,
     # or one-sided profile lookups there would pick the wrong panel
     xi[-1] = breaks[0]
-
-    n = len(u)
-    rows, cols, vals = [], [], []
-    for start, m, h in zip(starts, intervals, spacings):
-        r, c, v = _arc_stencil(m, h)
-        rows.extend(start + i for i in r)
-        cols.extend(start + j for j in c)
-        vals.extend(v)
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    wrap_coef = np.asarray(D @ wrap_m, dtype=float)
 
     pairs = []
     narcs = len(arcs)
@@ -196,8 +170,8 @@ def _build_axis(period: float, resolution: int, panel_breaks, crease_breaks) -> 
         pairs.append(AxisPair(minus, plus, b, b in creases, hbar))
 
     return Axis(period, u, xi, wrap_m, np.concatenate(side_parts),
-                np.concatenate(weight_parts), D, wrap_coef, tuple(pairs),
-                False, max(spacings), np.concatenate(arc_parts))
+                np.concatenate(weight_parts), np.asarray(spacings)[arc_of],
+                tuple(pairs), arc_of)
 
 
 @dataclass(frozen=True)
@@ -231,28 +205,29 @@ class PeriodicGrid:
 
     @property
     def h_max(self) -> float:
-        return max(self.axis1.h_max, self.axis2.h_max)
+        return float(max(self.axis1.spacing.max(), self.axis2.spacing.max()))
 
     @property
     def cell_area(self) -> float:
         return self.axis1.period * self.axis2.period
 
-    def node_index(self, i: int, j: int) -> int:
-        return i * self.axis2.n + j
-
     def axis(self, direction: int) -> Axis:
         return self.axis1 if direction == 0 else self.axis2
 
-    def derivative_operator(self, direction: int):
-        """(D, wrap_coef) over flattened nodes for the given direction."""
+    def _lift(self, direction: int, rules):
+        """A stencil rule along one direction, over flattened nodes."""
+        a = self.axis(direction)
+        M, wrap = _stencil(a.arc_of, a.spacing, a.wrap_m, a.closed, rules)
         n1, n2 = self.shape
         if direction == 0:
-            D = sp.kron(self.axis1.D, sp.identity(n2, format="csr"), format="csr")
-            wc = np.repeat(self.axis1.wrap_coef, n2)
-        else:
-            D = sp.kron(sp.identity(n1, format="csr"), self.axis2.D, format="csr")
-            wc = np.tile(self.axis2.wrap_coef, n1)
-        return D, wc
+            return (sp.kron(M, sp.identity(n2, format="csr"), format="csr"),
+                    np.repeat(wrap, n2))
+        return (sp.kron(sp.identity(n1, format="csr"), M, format="csr"),
+                np.tile(wrap, n1))
+
+    def derivative_operator(self, direction: int):
+        """(D, wrap_coef) over flattened nodes for the given direction."""
+        return self._lift(direction, _FIRST)
 
     def fourth_difference_operator(self, direction: int):
         """(S, swrap) over flattened nodes; cover-field convention as for D.
@@ -260,13 +235,7 @@ class PeriodicGrid:
         S holds one row per node whose 5-point neighborhood along the given
         direction stays inside one arc; rows near arc ends are dropped.
         """
-        n1, n2 = self.shape
-        S, sw = _axis_fourth_difference(self.axis(direction))
-        if direction == 0:
-            return (sp.kron(S, sp.identity(n2, format="csr"), format="csr"),
-                    np.repeat(sw, n2))
-        return (sp.kron(sp.identity(n1, format="csr"), S, format="csr"),
-                np.tile(sw, n1))
+        return self._lift(direction, _FOURTH)
 
 
 def _node_tangents(curve: SpaceCurve, axis: Axis) -> np.ndarray:
@@ -323,53 +292,25 @@ def cell_average(values, grid: PeriodicGrid):
     return np.tensordot(grid.weights, v, axes=([0, 1], [0, 1])) / grid.cell_area
 
 
-def differentiate(values, grid: PeriodicGrid, direction: int):
-    """Second-order derivative of a per-node field along one direction.
-
-    The field must be smooth per arc as a function of the unwrapped
-    coordinates; stencils never cross arc ends.  Periodic fields sampled in
-    the fundamental domain qualify as-is.
-    """
-    v = np.asarray(values, dtype=float)
-    n1, n2 = grid.shape
-    flat_in = v.shape[0] == n1 * n2
-    if flat_in:
-        v = v.reshape((n1, n2) + v.shape[1:])
-    if direction == 0:
-        out = (grid.axis1.D @ v.reshape(n1, -1)).reshape(v.shape)
-    else:
-        vt = np.moveaxis(v, 1, 0)
-        out = (grid.axis2.D @ vt.reshape(n2, -1)).reshape(vt.shape)
-        out = np.moveaxis(out, 0, 1)
-    if flat_in:
-        out = out.reshape((n1 * n2,) + v.shape[2:])
-    return out
-
-
 def display_derivative(values, grid: PeriodicGrid, direction: int):
-    """Like differentiate, but for fields sampled on the display lattice.
+    """Second-order derivative of a field sampled on the display lattice.
 
-    Broken axes reuse their per-arc stencils (display = fundamental there);
-    a circular axis closes into one arc of n+1 nodes spanning a full period,
-    with one-sided ends.  The field need not be periodic.
+    The lattice is each axis's chain left open at both ends: a broken axis
+    as it is, a closed one with its wrapped first node appended, so its one
+    arc spans a full period with one-sided ends.  The field need not be
+    periodic.
     """
     v = np.asarray(values, dtype=float)
     axis = grid.axis(direction)
-    if axis.circular:
-        m = axis.n
-        h = axis.period / m
-        rows, cols, vals = _arc_stencil(m, h)
-        D = sp.csr_matrix((vals, (rows, cols)), shape=(m + 1, m + 1))
-    else:
-        D = axis.D
+    idx, extra = display_lattice(grid)[direction::2]   # base index, extra m
+    D, _ = _stencil(axis.arc_of[idx], axis.spacing[idx],
+                    axis.wrap_m[idx] + extra, False, _FIRST)
     if v.shape[direction] != D.shape[0]:
         raise ValueError(f"field has {v.shape[direction]} rows along direction "
                          f"{direction}, display lattice has {D.shape[0]}")
-    if direction == 0:
-        return (D @ v.reshape(v.shape[0], -1)).reshape(v.shape)
-    vt = np.moveaxis(v, 1, 0)
+    vt = np.moveaxis(v, direction, 0)
     out = (D @ vt.reshape(vt.shape[0], -1)).reshape(vt.shape)
-    return np.moveaxis(out, 0, 1)
+    return np.moveaxis(out, 0, direction)
 
 
 # -- mesh export --------------------------------------------------------
@@ -378,11 +319,11 @@ def display_lattice(grid: PeriodicGrid):
     """Index arrays building the visual lattice over one closed period.
 
     Returns (i_base, j_base, extra_m1, extra_m2): broken axes already end
-    with their wrapped copy, circular axes get one appended.
+    with their wrapped copy, closed axes get one appended.
     """
     n1, n2 = grid.shape
-    i = np.arange(n1 + (1 if grid.axis1.circular else 0))
-    j = np.arange(n2 + (1 if grid.axis2.circular else 0))
+    i = np.arange(n1 + grid.axis1.closed)
+    j = np.arange(n2 + grid.axis2.closed)
     return i % n1, j % n2, i // n1, j // n2
 
 

@@ -176,54 +176,40 @@ def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
     Aw = (C1 @ sp.kron(D2, I3, format="csr")
           - C2 @ sp.kron(D1, I3, format="csr")).tocsr()
 
-    # growth columns: only nodes whose stencils span the seam contribute
-    def growth_col(wc, C):
-        blocks = np.zeros((n, 3, 3))
-        nz = np.flatnonzero(wc)
-        if nz.size:
-            blocks[nz] = wc[nz, None, None] * C[nz]
-        return _column_block(blocks)
-
-    B1 = growth_col(-wc1, cross_blocks(x2))
-    B2 = growth_col(wc2, cross_blocks(x1))
+    # growth columns: only nodes whose stencils span the seam are nonzero
+    B1 = _column_block(-wc1[:, None, None] * cross_blocks(x2))
+    B2 = _column_block(wc2[:, None, None] * cross_blocks(x1))
     parts = [sp.hstack([Aw, B1, B2], format="csr")]
     rows = {ROW_PDE: 3 * n}
 
-    # jump rows at duplicated breakpoints
+    # jump rows at duplicated breakpoints, one pair at a time; a pair's
+    # cross nodes run along the other direction, whose tangent is the crease
+    node = np.arange(n).reshape(n1, n2)
     blocks: list[np.ndarray] = []
-    bcols: list[int] = []
-    eye3 = np.eye(3)
-    for direction in (0, 1):
-        axis = grid.axis(direction)
-        cross_count = n2 if direction == 0 else n1
-        for pair in axis.pairs:
+    bcols: list[np.ndarray] = []
+    for direction, along in ((0, grid.x2), (1, grid.x1)):
+        for pair in grid.axis(direction).pairs:
+            kp = np.take(node, pair.plus, axis=direction)
+            km = np.take(node, pair.minus, axis=direction)
             inv_h = 1.0 / pair.spacing
-            for j in range(cross_count):
-                if direction == 0:
-                    kp = grid.node_index(pair.plus, j)
-                    km = grid.node_index(pair.minus, j)
-                    tangent = grid.x2[pair.plus, j]
-                else:
-                    kp = grid.node_index(j, pair.plus)
-                    km = grid.node_index(j, pair.minus)
-                    tangent = grid.x1[j, pair.plus]
-                if pair.is_crease:
-                    if np.linalg.norm(tangent) <= 1e-12 * scale:
-                        raise ValueError(
-                            f"degenerate crease tangent at breakpoint "
-                            f"{pair.value} (direction {direction})")
-                    R = cross_blocks(tangent)[0] * inv_h
-                    tag = ROW_CREASE
-                else:
-                    R = eye3 * inv_h
-                    tag = ROW_CONTINUITY
-                rows[tag] = rows.get(tag, 0) + 3
-                blocks.extend((R, -R))
-                bcols.extend((kp, km))
+            if pair.is_crease:
+                tangents = np.take(along, pair.plus, axis=direction)
+                if np.any(np.linalg.norm(tangents, axis=1) <= 1e-12 * scale):
+                    raise ValueError(
+                        f"degenerate crease tangent at breakpoint "
+                        f"{pair.value} (direction {direction})")
+                R = cross_blocks(tangents) * inv_h
+                tag = ROW_CREASE
+            else:
+                R = np.broadcast_to(np.eye(3) * inv_h, (kp.size, 3, 3))
+                tag = ROW_CONTINUITY
+            rows[tag] = rows.get(tag, 0) + 3 * kp.size
+            blocks.append(np.stack([R, -R], axis=1).reshape(-1, 3, 3))
+            bcols.append(np.stack([kp, km], axis=1).ravel())
 
     if bcols:
-        nb = len(bcols) // 2
-        P = sp.bsr_matrix((np.array(blocks), np.array(bcols),
+        nb = sum(c.size for c in bcols) // 2
+        P = sp.bsr_matrix((np.concatenate(blocks), np.concatenate(bcols),
                            2 * np.arange(nb + 1)), shape=(3 * nb, 3 * n))
         parts.append(sp.hstack([P, sp.csr_matrix((3 * nb, 6))], format="csr"))
 
@@ -234,11 +220,8 @@ def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
         if m == 0:
             continue
         Sw = sp.kron(S, I3, format="csr") * (OSC_SCALE * scale)
-        gblocks = np.zeros((m, 3, 3))
-        nz = np.flatnonzero(sw)
-        if nz.size:
-            gblocks[nz] = (OSC_SCALE * scale * sw[nz])[:, None, None] * eye3
-        gcol = _column_block(gblocks)
+        gcol = _column_block((OSC_SCALE * scale * sw)[:, None, None]
+                             * np.eye(3))
         zcol = sp.csr_matrix((3 * m, 3))
         cols = [Sw, gcol, zcol] if direction == 0 else [Sw, zcol, gcol]
         parts.append(sp.hstack(cols, format="csr"))

@@ -44,25 +44,10 @@ def unvec_sym(v) -> np.ndarray:
 
 
 def _as_matrix(T) -> np.ndarray:
-    if isinstance(T, EffectiveStrain):
-        return T.E
     M = np.asarray(T, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"expected a 2x2 tensor, got shape {M.shape}")
     return M
-
-
-@dataclass(frozen=True)
-class EffectiveStrain:
-    E: np.ndarray  # symmetric 2x2
-
-    def __post_init__(self):
-        E = 0.5 * (self.E + self.E.T)
-        object.__setattr__(self, "E", E)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.E))
 
 
 def mode_scale(mode: RotationMode, grid: PeriodicGrid) -> float:
@@ -74,8 +59,8 @@ def mode_scale(mode: RotationMode, grid: PeriodicGrid) -> float:
 
 
 def effective_membrane_strain(mode: RotationMode,
-                              grid: PeriodicGrid) -> EffectiveStrain:
-    """E of a mode: E_mn = sym <p_m, mean(w x x_n)>.
+                              grid: PeriodicGrid) -> np.ndarray:
+    """E of a mode, symmetric 2x2: E_mn = sym <p_m, mean(w x x_n)>.
 
     E is defined for periodic rotation fields; on a field with growth the
     formula is evaluated on its periodic part, e.g. for mixed-mode reporting.
@@ -87,7 +72,7 @@ def effective_membrane_strain(mode: RotationMode,
     E[0, 0] = geom.p1 @ pdot1
     E[1, 1] = geom.p2 @ pdot2
     E[0, 1] = E[1, 0] = 0.5 * (geom.p1 @ pdot2 + geom.p2 @ pdot1)
-    return EffectiveStrain(E=E)
+    return E
 
 
 def chi_from_growth(W1, W2, geometry: PeriodGeometry) -> np.ndarray:
@@ -299,7 +284,7 @@ def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
     bending, chis = representatives(
         gs, chi_cut.count, lambda m: chi_from_growth(m.W1, m.W2, grid.geometry))
     membrane, _ = representatives(
-        ms, E_cut.count, lambda m: effective_membrane_strain(m, grid).E)
+        ms, E_cut.count, lambda m: effective_membrane_strain(m, grid))
     chi_rows = _orthonormal_rows(chis)
     E_rows = [_leading_sign(r) * r
               for r in (ms.basis @ ms.directions[:, :E_cut.count]).T]
@@ -312,11 +297,9 @@ def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
 
 # -- classification ---------------------------------------------------------
 
-def classify_mode(mode: RotationMode, grid: PeriodicGrid,
-                  geometry: PeriodGeometry | None = None) -> str:
+def classify_mode(mode: RotationMode, grid: PeriodicGrid) -> str:
     """One of constant / membrane / bending / mixed / strain-free."""
-    if geometry is None:
-        geometry = grid.geometry
+    geometry = grid.geometry
     s = mode_scale(mode, grid)
     if s == 0:
         return "strain-free"
@@ -326,7 +309,7 @@ def classify_mode(mode: RotationMode, grid: PeriodicGrid,
     if dev / s < 1e-10 and gf < 1e-10:
         return "constant"
     p_scale = np.linalg.norm(geometry.p1) ** 2 + np.linalg.norm(geometry.p2) ** 2
-    E = effective_membrane_strain(mode, grid).E
+    E = effective_membrane_strain(mode, grid)
     tol = STRAIN_TOL
     if gf > GROWTH_TOL:
         # fields with per-period growth are sampled one-sidedly at the seam,

@@ -251,9 +251,10 @@ def test_cli_analysis_value_error_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_ill_conditioned_release_exits_1(tmp_path, capsys):
-    # so steep a lateral fold leaves the membrane release step with no
-    # precision; the report it used to give broke the rank bound
+def test_cli_ill_conditioned_schur_complement_exits_1(tmp_path, capsys):
+    # so steep a lateral fold leaves the r x r Schur complement
+    # Lr H^-1 Lr^T of _ridge_minimizers with no precision; its guarded
+    # solve refuses, where a report would break the rank bound
     cfg = _write_json(tmp_path / "steep-miura.json",
                       '{"family": "miura-like", "profiles": ['
                       '{"kind": "piecewise-linear", "amplitude": 1e8}, '

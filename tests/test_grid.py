@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from corruga.chart import TAU, SurfaceChart, builtin_chart, period_geometry
-from corruga.grid import (build_grid, cell_average, differentiate,
-                          display_positions, write_obj)
+from corruga.grid import build_grid, cell_average, display_positions, write_obj
 
 
 def test_plane_grid_counts():
@@ -72,46 +72,79 @@ def test_cell_average_of_partials_is_period_geometry():
 
 
 def test_differentiate_exactness_and_accuracy():
-    grid = build_grid(builtin_chart("eggbox"), 32)
-    n1, n2 = grid.shape
     # the linear coordinate grows by one period per wrap; with its growth
-    # coefficient restored the second-order stencil reproduces it exactly
-    xi2 = grid.positions[:, :, 1]
-    D, wc = grid.derivative_operator(1)
-    t2 = grid.chart.period[1]
-    out = (D @ xi2.reshape(-1) + wc * t2).reshape(n1, n2)
-    assert_allclose(out, np.ones(grid.shape), atol=1e-12)
-    assert_allclose(differentiate(np.full(grid.shape, 7.0), grid, 0),
-                    np.zeros(grid.shape), atol=1e-13)
+    # coefficient restored the second-order stencil reproduces it exactly,
+    # past the seam of a broken direction (eggbox) and around a closed one
+    # (corrugation along xi2)
+    for name in ("eggbox", "corrugation"):
+        grid = build_grid(builtin_chart(name), 32)
+        xi2 = grid.positions[:, :, 1].reshape(-1)
+        D, wc = grid.derivative_operator(1)
+        t2 = grid.chart.period[1]
+        assert np.count_nonzero(wc) > 0
+        assert_allclose(D @ xi2 + wc * t2, np.ones(grid.nnodes), atol=1e-12,
+                        err_msg=name)
+        D, _ = grid.derivative_operator(0)
+        assert_allclose(D @ np.full(grid.nnodes, 7.0), np.zeros(grid.nnodes),
+                        atol=1e-13, err_msg=name)
 
     errs = []
     for res in (16, 32, 64):
         g = build_grid(builtin_chart("plane"), res)
-        xi1 = g.positions[:, :, 0]
-        d = differentiate(np.sin(xi1), g, 0)
-        errs.append(np.max(np.abs(d - np.cos(xi1))))
+        xi1 = g.positions[:, :, 0].reshape(-1)
+        D, _ = g.derivative_operator(0)
+        errs.append(np.max(np.abs(D @ np.sin(xi1) - np.cos(xi1))))
     assert errs[1] <= 0.35 * errs[0]
     assert errs[2] <= 0.35 * errs[1]
 
 
+def test_derivative_matches_per_node_reference():
+    # per node: centered inside its arc (around a closed axis too),
+    # one-sided (-3, 4, -1)/2h at an arc start or end
+    for name in ("eggbox", "corrugation"):
+        grid = build_grid(builtin_chart(name), 16)
+        n1, n2 = grid.shape
+        for direction, pick in ((0, np.s_[::n2]), (1, np.s_[:n2])):
+            axis = grid.axis(direction)
+            n, arc = axis.n, axis.arc_of
+            ref = np.zeros((n, n))
+            for i in range(n):
+                h = axis.spacing[i]
+                lo, hi = (i - 1) % n, (i + 1) % n
+                if axis.closed or 0 < i < n - 1 and arc[lo] == arc[i] == arc[hi]:
+                    ref[i, lo], ref[i, hi] = -0.5 / h, 0.5 / h
+                elif i + 1 < n and arc[i + 1] == arc[i]:
+                    ref[i, i:i + 3] = -1.5 / h, 2.0 / h, -0.5 / h
+                else:
+                    ref[i, i - 2:i + 1] = 0.5 / h, -2.0 / h, 1.5 / h
+            wrap = sp.csr_matrix(ref) @ axis.wrap_m   # sums in column order
+            if axis.closed:   # the neighbors across the seam sit one period away
+                wrap[[0, -1]] = 0.5 / axis.spacing[0]
+            D, wc = grid.derivative_operator(direction)
+            assert np.array_equal(D.toarray()[pick, pick], ref)
+            assert np.array_equal(wc[pick], wrap)
+
+
 def test_fourth_difference_annihilates_low_order_fields():
+    # across the crease columns along xi1, around the closed arc along xi2
     grid = build_grid(builtin_chart("corrugation"), 16)
-    S, sw = grid.fourth_difference_operator(0)
-    assert S.shape[0] > 0
-    xi1 = grid.positions[:, :, 0].reshape(-1)
-    t1 = grid.chart.period[0]
-    # constants: plain row-sum cancellation
-    assert np.max(np.abs(S @ np.ones_like(xi1))) <= 1e-12
-    # a pure growth field is linear in the unwrapped coordinate; rows that
-    # cross the period seam need the per-period increment restored
-    c = 0.37
-    vals = S @ (c * xi1) + sw * (c * t1)
-    assert np.max(np.abs(vals)) <= 1e-10
-    # cubics die on every window that stays inside the fundamental cell
-    inside = sw == 0.0
-    assert np.count_nonzero(inside) > 0
-    vals = (S @ xi1**3)[inside]
-    assert np.max(np.abs(vals)) <= 1e-9
+    for direction in (0, 1):
+        S, sw = grid.fourth_difference_operator(direction)
+        assert S.shape[0] > 0
+        xi = grid.positions[:, :, direction].reshape(-1)
+        t = grid.chart.period[direction]
+        # constants: plain row-sum cancellation
+        assert np.max(np.abs(S @ np.ones_like(xi))) <= 1e-12
+        # a pure growth field is linear in the unwrapped coordinate; rows
+        # that cross the period seam need the per-period increment restored
+        c = 0.37
+        vals = S @ (c * xi) + sw * (c * t)
+        assert np.max(np.abs(vals)) <= 1e-10
+        # cubics die on every window that stays inside the fundamental cell
+        inside = sw == 0.0
+        assert 0 < np.count_nonzero(inside) < sw.size
+        vals = (S @ xi**3)[inside]
+        assert np.max(np.abs(vals)) <= 1e-9
 
 
 def test_fourth_difference_prices_checkerboards():

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from corruga import solver
 from corruga.chart import BUILTIN_NAMES, builtin_chart
-from corruga.grid import build_grid, differentiate
+from corruga.grid import build_grid
 from corruga.oracle import analytic_mode, sample_rotation
 from corruga.solver import (ROW_CREASE, ROW_PDE, SolverError,
                             ThresholdPolicy, assemble_system,

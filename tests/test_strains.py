@@ -91,8 +91,8 @@ def test_strain_invariance_under_constant_rotation_shift():
     mode = sample_rotation(am, grid, normalize=False)
     shifted = RotationMode(w=mode.w + np.array([0.4, -0.2, 0.9]),
                            W1=mode.W1, W2=mode.W2, sigma=mode.sigma)
-    E0 = effective_membrane_strain(mode, grid).E
-    E1 = effective_membrane_strain(shifted, grid).E
+    E0 = effective_membrane_strain(mode, grid)
+    E1 = effective_membrane_strain(shifted, grid)
     assert_allclose(E1, E0, atol=1e-12)
     geom = grid.geometry
     assert_allclose(chi_from_growth(shifted.W1, shifted.W2, geom),
@@ -103,7 +103,7 @@ def test_constant_mode_has_no_strain():
     grid = build_grid(builtin_chart("miura"), 16)
     w = np.tile(np.array([0.3, 0.1, -0.7]), (grid.shape[0], grid.shape[1], 1))
     mode = RotationMode(w=w, W1=np.zeros(3), W2=np.zeros(3), sigma=0.0)
-    E = effective_membrane_strain(mode, grid).E
+    E = effective_membrane_strain(mode, grid)
     assert np.max(np.abs(E)) <= 1e-13
     assert np.max(np.abs(chi_from_growth(mode.W1, mode.W2,
                                          grid.geometry))) == 0.0
@@ -118,7 +118,7 @@ def test_sampled_catalogue_strains_match_predictions():
         grid = build_grid(am.chart, 32)
         mode = sample_rotation(am, grid, normalize=False)
         if which == "E":
-            got = effective_membrane_strain(mode, grid).E
+            got = effective_membrane_strain(mode, grid)
             want = am.E
         else:
             got = chi_from_growth(mode.W1, mode.W2, grid.geometry)
