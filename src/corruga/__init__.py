@@ -34,8 +34,8 @@ from .grid import PeriodicGrid, build_grid, cell_average
 from .solver import (ConstraintSystem, RotationMode, DeflectionField,
                      assemble_system, recover_deflection, ThresholdPolicy)
 from .strains import (StrainSpaces, PoissonRatios,
-                      effective_membrane_strain, membrane_strain_field,
-                      effective_spaces, classify_mode,
+                      effective_membrane_strain, effective_spaces,
+                      classify_mode,
                       orthogonality_residual, poisson_ratios)
 from .oracle import (AnalyticMode, MODE_IDS, analytic_mode, canonical_chart,
                      sample_rotation, make_trig_field,
@@ -53,7 +53,7 @@ __all__ = [
     "ConstraintSystem", "RotationMode", "DeflectionField",
     "assemble_system", "recover_deflection", "ThresholdPolicy",
     "StrainSpaces", "PoissonRatios",
-    "effective_membrane_strain", "membrane_strain_field", "effective_spaces",
+    "effective_membrane_strain", "effective_spaces",
     "classify_mode", "orthogonality_residual", "poisson_ratios",
     "AnalyticMode", "MODE_IDS", "analytic_mode", "canonical_chart",
     "sample_rotation", "make_trig_field",

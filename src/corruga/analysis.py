@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .chart import SurfaceChart, chart_to_config
-from .grid import PeriodicGrid, build_grid, display_positions, write_obj
+from .grid import (MIN_RESOLUTION, PeriodicGrid, build_grid,
+                   display_positions, write_obj)
 from .solver import ThresholdPolicy, assemble_system, recover_deflection
 from .strains import (classify_mode, chi_from_growth,
                       effective_membrane_strain, effective_spaces, mode_scale,
@@ -45,6 +46,28 @@ def _cut_dict(cut) -> dict:
             "ambiguous": cut.ambiguous}
 
 
+def _analysis_grid(chart: SurfaceChart, resolution):
+    """The grid an analysis solves on, and the spacing it is judged at.
+
+    A direction whose curve has no profile is one closed arc along which
+    the surface does not vary: the assembled operator is circulant there,
+    every Fourier block but the mean has a zero minimizer, and once the
+    direction is wider than the stencils the strain spaces do not depend
+    on its node count.  It gets MIN_RESOLUTION nodes (a count below that
+    goes on to build_grid, which refuses it); every other direction keeps
+    the requested count.  The spacing is the largest of the requested
+    grid, which the threshold cap and the mode classification scale with.
+    """
+    requested = (resolution if isinstance(resolution, (tuple, list))
+                 else (resolution, resolution))
+    flat = [c.lateral is None and c.vertical is None for c in chart.curves]
+    grid = build_grid(chart, [min(int(n), MIN_RESOLUTION) if f else n
+                              for n, f in zip(requested, flat)])
+    h = max(T / int(n) if f else grid.axis(d).spacing.max()
+            for d, (T, n, f) in enumerate(zip(chart.period, requested, flat)))
+    return grid, float(h)
+
+
 def run_analysis(chart: SurfaceChart, resolution=32,
                  threshold="auto") -> dict:
     """Analyze one surface; returns the report dict (JSON-ready values).
@@ -56,10 +79,10 @@ def run_analysis(chart: SurfaceChart, resolution=32,
     """
     pol = ThresholdPolicy.coerce(threshold)
     t0 = time.perf_counter()
-    grid = build_grid(chart, resolution)
+    grid, h = _analysis_grid(chart, resolution)
     system = assemble_system(grid)
     t1 = time.perf_counter()
-    spaces = effective_spaces(system, policy=pol)
+    spaces = effective_spaces(system, policy=pol, h=h)
     t2 = time.perf_counter()
 
     smax = system.sigma_max()
@@ -74,7 +97,7 @@ def run_analysis(chart: SurfaceChart, resolution=32,
             chi = chi_from_growth(m.W1, m.W2, geom) / s
             reps[kind].append({
                 "id": f"{kind}-{i}",
-                "class": classify_mode(m, grid),
+                "class": classify_mode(m, grid, h),
                 "sigma_rel": m.sigma / smax,
                 "E": E, "chi": chi,
                 "W1": m.W1 / s, "W2": m.W2 / s,
@@ -112,7 +135,7 @@ def run_analysis(chart: SurfaceChart, resolution=32,
         "resolution": {"requested": list(resolution)
                        if isinstance(resolution, (tuple, list))
                        else [int(resolution), int(resolution)],
-                       "nodes": list(grid.shape), "h_max": grid.h_max},
+                       "nodes": list(grid.shape), "h_max": h},
         "dims": {"membrane": spaces.dims[0], "bending": spaces.dims[1],
                  "sum": spaces.dims[0] + spaces.dims[1],
                  "rank_bound_ok": spaces.rank_bound_ok},

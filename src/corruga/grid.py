@@ -16,8 +16,7 @@ second order: first derivatives centered inside an arc, one-sided
 (-3, 4, -1)/2h at its ends; fourth differences (1, -4, 6, -4, 1)/h on
 interior windows only.  For fields that grow by a constant G per period
 (cover fields v + m*G), the stencil of the cover field is M @ v + wrap * G,
-where wrap row-sums the coefficients against the period counts.  The
-display lattice is the same chain left open at both ends.
+where wrap row-sums the coefficients against the period counts.
 
 Quadrature is per-arc trapezoid, so breakpoint instances contribute half
 weights from both sides.
@@ -292,27 +291,6 @@ def cell_average(values, grid: PeriodicGrid):
     return np.tensordot(grid.weights, v, axes=([0, 1], [0, 1])) / grid.cell_area
 
 
-def display_derivative(values, grid: PeriodicGrid, direction: int):
-    """Second-order derivative of a field sampled on the display lattice.
-
-    The lattice is each axis's chain left open at both ends: a broken axis
-    as it is, a closed one with its wrapped first node appended, so its one
-    arc spans a full period with one-sided ends.  The field need not be
-    periodic.
-    """
-    v = np.asarray(values, dtype=float)
-    axis = grid.axis(direction)
-    idx, extra = display_lattice(grid)[direction::2]   # base index, extra m
-    D, _ = _stencil(axis.arc_of[idx], axis.spacing[idx],
-                    axis.wrap_m[idx] + extra, False, _FIRST)
-    if v.shape[direction] != D.shape[0]:
-        raise ValueError(f"field has {v.shape[direction]} rows along direction "
-                         f"{direction}, display lattice has {D.shape[0]}")
-    vt = np.moveaxis(v, direction, 0)
-    out = (D @ vt.reshape(vt.shape[0], -1)).reshape(vt.shape)
-    return np.moveaxis(out, 0, direction)
-
-
 # -- mesh export --------------------------------------------------------
 
 def display_lattice(grid: PeriodicGrid):
@@ -357,20 +335,17 @@ def write_obj(path, vertices: np.ndarray) -> None:
     duplicated breakpoint nodes are skipped.
     """
     r, c = vertices.shape[:2]
-    lines = ["# corruga mesh export"]
-    for row in vertices.reshape(-1, 3):
-        lines.append(f"v {row[0]:.12g} {row[1]:.12g} {row[2]:.12g}")
-
-    def vid(i, j):
-        return i * c + j + 1
-
-    for i in range(r - 1):
-        for j in range(c - 1):
-            d1 = np.linalg.norm(vertices[i + 1, j] - vertices[i, j])
-            d2 = np.linalg.norm(vertices[i, j + 1] - vertices[i, j])
-            if d1 < 1e-14 or d2 < 1e-14:
-                continue
-            lines.append(f"f {vid(i, j)} {vid(i + 1, j)} {vid(i + 1, j + 1)}")
-            lines.append(f"f {vid(i, j)} {vid(i + 1, j + 1)} {vid(i, j + 1)}")
+    corner = vertices[:-1, :-1]
+    keep = ((np.linalg.norm(vertices[1:, :-1] - corner, axis=-1) >= 1e-14)
+            & (np.linalg.norm(vertices[:-1, 1:] - corner, axis=-1) >= 1e-14))
+    # 1-based vertex ids of each kept quad's corners, in (i, j) order
+    vid = np.arange(1, r * c + 1).reshape(r, c)
+    a, b = vid[:-1, :-1][keep], vid[1:, :-1][keep]
+    d, e = vid[1:, 1:][keep], vid[:-1, 1:][keep]
+    faces = np.stack([a, b, d, a, d, e], axis=1)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# corruga mesh export\n")
+        fh.write("v %.12g %.12g %.12g\n" * (r * c)
+                 % tuple(vertices.reshape(-1).tolist()))
+        fh.write("f %d %d %d\n" * (2 * len(faces))
+                 % tuple(faces.reshape(-1).tolist()))

@@ -461,13 +461,13 @@ class DeflectionField:
     values: np.ndarray               # (r, c, 3)
 
 
-def recover_deflection(mode: RotationMode, grid: PeriodicGrid,
-                       order: str = "rows") -> DeflectionField:
+def recover_deflection(mode: RotationMode,
+                       grid: PeriodicGrid) -> DeflectionField:
     """Path-integrate d(deflection) = w x dx over the display lattice.
 
     Trapezoid increments along lattice edges; the spanning tree is the first
-    column then each row ("rows") or the transpose ("cols").  Duplicated
-    breakpoint nodes are zero-length edges and pick up no increment.
+    column then each row.  Duplicated breakpoint nodes are zero-length edges
+    and pick up no increment.
     """
     t1, t2 = grid.chart.period
     P = display_positions(grid)
@@ -475,12 +475,6 @@ def recover_deflection(mode: RotationMode, grid: PeriodicGrid,
     d0 = np.cross(0.5 * (w[1:] + w[:-1]), P[1:] - P[:-1])
     d1 = np.cross(0.5 * (w[:, 1:] + w[:, :-1]), P[:, 1:] - P[:, :-1])
     out = np.zeros_like(P)
-    if order == "rows":
-        out[1:, 0] = np.cumsum(d0[:, 0], axis=0)
-        out[:, 1:] = out[:, :1] + np.cumsum(d1, axis=1)
-    elif order == "cols":
-        out[0, 1:] = np.cumsum(d1[0], axis=0)
-        out[1:, :] = out[:1, :] + np.cumsum(d0, axis=0)
-    else:
-        raise ValueError(f"unknown integration order {order!r}")
+    out[1:, 0] = np.cumsum(d0[:, 0], axis=0)
+    out[:, 1:] = out[:, :1] + np.cumsum(d1, axis=1)
     return DeflectionField(values=out)

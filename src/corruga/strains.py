@@ -19,9 +19,9 @@ import numpy as np
 import scipy.linalg as la
 
 from .chart import PeriodGeometry
-from .grid import PeriodicGrid, cell_average, display_derivative, display_lattice
-from .solver import (ConstraintSystem, DeflectionField, RotationMode,
-                     ThresholdPolicy, mode_from_vector, strain_forms)
+from .grid import PeriodicGrid, cell_average
+from .solver import (ConstraintSystem, RotationMode, ThresholdPolicy,
+                     mode_from_vector, strain_forms)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -87,26 +87,6 @@ def chi_from_growth(W1, W2, geometry: PeriodGeometry) -> np.ndarray:
     return chi
 
 
-def membrane_strain_field(deflection: DeflectionField,
-                          grid: PeriodicGrid) -> np.ndarray:
-    """Per-node symmetric 2x2 strain of a deflection, on the display lattice.
-
-    eps_mn = sym <d_m(xdot), x_n>; an infinitesimal isometry has eps -> 0.
-    """
-    V = deflection.values
-    d1 = display_derivative(V, grid, 0)
-    d2 = display_derivative(V, grid, 1)
-    ib, jb, _, _ = display_lattice(grid)
-    x1 = grid.x1[np.ix_(ib, jb)]
-    x2 = grid.x2[np.ix_(ib, jb)]
-    dot = lambda a, b: np.einsum("...k,...k->...", a, b)
-    eps = np.empty(V.shape[:2] + (2, 2))
-    eps[..., 0, 0] = dot(d1, x1)
-    eps[..., 1, 1] = dot(d2, x2)
-    eps[..., 0, 1] = eps[..., 1, 0] = 0.5 * (dot(d1, x2) + dot(d2, x1))
-    return eps
-
-
 def membrane_row_map(grid: PeriodicGrid) -> np.ndarray:
     """Linear map w samples -> (E11, sqrt2 E12, E22), dense (3, 3n).
 
@@ -126,20 +106,12 @@ def membrane_row_map(grid: PeriodicGrid) -> np.ndarray:
 
 # -- the orthogonality identity -------------------------------------------
 
-def orthogonality_residual(E, chi, form: str = "index") -> float:
-    """E11 chi22 - 2 E12 chi12 + E22 chi11; zero on every admissible pair.
-
-    form "adjugate" evaluates the same number as tr(adj(E) chi).
-    """
+def orthogonality_residual(E, chi) -> float:
+    """E11 chi22 - 2 E12 chi12 + E22 chi11; zero on every admissible pair."""
     Em = _as_matrix(E)
     Cm = _as_matrix(chi)
-    if form == "index":
-        return float(Em[0, 0] * Cm[1, 1] - 2.0 * Em[0, 1] * Cm[0, 1]
-                     + Em[1, 1] * Cm[0, 0])
-    if form == "adjugate":
-        adj = np.array([[Em[1, 1], -Em[0, 1]], [-Em[1, 0], Em[0, 0]]])
-        return float(np.trace(adj @ Cm))
-    raise ValueError(f"unknown form {form!r}")
+    return float(Em[0, 0] * Cm[1, 1] - 2.0 * Em[0, 1] * Cm[0, 1]
+                 + Em[1, 1] * Cm[0, 0])
 
 
 def orthogonality_residual_rel(E, chi) -> float:
@@ -247,7 +219,8 @@ def _tensors(rows) -> np.ndarray:
     return np.array([unvec_sym(r) for r in rows]).reshape(-1, 2, 2)
 
 
-def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
+def effective_spaces(system: ConstraintSystem, policy=None,
+                     h: float | None = None) -> StrainSpaces:
     """Strain spans straight from the constraint system, no null basis.
 
     Bending: the best-residual levels over the 6 growth coordinates; their
@@ -255,15 +228,18 @@ def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
     linear function of growth alone.  Membrane: the analogous levels over
     (E11, E12, E22) subject to strict periodicity.  Both come from one
     solver.strain_forms call; representative modes come from its minimizers.
+    ``h`` is the mesh spacing the policy's cap scales with, by default the
+    grid's largest.
     """
     pol = policy or ThresholdPolicy()
     grid = system.grid
+    h = grid.h_max if h is None else h
     smax = system.sigma_max()
 
     def cut(space):
         rel = space.levels / smax
         floor = np.maximum(space.floor_sigma() / smax, 1e-15)
-        return rel, SpectralCut(*pol.cut(rel, grid.h_max, floor))
+        return rel, SpectralCut(*pol.cut(rel, h, floor))
 
     def representatives(space, count, strain):
         """Sign-fixed modes along the first count directions, with their
@@ -297,8 +273,13 @@ def effective_spaces(system: ConstraintSystem, policy=None) -> StrainSpaces:
 
 # -- classification ---------------------------------------------------------
 
-def classify_mode(mode: RotationMode, grid: PeriodicGrid) -> str:
-    """One of constant / membrane / bending / mixed / strain-free."""
+def classify_mode(mode: RotationMode, grid: PeriodicGrid,
+                  h: float | None = None) -> str:
+    """One of constant / membrane / bending / mixed / strain-free.
+
+    ``h`` is the mesh spacing of the growth tolerance, by default the
+    grid's largest.
+    """
     geometry = grid.geometry
     s = mode_scale(mode, grid)
     if s == 0:
@@ -316,7 +297,8 @@ def classify_mode(mode: RotationMode, grid: PeriodicGrid) -> str:
         # which limits the quadrature of their lattice stretch to O(h) times
         # the growth magnitude
         gsize = np.sqrt(np.dot(mode.W1, mode.W1) + np.dot(mode.W2, mode.W2))
-        tol = max(STRAIN_TOL, grid.h_max * gsize / s)
+        h = grid.h_max if h is None else h
+        tol = max(STRAIN_TOL, h * gsize / s)
     has_E = np.linalg.norm(E) / (s * p_scale) > tol
     if gf > GROWTH_TOL:
         return "mixed" if has_E else "bending"

@@ -11,14 +11,14 @@ from numpy.testing import assert_allclose
 
 from corruga import solver
 from corruga.chart import BUILTIN_NAMES, builtin_chart
-from corruga.grid import build_grid
+from corruga.grid import (_FIRST, _stencil, build_grid, display_cover,
+                          display_lattice, display_positions)
 from corruga.oracle import analytic_mode, sample_rotation
-from corruga.solver import (ROW_CREASE, ROW_PDE, SolverError,
-                            ThresholdPolicy, assemble_system,
+from corruga.solver import (ROW_CREASE, ROW_PDE, DeflectionField,
+                            SolverError, ThresholdPolicy, assemble_system,
                             kernel_distance, recover_deflection,
                             strain_forms)
-from corruga.strains import (effective_spaces, membrane_row_map,
-                             membrane_strain_field)
+from corruga.strains import effective_spaces, membrane_row_map
 
 
 def test_plane_system_counts():
@@ -308,11 +308,63 @@ def test_kernel_distance_bounds_the_exact_distance():
     assert exact[1] >= 0.5
 
 
+# -- references for the recovery tests ------------------------------------
+
+def display_derivative(values, grid, direction: int):
+    """Second-order derivative of a field sampled on the display lattice.
+
+    The lattice is each axis's chain left open at both ends: a broken axis
+    as it is, a closed one with its wrapped first node appended, so its one
+    arc spans a full period with one-sided ends.  The field need not be
+    periodic.
+    """
+    v = np.asarray(values, dtype=float)
+    axis = grid.axis(direction)
+    idx, extra = display_lattice(grid)[direction::2]   # base index, extra m
+    D, _ = _stencil(axis.arc_of[idx], axis.spacing[idx],
+                    axis.wrap_m[idx] + extra, False, _FIRST)
+    vt = np.moveaxis(v, direction, 0)
+    out = (D @ vt.reshape(vt.shape[0], -1)).reshape(vt.shape)
+    return np.moveaxis(out, 0, direction)
+
+
+def membrane_strain_field(deflection, grid) -> np.ndarray:
+    """Per-node symmetric 2x2 strain of a deflection, on the display lattice.
+
+    eps_mn = sym <d_m(xdot), x_n>; an infinitesimal isometry has eps -> 0.
+    """
+    V = deflection.values
+    d1 = display_derivative(V, grid, 0)
+    d2 = display_derivative(V, grid, 1)
+    ib, jb, _, _ = display_lattice(grid)
+    x1 = grid.x1[np.ix_(ib, jb)]
+    x2 = grid.x2[np.ix_(ib, jb)]
+    dot = lambda a, b: np.einsum("...k,...k->...", a, b)
+    eps = np.empty(V.shape[:2] + (2, 2))
+    eps[..., 0, 0] = dot(d1, x1)
+    eps[..., 1, 1] = dot(d2, x2)
+    eps[..., 0, 1] = eps[..., 1, 0] = 0.5 * (dot(d1, x2) + dot(d2, x1))
+    return eps
+
+
+def recover_deflection_by_columns(mode, grid) -> DeflectionField:
+    """recover_deflection along the transposed spanning tree: the first row,
+    then each column."""
+    t1, t2 = grid.chart.period
+    P = display_positions(grid)
+    w = display_cover(grid, mode.w, t1 * mode.W1, t2 * mode.W2)
+    d0 = np.cross(0.5 * (w[1:] + w[:-1]), P[1:] - P[:-1])
+    d1 = np.cross(0.5 * (w[:, 1:] + w[:, :-1]), P[:, 1:] - P[:, :-1])
+    out = np.zeros_like(P)
+    out[0, 1:] = np.cumsum(d1[0], axis=0)
+    out[1:, :] = out[:1, :] + np.cumsum(d0, axis=0)
+    return DeflectionField(values=out)
+
+
 def test_recover_deflection_constant_mode_is_rigid():
     grid = build_grid(builtin_chart("corrugation"), 16)
     system = assemble_system(grid)
     v = np.concatenate([np.tile([0.0, 0.0, 1.0], grid.nnodes), np.zeros(6)])
-    from corruga.grid import display_positions
     from corruga.solver import mode_from_vector
     mode = mode_from_vector(system, v)
     defl = recover_deflection(mode, grid)
@@ -351,8 +403,8 @@ def test_path_independence_of_recovery():
     am = analytic_mode("eggbox-membrane")
     grid = build_grid(am.chart, 32)
     mode = sample_rotation(am, grid, normalize=False)
-    rows = recover_deflection(mode, grid, order="rows").values
-    cols = recover_deflection(mode, grid, order="cols").values
+    rows = recover_deflection(mode, grid).values
+    cols = recover_deflection_by_columns(mode, grid).values
     rows = rows - rows[0, 0]
     cols = cols - cols[0, 0]
     scale = max(1e-300, float(np.max(np.linalg.norm(rows, axis=-1))))
@@ -365,7 +417,6 @@ def test_recovery_matches_analytic_deflection():
     grid = build_grid(am.chart, 32)
     mode = sample_rotation(am, grid, normalize=False)
     got = recover_deflection(mode, grid).values
-    from corruga.grid import display_lattice
     ib, jb, e1, e2 = display_lattice(grid)
     t1, t2 = grid.chart.period
     u1 = grid.axis1.u[ib] + e1 * t1
