@@ -60,25 +60,25 @@ def _stencil(arc, h, m, closed: bool, rules):
     n = arc.size
     node = np.arange(n)
     free = np.ones(n, dtype=bool)
-    rows, ks, vals = [], [], []
+    nodes, ks, vals = [], [], []
     for offsets, coefs in rules:
         k = node[:, None] + np.asarray(offsets)
         fits = free & np.all(arc[k % n] == arc[:, None], axis=1)
         if not closed:
             fits &= np.all((k >= 0) & (k < n), axis=1)
         free &= ~fits
-        rows.append(np.repeat(node[fits], len(offsets)))
+        nodes.append(np.repeat(node[fits], len(offsets)))
         ks.append(k[fits].ravel())
         vals.append((np.asarray(coefs) / h[fits, None]).ravel())
+    nodes, k, vals = map(np.concatenate, (nodes, ks, vals))
     # rows are numbered over the nodes that got one, in node order
-    rows = (np.cumsum(~free) - 1)[np.concatenate(rows)]
-    k, vals = np.concatenate(ks), np.concatenate(vals)
+    rows = (np.cumsum(~free) - 1)[nodes]
     shape = (n - np.count_nonzero(free), n)
-    # columns over the cover indices -n <= k < 2n keep each row's sum in
-    # the order of its stored columns
-    cover = np.arange(-n, 2 * n)
-    wrap = sp.csr_matrix((vals, (rows, k + n)), shape=(shape[0], 3 * n)) \
-        @ (m[cover % n] + cover // n)
+    # every rule's coefficients sum to 0, so counting the periods from the
+    # row's own node changes nothing but makes a window that lies wholly
+    # past the seam an exact 0
+    lag = m[k % n] + k // n - m[nodes]
+    wrap = np.bincount(rows, weights=vals * lag, minlength=shape[0])
     return sp.csr_matrix((vals, (rows, k % n)), shape=shape), wrap
 
 

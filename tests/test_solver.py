@@ -438,3 +438,13 @@ def test_sampled_analytic_modes_have_tiny_residual():
         mode = sample_rotation(am, grid)
         assert (np.linalg.norm(system.matrix @ mode.vector(grid))
                 <= 1e-9 * system.sigma_max()), mid
+
+
+def test_growth_columns_hold_no_rounding_noise():
+    # every stencil's coefficients sum to 0, so a window that lies wholly
+    # past the seam reads no growth: its wrap term is an exact 0, which
+    # assemble_system does not store
+    for name in ("eggbox", "corrugation"):
+        A = assemble_system(build_grid(builtin_chart(name), 16)).matrix
+        G = np.abs(A[:, -6:].tocsc().data)
+        assert G.min() > 1e-10 * G.max(), name
