@@ -46,7 +46,7 @@ def _cut_dict(cut) -> dict:
             "ambiguous": cut.ambiguous}
 
 
-def _analysis_grid(chart: SurfaceChart, resolution):
+def _analysis_grid(chart: SurfaceChart, requested):
     """The grid an analysis solves on, and the spacing it is judged at.
 
     A direction whose curve has no profile is one closed arc along which
@@ -58,12 +58,10 @@ def _analysis_grid(chart: SurfaceChart, resolution):
     the requested count.  The spacing is the largest of the requested
     grid, which the threshold cap and the mode classification scale with.
     """
-    requested = (resolution if isinstance(resolution, (tuple, list))
-                 else (resolution, resolution))
     flat = [c.lateral is None and c.vertical is None for c in chart.curves]
-    grid = build_grid(chart, [min(int(n), MIN_RESOLUTION) if f else n
+    grid = build_grid(chart, [min(n, MIN_RESOLUTION) if f else n
                               for n, f in zip(requested, flat)])
-    h = max(T / int(n) if f else grid.axis(d).spacing.max()
+    h = max(T / n if f else grid.axis(d).spacing.max()
             for d, (T, n, f) in enumerate(zip(chart.period, requested, flat)))
     return grid, float(h)
 
@@ -78,8 +76,11 @@ def run_analysis(chart: SurfaceChart, resolution=32,
     ``threshold`` is "auto", a fixed relative cut or a ThresholdPolicy.
     """
     pol = ThresholdPolicy.coerce(threshold)
+    requested = ([int(n) for n in resolution]
+                 if isinstance(resolution, (tuple, list))
+                 else [int(resolution)] * 2)
     t0 = time.perf_counter()
-    grid, h = _analysis_grid(chart, resolution)
+    grid, h = _analysis_grid(chart, requested)
     system = assemble_system(grid)
     t1 = time.perf_counter()
     spaces = effective_spaces(system, policy=pol, h=h)
@@ -132,9 +133,7 @@ def run_analysis(chart: SurfaceChart, resolution=32,
 
     report = {
         "surface": chart_to_config(chart),
-        "resolution": {"requested": list(resolution)
-                       if isinstance(resolution, (tuple, list))
-                       else [int(resolution), int(resolution)],
+        "resolution": {"requested": requested,
                        "nodes": list(grid.shape), "h_max": h},
         "dims": {"membrane": spaces.dims[0], "bending": spaces.dims[1],
                  "sum": spaces.dims[0] + spaces.dims[1],

@@ -52,19 +52,17 @@ def test_reduced_grid_matches_full_grid(name, res):
                                or spaces.chi_cut.ambiguous)
 
     # the representatives: ids, classes and pair residuals
-    modes = ([("membrane", m) for m in spaces.membrane_modes]
-             + [("bending", m) for m in spaces.bending_modes])
-    assert [m["id"] for m in rep["modes"]] == [
-        f"{kind}-{i}" for kind, group in (("membrane", spaces.membrane_modes),
-                                          ("bending", spaces.bending_modes))
-        for i in range(len(group))]
+    ids = ([f"membrane-{i}" for i in range(len(spaces.membrane_modes))]
+           + [f"bending-{i}" for i in range(len(spaces.bending_modes))])
+    modes = dict(zip(ids, spaces.membrane_modes + spaces.bending_modes))
+    assert [m["id"] for m in rep["modes"]] == ids
     assert [m["class"] for m in rep["modes"]] == [
-        classify_mode(m, grid) for _, m in modes]
+        classify_mode(m, grid) for m in modes.values()]
     strains = {}
-    for (kind, m), got in zip(modes, rep["modes"]):
+    for i, m in modes.items():
         s = mode_scale(m, grid)
-        strains[got["id"]] = (effective_membrane_strain(m, grid) / s,
-                              chi_from_growth(m.W1, m.W2, grid.geometry) / s)
+        strains[i] = (effective_membrane_strain(m, grid) / s,
+                      chi_from_growth(m.W1, m.W2, grid.geometry) / s)
     for p in rep["pairs"]:
         ref = orthogonality_residual_rel(strains[p["E_of"]][0],
                                          strains[p["chi_of"]][1])
