@@ -31,8 +31,8 @@ from .chart import (SurfaceChart, SpaceCurve, PeriodGeometry, builtin_chart,
                     evaluate_chart, chart_partials, period_geometry,
                     chart_from_config, chart_to_config, load_chart, save_chart)
 from .grid import PeriodicGrid, build_grid, cell_average
-from .solver import (ConstraintSystem, RotationMode, DeflectionField,
-                     assemble_system, recover_deflection, ThresholdPolicy)
+from .solver import (ConstraintSystem, RotationMode, assemble_system,
+                     recover_deflection)
 from .strains import (StrainSpaces, PoissonRatios,
                       effective_membrane_strain, effective_spaces,
                       classify_mode,
@@ -41,8 +41,8 @@ from .oracle import (AnalyticMode, MODE_IDS, analytic_mode, canonical_chart,
                      sample_rotation, make_trig_field,
                      symmetry_lemma_check, scaling_limit_check,
                      reparametrization_check)
-from .warping import (SectionCurve, WarpingResult, section_from_points,
-                      shoelace_area, warping_function, dislocation)
+from .warping import (SectionCurve, section_from_points, shoelace_area,
+                      warping_function, dislocation)
 
 __all__ = [
     "Profile", "make_profile", "profile_from_config",
@@ -50,15 +50,15 @@ __all__ = [
     "evaluate_chart", "chart_partials", "period_geometry",
     "chart_from_config", "chart_to_config", "load_chart", "save_chart",
     "PeriodicGrid", "build_grid", "cell_average",
-    "ConstraintSystem", "RotationMode", "DeflectionField",
-    "assemble_system", "recover_deflection", "ThresholdPolicy",
+    "ConstraintSystem", "RotationMode",
+    "assemble_system", "recover_deflection",
     "StrainSpaces", "PoissonRatios",
     "effective_membrane_strain", "effective_spaces",
     "classify_mode", "orthogonality_residual", "poisson_ratios",
     "AnalyticMode", "MODE_IDS", "analytic_mode", "canonical_chart",
     "sample_rotation", "make_trig_field",
     "symmetry_lemma_check", "scaling_limit_check", "reparametrization_check",
-    "SectionCurve", "WarpingResult", "section_from_points", "shoelace_area",
+    "SectionCurve", "section_from_points", "shoelace_area",
     "warping_function", "dislocation",
 ]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,11 @@ import numpy as np
 from .chart import SurfaceChart, chart_to_config
 from .grid import (MIN_RESOLUTION, PeriodicGrid, build_grid,
                    display_positions, write_obj)
-from .solver import ThresholdPolicy, assemble_system, recover_deflection
+from .solver import assemble_system, recover_deflection
 from .strains import (classify_mode, chi_from_growth,
                       effective_membrane_strain, effective_spaces, mode_scale,
                       orthogonality_residual, orthogonality_residual_rel,
-                      poisson_ratios)
+                      parse_threshold, poisson_ratios)
 
 # displayed deflection amplitude as a fraction of the parameter cell
 DISPLAY_AMPLITUDE = 0.2
@@ -41,29 +42,33 @@ def _round_trip(obj):
     return obj
 
 
-def _cut_dict(cut) -> dict:
-    return {"count": cut.count, "cap": cut.cap, "gap": cut.gap,
-            "ambiguous": cut.ambiguous}
-
-
-def _analysis_grid(chart: SurfaceChart, requested):
-    """The grid an analysis solves on, and the spacing it is judged at.
+def _analysis_system(chart: SurfaceChart, requested):
+    """The constraint system an analysis solves, and the spacing it is
+    judged at, the largest of the requested grid.
 
     A direction whose curve has no profile is one closed arc along which
     the surface does not vary: the assembled operator is circulant there,
     every Fourier block but the mean has a zero minimizer, and once the
-    direction is wider than the stencils the strain spaces do not depend
-    on its node count.  It gets MIN_RESOLUTION nodes (a count below that
-    goes on to build_grid, which refuses it); every other direction keeps
-    the requested count.  The spacing is the largest of the requested
-    grid, which the threshold cap and the mode classification scale with.
+    direction is wider than the stencils the minimizers do not depend on
+    its node count.  It gets MIN_RESOLUTION nodes; every other direction
+    keeps the requested count.  Each row of that reduced system stands for
+    full.nnodes / grid.nnodes equal rows of the requested grid's, so its
+    matrix is scaled by the square root of that ratio and takes the
+    requested grid's sigma_max: its levels relative to sigma_max, and with
+    them the cut, are the requested grid's.
     """
     flat = [c.lateral is None and c.vertical is None for c in chart.curves]
-    grid = build_grid(chart, [min(n, MIN_RESOLUTION) if f else n
-                              for n, f in zip(requested, flat)])
-    h = max(T / n if f else grid.axis(d).spacing.max()
-            for d, (T, n, f) in enumerate(zip(chart.period, requested, flat)))
-    return grid, float(h)
+    reduced = [min(n, MIN_RESOLUTION) if f else n
+               for n, f in zip(requested, flat)]
+    full = build_grid(chart, requested)
+    system = assemble_system(full)
+    if reduced != requested:
+        grid = build_grid(chart, reduced)
+        rows = assemble_system(grid)
+        system = replace(rows, _sigma_max=system.sigma_max(),
+                         matrix=np.sqrt(full.nnodes / grid.nnodes)
+                         * rows.matrix)
+    return system, full.h_max
 
 
 def run_analysis(chart: SurfaceChart, resolution=32,
@@ -73,17 +78,17 @@ def run_analysis(chart: SurfaceChart, resolution=32,
     The report's `modes` list holds one entry per extracted representative,
     tensors normalized per unit RMS rotation.  `pairs` evaluates the strain
     orthogonality identity on every (membrane E, bending chi) pair.
-    ``threshold`` is "auto", a fixed relative cut or a ThresholdPolicy.
+    ``threshold`` is "auto" or a fixed relative cut (see parse_threshold).
     """
-    pol = ThresholdPolicy.coerce(threshold)
+    tau = parse_threshold(threshold)
     requested = ([int(n) for n in resolution]
                  if isinstance(resolution, (tuple, list))
                  else [int(resolution)] * 2)
     t0 = time.perf_counter()
-    grid, h = _analysis_grid(chart, requested)
-    system = assemble_system(grid)
+    system, h = _analysis_system(chart, requested)
+    grid = system.grid
     t1 = time.perf_counter()
-    spaces = effective_spaces(system, policy=pol, h=h)
+    spaces = effective_spaces(system, h, tau)
     t2 = time.perf_counter()
 
     smax = system.sigma_max()
@@ -140,9 +145,9 @@ def run_analysis(chart: SurfaceChart, resolution=32,
                  "rank_bound_ok": spaces.rank_bound_ok},
         "E_basis": [M for M in spaces.E_basis],
         "chi_basis": [M for M in spaces.chi_basis],
-        "threshold": {"kind": pol.kind,
-                      "E_cut": _cut_dict(spaces.E_cut),
-                      "chi_cut": _cut_dict(spaces.chi_cut),
+        "threshold": {"kind": "auto" if tau is None else "fixed",
+                      "E_cut": spaces.E_cut._asdict(),
+                      "chi_cut": spaces.chi_cut._asdict(),
                       "ambiguous": spaces.E_cut.ambiguous
                       or spaces.chi_cut.ambiguous},
         "modes": reps["membrane"] + reps["bending"],
@@ -190,10 +195,10 @@ def export_modes(report: dict, out_dir) -> list[str]:
     for m in report["modes"]:
         mode = m["_mode"]
         defl = recover_deflection(mode, grid)
-        peak = float(np.max(np.linalg.norm(defl.values, axis=-1)))
+        peak = float(np.max(np.linalg.norm(defl, axis=-1)))
         amp = DISPLAY_AMPLITUDE * cell / peak if peak > 0 else 0.0
         path = mode_dir / f"{m['id']}.obj"
-        write_obj(path, display_positions(grid) + amp * defl.values)
+        write_obj(path, display_positions(grid) + amp * defl)
         paths.append(str(path))
         entries.append({k: v for k, v in m.items() if not k.startswith("_")}
                        | {"obj": path.name, "display_scale": amp})
@@ -326,7 +331,7 @@ def verify_warping():
     leg = section_from_points([[0, 0], [a, 0], [a, 0.5], [a, 1.0]])
     w = warping_function(leg, alpha=alpha)
     hand = np.array([0.0, 0.0, -alpha * a * 0.5, -alpha * a * 1.0])
-    err = float(np.max(np.abs(w.w - hand)))
+    err = float(np.max(np.abs(w - hand)))
     _check(lines, oks, "L-section: hand-integrated warping on both legs",
            err <= 1e-6, f"max err={err:.1e}")
 

@@ -47,6 +47,9 @@ FAMILIES = (PLANE, SIMPLE_CORRUGATION, DOUBLE_CORRUGATION,
 
 TAU = 2.0 * np.pi
 
+# samples per period at which translation curve tangents are checked
+TRANSLATION_CHECK_SAMPLES = 257
+
 
 @dataclass(frozen=True)
 class SpaceCurve:
@@ -84,7 +87,8 @@ class SpaceCurve:
             out[..., 2] = self.vertical.value(t)
         return out
 
-    def tangent(self, t, side: int = 1):
+    def tangent(self, t, side=1):
+        """c'(t); ``side`` is as for Profile.slope."""
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (3,))
         out[..., self.axis] = 1.0
@@ -237,11 +241,11 @@ def _validate_chart(chart: SurfaceChart) -> None:
         raise ValueError("gamma applies to the sheared family only")
 
 
-def _check_translation_partials(chart: SurfaceChart, samples: int = 257) -> None:
+def _check_translation_partials(chart: SurfaceChart) -> None:
     """Reject curve pairs whose tangents become parallel somewhere."""
     a, b = chart.profiles
-    t1 = np.linspace(0.0, chart.period[0], samples)
-    t2 = np.linspace(0.0, chart.period[1], samples)
+    t1 = np.linspace(0.0, chart.period[0], TRANSLATION_CHECK_SAMPLES)
+    t2 = np.linspace(0.0, chart.period[1], TRANSLATION_CHECK_SAMPLES)
     worst = np.inf
     for s1 in (1, -1):
         ta = a.tangent(t1, s1)

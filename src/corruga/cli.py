@@ -69,7 +69,8 @@ def _load_surface(source: str):
 def cmd_analyze(args) -> int:
     from .analysis import (export_modes, run_analysis, write_report,
                            write_spectrum)
-    from .solver import SolverError, ThresholdPolicy
+    from .solver import SolverError
+    from .strains import parse_threshold
     try:
         chart = _load_surface(args.surface)
     except (OSError, ValueError, KeyError) as exc:
@@ -77,12 +78,12 @@ def cmd_analyze(args) -> int:
         return 1
     try:
         resolution = _parse_resolution(args.resolution)
-        policy = ThresholdPolicy.coerce(args.threshold)
+        tau = parse_threshold(args.threshold)
     except ValueError as exc:
         print(f"corruga: bad argument: {exc}", file=sys.stderr)
         return 1
     try:
-        report = run_analysis(chart, resolution=resolution, threshold=policy)
+        report = run_analysis(chart, resolution=resolution, threshold=tau)
     except SolverError as exc:
         print(f"corruga: solver failed: {exc}", file=sys.stderr)
         return 1

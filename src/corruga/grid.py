@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .chart import SpaceCurve, SurfaceChart, PeriodGeometry, period_geometry
+from .chart import SurfaceChart, PeriodGeometry, period_geometry
 
 MIN_RESOLUTION = 8
 
@@ -237,12 +237,6 @@ class PeriodicGrid:
         return self._lift(direction, _FOURTH)
 
 
-def _node_tangents(curve: SpaceCurve, axis: Axis) -> np.ndarray:
-    """One-sided curve tangents at the axis nodes, each from its own arc."""
-    return np.where(axis.sides[:, None] > 0, curve.tangent(axis.xi, 1),
-                    curve.tangent(axis.xi, -1))
-
-
 def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
     """Discretize one period of ``chart``.
 
@@ -263,11 +257,12 @@ def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
     axis1 = _build_axis(t1, n1, chart.panel_breakpoints(0), chart.crease_breakpoints(0))
     axis2 = _build_axis(t2, n2, chart.panel_breakpoints(1), chart.crease_breakpoints(1))
 
+    # one-sided tangents, each node's from its own arc
     alpha, beta = chart.curves
     positions = alpha.point(axis1.xi)[:, None] + beta.point(axis2.xi)[None]
-    x1 = np.broadcast_to(_node_tangents(alpha, axis1)[:, None],
+    x1 = np.broadcast_to(alpha.tangent(axis1.xi, axis1.sides)[:, None],
                          positions.shape).copy()
-    x2 = np.broadcast_to(_node_tangents(beta, axis2)[None],
+    x2 = np.broadcast_to(beta.tangent(axis2.xi, axis2.sides)[None],
                          positions.shape).copy()
 
     return PeriodicGrid(chart, axis1, axis2, period_geometry(chart),

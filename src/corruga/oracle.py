@@ -58,7 +58,8 @@ class AnalyticMode:
     _deflection: Callable = field(repr=False, compare=False)
 
     def rotation(self, xi1, xi2, side=(1, 1)):
-        """w at (xi1, xi2); ``side`` picks the panel on breakpoint lines."""
+        """w at (xi1, xi2); ``side`` picks the panel on breakpoint lines,
+        a sign or an array of signs per parameter."""
         xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=float),
                                        np.asarray(xi2, dtype=float))
         return self._rotation(xi1, xi2, side)
@@ -269,42 +270,30 @@ def analytic_mode(mode_id: str, chart: SurfaceChart | None = None) -> AnalyticMo
 
 # -- grid sampling ---------------------------------------------------------
 
-def sample_rotation(amode: AnalyticMode, grid: PeriodicGrid,
-                    normalize: bool = True) -> RotationMode:
-    """Evaluate the analytic rotation on the grid's node set.
+def sample_rotation(amode: AnalyticMode, grid: PeriodicGrid) -> RotationMode:
+    """Evaluate the analytic rotation on the grid's node set, unscaled.
 
     Breakpoint instances are evaluated with the side of the arc they belong
     to, matching how the grid samples chart partials.  sigma stays NaN: the
-    oracle never applies the discrete operator (solver.kernel_distance does).
+    oracle never applies the discrete operator (solver.kernel_distance does,
+    on the normalized vector).
     """
     if grid.chart != amode.chart:
         raise ValueError("grid was built for a different chart")
-    n1, n2 = grid.shape
-    w = np.empty((n1, n2, 3))
-    for s1 in (1, -1):
-        rows = np.flatnonzero(grid.axis1.sides == s1)
-        if rows.size == 0:
-            continue
-        for s2 in (1, -1):
-            cols = np.flatnonzero(grid.axis2.sides == s2)
-            if cols.size == 0:
-                continue
-            w[np.ix_(rows, cols)] = amode.rotation(
-                grid.axis1.xi[rows, None], grid.axis2.xi[None, cols], (s1, s2))
-
+    a1, a2 = grid.axis1, grid.axis2
+    w = amode.rotation(a1.xi[:, None], a2.xi[None, :],
+                       (a1.sides[:, None], a2.sides[None, :]))
     mode = RotationMode(w=w, W1=amode.W1.copy(), W2=amode.W2.copy(),
                         sigma=float("nan"))
-    nrm = float(np.linalg.norm(mode.vector(grid)))
-    if nrm == 0.0:
+    if not np.any(mode.vector(grid)):
         raise ValueError("analytic mode sampled to zero")
-    if not normalize:
-        return mode
-    scale = 1.0 / nrm
-    return RotationMode(w=w * scale, W1=amode.W1 * scale,
-                        W2=amode.W2 * scale, sigma=float("nan"))
+    return mode
 
 
 # -- random periodic fields and the pairing identity ----------------------
+
+TRIG_KMAX = 5           # highest harmonic of make_trig_field per direction
+
 
 @dataclass(frozen=True)
 class TrigField:
@@ -342,19 +331,20 @@ class TrigField:
         return float(np.sqrt(e))
 
 
-def make_trig_field(seed: int, kmax: int = 5,
-                    period: tuple[float, float] = (TAU, TAU)) -> TrigField:
-    """Random band-limited periodic field with reproducible coefficients."""
+def make_trig_field(seed: int) -> TrigField:
+    """Random periodic field on the (TAU, TAU) cell, harmonics up to
+    TRIG_KMAX, with reproducible coefficients."""
     rng = np.random.default_rng(seed)
-    k1, k2 = np.meshgrid(np.arange(-kmax, kmax + 1),
-                         np.arange(0, kmax + 1), indexing="ij")
+    k1, k2 = np.meshgrid(np.arange(-TRIG_KMAX, TRIG_KMAX + 1),
+                         np.arange(0, TRIG_KMAX + 1), indexing="ij")
     keep = (k2 > 0) | ((k2 == 0) & (k1 >= 0))   # one representative per pair
     waves = np.column_stack([k1[keep], k2[keep]])
     decay = 1.0 / (1.0 + np.abs(waves).sum(axis=1))[:, None]
     cos_c = rng.standard_normal((len(waves), 3)) * decay
     sin_c = rng.standard_normal((len(waves), 3)) * decay
     sin_c[(waves == 0).all(axis=1)] = 0.0
-    return TrigField(period=period, waves=waves, cos_c=cos_c, sin_c=sin_c)
+    return TrigField(period=(TAU, TAU), waves=waves, cos_c=cos_c,
+                     sin_c=sin_c)
 
 
 def symmetry_lemma_check(chart: SurfaceChart, omega: TrigField, w: TrigField,
@@ -384,23 +374,22 @@ def symmetry_lemma_check(chart: SurfaceChart, omega: TrigField, w: TrigField,
 
 # -- quadratic-limit check -------------------------------------------------
 
-def scaling_limit_check(amode: AnalyticMode, probes=None,
-                        eps_list=(0.25, 0.125, 0.0625, 0.03125),
-                        seed: int = 0) -> np.ndarray:
+# (xi1, xi2) points the finite-motion remainder is taken at
+SCALING_PROBES = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 2))
+
+
+def scaling_limit_check(amode: AnalyticMode,
+                        eps_list=(0.25, 0.125, 0.0625, 0.03125)) -> np.ndarray:
     """Error of eps^2 xdot(xi/eps) against its quadratic limit, per eps.
 
     The limit is q(xi) = 1/2 xi_mu xi_nu W_nu x p_mu.  The error is the max
-    over a fixed probe set; modes without growth have q = 0.
+    over the fixed SCALING_PROBES; modes without growth have q = 0.
     """
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        probes = rng.uniform(-1.0, 1.0, size=(8, 2))
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
     geom = period_geometry(amode.chart)
     q11 = np.cross(amode.W1, geom.p1)
     q12 = np.cross(amode.W2, geom.p1) + np.cross(amode.W1, geom.p2)
     q22 = np.cross(amode.W2, geom.p2)
-    x1, x2 = probes[:, 0], probes[:, 1]
+    x1, x2 = SCALING_PROBES[:, 0], SCALING_PROBES[:, 1]
     limit = 0.5 * (x1[:, None] ** 2 * q11 + (x1 * x2)[:, None] * q12
                    + x2[:, None] ** 2 * q22)
     out = []

@@ -152,20 +152,20 @@ class Profile:
         wraps = np.where(hi, wraps + 1, wraps)
         return wraps, r
 
-    def _piece(self, r: np.ndarray, side: int) -> np.ndarray:
+    def _piece(self, r: np.ndarray, side) -> np.ndarray:
+        """Piece index of each r: the right piece where side >= 0, else the
+        left one (r == 0 then belongs to the final piece of the previous
+        period copy).  ``side`` is a sign or an array of signs."""
         knots = self._tables.knots
         last = len(knots) - 2
-        if side >= 0:
-            idx = np.searchsorted(knots, r, side="right") - 1
-        else:
-            # left limit: r == 0 belongs to the final piece of the previous
-            # period copy
-            idx = np.searchsorted(knots, r, side="left") - 1
+        idx = np.where(np.asarray(side) >= 0,
+                       np.searchsorted(knots, r, side="right"),
+                       np.searchsorted(knots, r, side="left")) - 1
         return np.where(idx < 0, last, np.minimum(idx, last))
 
-    def _eval_piecewise(self, knot_vals, polys, x, side=1):
+    def _eval_piecewise(self, knot_vals, polys, x):
         wraps, r = self._split(x)
-        idx = self._piece(r, side)
+        idx = self._piece(r, 1)
         t = r - self._tables.knots[idx]
         per_period = knot_vals[-1]
         return wraps * per_period + knot_vals[idx] + _poly_eval(polys[idx], t)
@@ -184,8 +184,9 @@ class Profile:
         idx = self._piece(r, 1)
         return _poly_eval(poly[idx], r - t.knots[idx])
 
-    def slope(self, x, side: int = 1):
-        """f'(x).  ``side`` picks the one-sided limit at breakpoints."""
+    def slope(self, x, side=1):
+        """f'(x).  ``side`` picks the one-sided limit at breakpoints, one
+        sign for all x or an array of signs that broadcasts against x."""
         if self.kind == SINUSOIDAL:
             k = 2.0 * math.pi / self.period
             return -self.amplitude * k * np.sin(k * np.asarray(x, dtype=float))

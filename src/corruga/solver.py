@@ -38,10 +38,8 @@ block H = A_w^T A_w + eps I is factored once by a minimum-degree sparse LU
 with diagonal pivots; the membrane constraints enter through the r x r
 (r <= 3) Schur complement Lr H^-1 Lr^T, and two refinement steps follow.
 That LU is the module's only factorization: kernel_distance certifies a
-sampled field by its residual, one sparse product.  A threshold
-policy cuts the levels at sigma/sigma_max: the automatic policy cuts at a
-resolution-dependent cap and checks that the gap at the cut is decisive; an
-indecisive gap is flagged, never silently resolved.
+sampled field by its residual, one sparse product.  Which levels count as
+achievable is decided in strains.cut.
 """
 from __future__ import annotations
 
@@ -63,14 +61,6 @@ ROW_OSCILLATION = "oscillation-control"
 OSC_SCALE = 0.25         # weight of the checkerboard-control rows
 
 SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
-
-# default threshold-policy constants (calibrated on the built-in families;
-# see tests/test_solver.py for the calibration evidence).  The cap scales
-# like h, not h^2: per unit strain target, the residual of a discretized
-# smooth mode is sigma * ||y|| ~ h^2 * h^-1, while the non-realizable band
-# stays O(1), so a multiple of h separates the two at every resolution.
-CAP_SCALE = 0.2          # cap on sigma/sigma_max is CAP_SCALE * h
-GAP_MIN = 10.0           # spectral ratio at the cut for a decisive split
 
 # strain_forms constants; the ridge is relative to sigma_max^2
 EPS_REL = 1e-13          # ridge of the one KKT system
@@ -233,60 +223,6 @@ def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
     return ConstraintSystem(matrix=A, grid=grid, rows=rows)
 
 
-# -- threshold policy ----------------------------------------------------
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """How to cut the singular spectrum into null / non-null.
-
-    kind "fixed" cuts at sigma/sigma_max <= tau and is never ambiguous (the
-    caller chose it).  kind "auto" cuts at CAP_SCALE * h and calls the cut
-    decisive only when the spectral ratio across it is at least GAP_MIN;
-    otherwise the result is flagged ambiguous.
-    """
-
-    kind: str = "auto"
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("auto", "fixed"):
-            raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if self.kind == "fixed" and self.tau is None:
-            raise ValueError("fixed policy needs a tau")
-        if self.tau is not None and not 0.0 < self.tau < 1.0:
-            raise ValueError(
-                f"threshold must be a finite number in (0, 1), got {self.tau}")
-
-    @staticmethod
-    def coerce(threshold) -> "ThresholdPolicy":
-        """A policy from itself, "auto" or a fixed relative cut."""
-        if isinstance(threshold, ThresholdPolicy):
-            return threshold
-        if threshold == "auto":
-            return ThresholdPolicy()
-        return ThresholdPolicy(kind="fixed", tau=float(threshold))
-
-    def cut(self, rel: np.ndarray, h: float, floor: float):
-        """Cut a sorted-ascending sigma/sigma_max array.
-
-        ``floor`` bounds the regularization bias of the levels, one value for
-        all or one per level; the gap's denominator is never taken below the
-        largest floor of the levels under the cap, and the count does not
-        depend on it.  Returns (count_below, cap, gap_ratio, ambiguous).
-        """
-        rel = np.asarray(rel, dtype=float)
-        floor = np.broadcast_to(np.asarray(floor, dtype=float), rel.shape)
-        cap = self.tau if self.kind == "fixed" else CAP_SCALE * h
-        k = int(np.searchsorted(rel, cap, side="right"))
-        if k == 0:
-            gap = float(rel[0] / cap) if rel.size else np.inf
-        else:
-            top = rel[k] if k < rel.size else cap
-            gap = float(top / max(rel[k - 1], floor[:k].max()))
-        ambiguous = self.kind == "auto" and gap < GAP_MIN
-        return k, float(cap), gap, ambiguous
-
-
 # -- modes ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -301,12 +237,6 @@ class RotationMode:
     def vector(self, grid: PeriodicGrid) -> np.ndarray:
         t1, t2 = grid.chart.period
         return np.concatenate([self.w.reshape(-1), self.W1 * t1, self.W2 * t2])
-
-    def growth_fraction(self) -> float:
-        """Share of the mode's norm carried by the growth vectors."""
-        g = float(np.dot(self.W1, self.W1) + np.dot(self.W2, self.W2))
-        total = float(np.sum(self.w * self.w)) + g
-        return np.sqrt(g / total) if total > 0 else 0.0
 
 
 def mode_from_vector(system: ConstraintSystem, y: np.ndarray) -> RotationMode:
@@ -344,22 +274,18 @@ class QuadraticSpace:
     """A small quadratic landscape q(c) = best residual^2 achieving c.
 
     Its square-root levels come ascending, with their c-directions as the
-    columns of ``directions``.
+    columns of ``directions``.  ``floor`` bounds each level's regularization
+    bias: sqrt(eps) times the norm of its minimizer.  It is per level, since
+    the minimizers of non-achievable directions wander into the strain-free
+    continuum and grow with resolution; strains.cut reads only those under
+    the cap.
     """
 
     levels: np.ndarray       # (m,) singular values of A @ minimizers
     directions: np.ndarray   # (m, m), orthonormal columns
     minimizers: np.ndarray   # (N, m)
     basis: np.ndarray        # (param_dim, m): c-coordinates -> natural ones
-    eps: float
-
-    def floor_sigma(self) -> np.ndarray:
-        """Regularization bias bound of each level: sqrt(eps) times the norm
-        of its minimizer.  Per level, since the minimizers of non-achievable
-        directions wander into the strain-free continuum and grow with
-        resolution; ThresholdPolicy.cut reads only those under the cap."""
-        return np.sqrt(self.eps) * np.linalg.norm(
-            self.minimizers @ self.directions, axis=0)
+    floor: np.ndarray        # (m,) regularization bias bound per level
 
 
 def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray) -> np.ndarray:
@@ -445,8 +371,10 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
 
     def space(Ys, basis):
         _, s, Vt = la.svd(A @ Ys, full_matrices=False)
-        return QuadraticSpace(levels=s[::-1], directions=Vt[::-1].T,
-                              minimizers=Ys, basis=basis, eps=eps)
+        directions = Vt[::-1].T
+        floor = np.sqrt(eps) * np.linalg.norm(Ys @ directions, axis=0)
+        return QuadraticSpace(levels=s[::-1], directions=directions,
+                              minimizers=Ys, basis=basis, floor=floor)
 
     return (space(np.vstack([W[:, :6], np.eye(6)]), np.eye(6)),
             space(np.vstack([W[:, 6:], np.zeros((6, r))]), Ur))
@@ -454,17 +382,10 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
 
 # -- deflection recovery ---------------------------------------------------
 
-@dataclass(frozen=True)
-class DeflectionField:
-    """Deflection samples on the display lattice, anchored to 0 at [0, 0]."""
-
-    values: np.ndarray               # (r, c, 3)
-
-
-def recover_deflection(mode: RotationMode,
-                       grid: PeriodicGrid) -> DeflectionField:
+def recover_deflection(mode: RotationMode, grid: PeriodicGrid) -> np.ndarray:
     """Path-integrate d(deflection) = w x dx over the display lattice.
 
+    Returns the (r, c, 3) deflection samples, anchored to 0 at [0, 0].
     Trapezoid increments along lattice edges; the spanning tree is the first
     column then each row.  Duplicated breakpoint nodes are zero-length edges
     and pick up no increment.
@@ -477,4 +398,4 @@ def recover_deflection(mode: RotationMode,
     out = np.zeros_like(P)
     out[1:, 0] = np.cumsum(d0[:, 0], axis=0)
     out[:, 1:] = out[:, :1] + np.cumsum(d1, axis=1)
-    return DeflectionField(values=out)
+    return out

@@ -10,25 +10,38 @@ effective_spaces finds the spans by minimizing the constraint residual
 subject to hitting prescribed growth / strain coordinates, which needs no
 null basis and scales to fine grids.  Basis rows and representative modes
 carry a fixed sign: the leading entry of their vec_sym strain is positive.
+cut is the one decision that turns the residual levels into dimensions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
 
 from .chart import PeriodGeometry
 from .grid import PeriodicGrid, cell_average
-from .solver import (ConstraintSystem, RotationMode, ThresholdPolicy,
-                     mode_from_vector, strain_forms)
+from .solver import (ConstraintSystem, RotationMode, mode_from_vector,
+                     strain_forms)
 
 _SQRT2 = np.sqrt(2.0)
 
 SIGN_LEAD = 0.1       # sign-fixing entry: the first at this share of the peak
 SPAN_RTOL = 1e-9      # chi rows below this share of the largest are dropped
-GROWTH_TOL = 1e-6     # growth fraction above which a mode bends
+GROWTH_TOL = 1e-6     # growth share above which a mode bends
 STRAIN_TOL = 1e-5     # relative E above which a mode stretches
+POISSON_TOL = 1e-9    # relative denominator under which a ratio is undefined
+
+# The default cut (calibrated on the built-in families; see
+# tests/test_solver.py for the calibration evidence).  The cap scales like
+# h, not h^2: per unit strain target, the residual of a discretized smooth
+# mode is sigma * ||y|| ~ h^2 * h^-1, while the non-realizable band stays
+# O(1), so a multiple of h separates the two at every resolution.
+CAP_SCALE = 0.2       # cap on sigma/sigma_max is CAP_SCALE * h
+GAP_MIN = 10.0        # spectral ratio at the cut for a decisive split
+FLOOR_MIN = 1e-15     # least regularization floor a gap is taken against
 
 
 def vec_sym(M) -> np.ndarray:
@@ -50,12 +63,26 @@ def _as_matrix(T) -> np.ndarray:
     return M
 
 
-def mode_scale(mode: RotationMode, grid: PeriodicGrid) -> float:
-    """RMS size of the rotation field including its growth share."""
+def _scale_parts(mode: RotationMode, grid: PeriodicGrid):
+    """The two parts of mode_scale squared: the mean square of w over the
+    nodes and the squared growth over one period, |W1 T1|^2 + |W2 T2|^2."""
     t1, t2 = grid.chart.period
     g = float(np.dot(mode.W1, mode.W1) * t1 * t1
               + np.dot(mode.W2, mode.W2) * t2 * t2)
-    return float(np.sqrt(np.mean(np.sum(mode.w ** 2, axis=-1)) + g))
+    return np.mean(np.sum(mode.w ** 2, axis=-1)), g
+
+
+def mode_scale(mode: RotationMode, grid: PeriodicGrid) -> float:
+    """RMS size of the rotation field including its growth share."""
+    w2, g = _scale_parts(mode, grid)
+    return float(np.sqrt(w2 + g))
+
+
+def growth_share(mode: RotationMode, grid: PeriodicGrid) -> float:
+    """Share of mode_scale carried by the growth, sqrt(growth part / s^2);
+    a ratio of per-node means, so it holds still under refinement."""
+    w2, g = _scale_parts(mode, grid)
+    return float(np.sqrt(g / (w2 + g))) if w2 + g > 0 else 0.0
 
 
 def effective_membrane_strain(mode: RotationMode,
@@ -135,16 +162,16 @@ class PoissonRatios:
     out_defined: bool
 
 
-def poisson_ratios(E, chi, tol: float = 1e-9) -> PoissonRatios:
+def poisson_ratios(E, chi) -> PoissonRatios:
     """-E22/E11 and -chi22/chi11 in an orthonormal principal basis of E.
 
     Principal axes sorted by |eigenvalue| descending.  Ratios with
-    denominators below tol (relative) are flagged, not invented.
+    denominators below POISSON_TOL (relative) are flagged, not invented.
     """
     Em = _as_matrix(E)
     Cm = _as_matrix(chi)
     En = np.linalg.norm(Em)
-    if En <= tol:
+    if En <= POISSON_TOL:
         raise ValueError("zero membrane strain: principal basis undefined")
     evals, evecs = la.eigh(Em)
     order = np.argsort(-np.abs(evals))
@@ -155,25 +182,65 @@ def poisson_ratios(E, chi, tol: float = 1e-9) -> PoissonRatios:
     if R[0, 0] < 0:
         R = -R
     Cp = R.T @ Cm @ R
-    in_defined = abs(lam[0]) > tol * En
+    in_defined = abs(lam[0]) > POISSON_TOL * En
     nu_in = float(-lam[1] / lam[0]) if in_defined else float("nan")
     Cn = np.linalg.norm(Cm)
-    out_defined = Cn > 0 and abs(Cp[0, 0]) > tol * Cn
+    out_defined = Cn > 0 and abs(Cp[0, 0]) > POISSON_TOL * Cn
     nu_out = float(-Cp[1, 1] / Cp[0, 0]) if out_defined else float("nan")
     return PoissonRatios(nu_in=nu_in, nu_out=nu_out, basis=R,
                          in_defined=bool(in_defined),
                          out_defined=bool(out_defined))
 
 
-# -- strain spaces ----------------------------------------------------------
+# -- the cut ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralCut:
+class SpectralCut(NamedTuple):
     count: int
     cap: float
     gap: float
     ambiguous: bool
 
+
+def parse_threshold(value) -> float | None:
+    """The fixed relative cut a caller asked for; None for "auto" or None.
+
+    Anything else must be a finite number in (0, 1).
+    """
+    if value is None or value == "auto":
+        return None
+    try:
+        tau = float(value)
+    except (TypeError, ValueError):
+        tau = math.nan
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"threshold must be 'auto' or a finite number in "
+                         f"(0, 1), got {value!r}")
+    return tau
+
+
+def cut(rel, h: float, floor, tau: float | None = None) -> SpectralCut:
+    """Cut sorted-ascending sigma/sigma_max levels into achievable or not.
+
+    The cap is ``tau`` when the caller fixed one, which is never ambiguous,
+    else CAP_SCALE * h, which is ambiguous when the gap across it is under
+    GAP_MIN.  ``floor`` bounds the regularization bias of the levels, one
+    value for all or one per level, and is taken as at least FLOOR_MIN; the
+    gap's denominator is never taken below the largest floor of the levels
+    under the cap, and the count does not depend on it.
+    """
+    rel = np.asarray(rel, dtype=float)
+    floor = np.broadcast_to(np.maximum(floor, FLOOR_MIN), rel.shape)
+    cap = CAP_SCALE * h if tau is None else tau
+    k = int(np.searchsorted(rel, cap, side="right"))
+    if k == 0:
+        gap = float(rel[0] / cap) if rel.size else np.inf
+    else:
+        top = rel[k] if k < rel.size else cap
+        gap = float(top / max(rel[k - 1], floor[:k].max()))
+    return SpectralCut(k, float(cap), gap, tau is None and gap < GAP_MIN)
+
+
+# -- strain spaces ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class StrainSpaces:
@@ -219,27 +286,24 @@ def _tensors(rows) -> np.ndarray:
     return np.array([unvec_sym(r) for r in rows]).reshape(-1, 2, 2)
 
 
-def effective_spaces(system: ConstraintSystem, policy=None,
-                     h: float | None = None) -> StrainSpaces:
+def effective_spaces(system: ConstraintSystem, h: float,
+                     tau: float | None = None) -> StrainSpaces:
     """Strain spans straight from the constraint system, no null basis.
 
     Bending: the best-residual levels over the 6 growth coordinates; their
-    directions below the threshold policy's cap are achievable, and chi is a
-    linear function of growth alone.  Membrane: the analogous levels over
-    (E11, E12, E22) subject to strict periodicity.  Both come from one
-    solver.strain_forms call; representative modes come from its minimizers.
-    ``h`` is the mesh spacing the policy's cap scales with, by default the
-    grid's largest.
+    directions under the cut are achievable, and chi is a linear function of
+    growth alone.  Membrane: the analogous levels over (E11, E12, E22)
+    subject to strict periodicity.  Both come from one solver.strain_forms
+    call; representative modes come from its minimizers.  ``h`` is the mesh
+    spacing the analysis is judged at and ``tau`` the fixed cut, if any
+    (see cut).
     """
-    pol = policy or ThresholdPolicy()
     grid = system.grid
-    h = grid.h_max if h is None else h
     smax = system.sigma_max()
 
-    def cut(space):
+    def levels_cut(space):
         rel = space.levels / smax
-        floor = np.maximum(space.floor_sigma() / smax, 1e-15)
-        return rel, SpectralCut(*pol.cut(rel, h, floor))
+        return rel, cut(rel, h, space.floor / smax, tau)
 
     def representatives(space, count, strain):
         """Sign-fixed modes along the first count directions, with their
@@ -255,8 +319,8 @@ def effective_spaces(system: ConstraintSystem, policy=None,
         return tuple(modes), np.array(strains).reshape(-1, 3)
 
     gs, ms = strain_forms(system, membrane_row_map(grid))
-    chi_vals, chi_cut = cut(gs)
-    E_vals, E_cut = cut(ms)
+    chi_vals, chi_cut = levels_cut(gs)
+    E_vals, E_cut = levels_cut(ms)
     bending, chis = representatives(
         gs, chi_cut.count, lambda m: chi_from_growth(m.W1, m.W2, grid.geometry))
     membrane, _ = representatives(
@@ -273,12 +337,11 @@ def effective_spaces(system: ConstraintSystem, policy=None,
 
 # -- classification ---------------------------------------------------------
 
-def classify_mode(mode: RotationMode, grid: PeriodicGrid,
-                  h: float | None = None) -> str:
+def classify_mode(mode: RotationMode, grid: PeriodicGrid, h: float) -> str:
     """One of constant / membrane / bending / mixed / strain-free.
 
-    ``h`` is the mesh spacing of the growth tolerance, by default the
-    grid's largest.
+    ``h`` is the mesh spacing the analysis is judged at, which scales the
+    stretch tolerance of a mode with growth.
     """
     geometry = grid.geometry
     s = mode_scale(mode, grid)
@@ -286,7 +349,7 @@ def classify_mode(mode: RotationMode, grid: PeriodicGrid,
         return "strain-free"
     mean_w = np.mean(mode.w.reshape(-1, 3), axis=0)
     dev = np.sqrt(np.mean(np.sum((mode.w - mean_w) ** 2, axis=-1)))
-    gf = mode.growth_fraction()
+    gf = growth_share(mode, grid)
     if dev / s < 1e-10 and gf < 1e-10:
         return "constant"
     p_scale = np.linalg.norm(geometry.p1) ** 2 + np.linalg.norm(geometry.p2) ** 2
@@ -297,7 +360,6 @@ def classify_mode(mode: RotationMode, grid: PeriodicGrid,
         # which limits the quadrature of their lattice stretch to O(h) times
         # the growth magnitude
         gsize = np.sqrt(np.dot(mode.W1, mode.W1) + np.dot(mode.W2, mode.W2))
-        h = grid.h_max if h is None else h
         tol = max(STRAIN_TOL, h * gsize / s)
     has_E = np.linalg.norm(E) / (s * p_scale) > tol
     if gf > GROWTH_TOL:

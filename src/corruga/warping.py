@@ -63,14 +63,6 @@ def section_from_points(points, closed: bool | None = None) -> SectionCurve:
     return SectionCurve(x=x, y=y, closed=closed)
 
 
-@dataclass(frozen=True)
-class WarpingResult:
-    """Twist rate and per-sample warping values of an open section."""
-
-    alpha: float
-    w: np.ndarray
-
-
 def _increments(section: SectionCurve) -> np.ndarray:
     x, y = section.x, section.y
     return x[1:] * y[:-1] - x[:-1] * y[1:]
@@ -84,8 +76,9 @@ def shoelace_area(section: SectionCurve) -> float:
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def warping_function(section: SectionCurve, alpha: float) -> WarpingResult:
-    """Warping values w(s) = alpha * integral of (x'y - xy'), with w(0) = 0.
+def warping_function(section: SectionCurve, alpha: float) -> np.ndarray:
+    """Warping values w(s) = alpha * integral of (x'y - xy'), with w(0) = 0,
+    one per section sample.
 
     Only open sections have a single-valued warping; pass closed loops to
     :func:`dislocation` instead.
@@ -93,8 +86,7 @@ def warping_function(section: SectionCurve, alpha: float) -> WarpingResult:
     if section.closed:
         raise ValueError("closed sections have no single-valued warping; "
                          "use dislocation()")
-    w = np.concatenate([[0.0], np.cumsum(alpha * _increments(section))])
-    return WarpingResult(alpha=float(alpha), w=w)
+    return np.concatenate([[0.0], np.cumsum(alpha * _increments(section))])
 
 
 def dislocation(section: SectionCurve, alpha: float) -> float:

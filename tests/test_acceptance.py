@@ -272,7 +272,7 @@ def test_criterion_11_warping_identities():
 
     a, al = 1.0, 2.0
     leg = section_from_points([[0, 0], [a, 0], [a, 0.5], [a, 1.0]])
-    w = warping_function(leg, al).w
+    w = warping_function(leg, al)
     hand = np.array([0.0, 0.0, -al * a * 0.5, -al * a * 1.0])
     gap_leg = np.max(np.abs(w - hand))
 

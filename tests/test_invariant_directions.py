@@ -2,18 +2,22 @@
 
 Plane (both directions) and the simple corrugation (along xi2) have a
 curve without profile.  run_analysis solves them on MIN_RESOLUTION nodes
-there and judges the levels at the spacing of the requested grid; the
-full grid, solved through the same route, is the reference.
+there, and judges the levels against the requested grid's sigma_max and
+spacing; the full grid, solved through the same route, is the reference,
+for the builtins and for random simple corrugations.
 """
 
 import numpy as np
 import pytest
 from conftest import analysis_bundle, bending_reps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.linalg import norm
 
 from corruga.analysis import run_analysis
-from corruga.chart import builtin_chart
+from corruga.chart import SIMPLE_CORRUGATION, TAU, SurfaceChart, builtin_chart
 from corruga.grid import MIN_RESOLUTION, build_grid
+from corruga.profiles import PROFILE_KINDS, make_profile
 from corruga.solver import assemble_system
 from corruga.strains import (chi_from_growth, classify_mode,
                              effective_membrane_strain, effective_spaces,
@@ -27,18 +31,19 @@ def _projector(basis) -> np.ndarray:
     return rows.T @ rows
 
 
-@pytest.mark.parametrize("res", [16, 32])
-@pytest.mark.parametrize("name", ["plane", "corrugation"])
-def test_reduced_grid_matches_full_grid(name, res):
-    chart = builtin_chart(name)
+def _assert_matches_full_grid(chart, res, reduced):
+    """run_analysis of ``chart`` against the full grid's strain spaces,
+    judged at the same spacing: the decision, the classes and the spans.
+    ``reduced`` flags the directions that run_analysis gives
+    MIN_RESOLUTION nodes.  Returns the report, the full grid, its spaces
+    and its representatives by report id."""
     rep = run_analysis(chart, res)
     grid = build_grid(chart, res)
-    spaces = effective_spaces(assemble_system(grid))
+    spaces = effective_spaces(assemble_system(grid), grid.h_max)
 
     assert rep["resolution"]["requested"] == [res, res]
     assert rep["resolution"]["nodes"] == [
-        MIN_RESOLUTION if flat else n
-        for flat, n in zip(REDUCED[name], grid.shape)]
+        MIN_RESOLUTION if flat else n for flat, n in zip(reduced, grid.shape)]
     assert rep["resolution"]["h_max"] == grid.h_max
 
     # the decision: dims, cuts, caps and flags
@@ -51,13 +56,29 @@ def test_reduced_grid_matches_full_grid(name, res):
     assert th["ambiguous"] == (spaces.E_cut.ambiguous
                                or spaces.chi_cut.ambiguous)
 
-    # the representatives: ids, classes and pair residuals
+    # the representatives: ids and classes
     ids = ([f"membrane-{i}" for i in range(len(spaces.membrane_modes))]
            + [f"bending-{i}" for i in range(len(spaces.bending_modes))])
     modes = dict(zip(ids, spaces.membrane_modes + spaces.bending_modes))
     assert [m["id"] for m in rep["modes"]] == ids
     assert [m["class"] for m in rep["modes"]] == [
-        classify_mode(m, grid) for m in modes.values()]
+        classify_mode(m, grid, grid.h_max) for m in modes.values()]
+
+    # the spans
+    assert np.abs(_projector(rep["E_basis"])
+                  - _projector(spaces.E_basis)).max() <= 1e-12
+    assert np.abs(_projector(rep["chi_basis"])
+                  - _projector(spaces.chi_basis)).max() <= 1e-12
+    return rep, grid, spaces, modes
+
+
+@pytest.mark.parametrize("res", [16, 32])
+@pytest.mark.parametrize("name", ["plane", "corrugation"])
+def test_reduced_grid_matches_full_grid(name, res):
+    rep, grid, spaces, modes = _assert_matches_full_grid(
+        builtin_chart(name), res, REDUCED[name])
+
+    # pair residuals, on decisive cuts whose bending fields all bend
     strains = {}
     for i, m in modes.items():
         s = mode_scale(m, grid)
@@ -68,13 +89,7 @@ def test_reduced_grid_matches_full_grid(name, res):
                                          strains[p["chi_of"]][1])
         assert abs(p["residual_rel"] - ref) <= 1e-12
 
-    # the spans
-    assert np.abs(_projector(rep["E_basis"])
-                  - _projector(spaces.E_basis)).max() <= 1e-12
-    assert np.abs(_projector(rep["chi_basis"])
-                  - _projector(spaces.chi_basis)).max() <= 1e-12
-
-    # levels above the cap: one global factor (the sigma_max normalization)
+    # levels above the cap: the full grid's, relative to its sigma_max
     ratios = []
     for space, ref, cut in (("growth", spaces.chi_values, spaces.chi_cut),
                             ("membrane", spaces.E_values, spaces.E_cut)):
@@ -83,7 +98,17 @@ def test_reduced_grid_matches_full_grid(name, res):
         assert len(got) == len(ref)
         ratios += [g / r for g, r in zip(got, ref) if r > cut.cap]
     assert len(ratios) >= 3
-    assert max(ratios) - min(ratios) <= 1e-9 * min(ratios)
+    assert max(abs(r - 1.0) for r in ratios) <= 1e-9
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(PROFILE_KINDS), factor=st.floats(0.25, 4.0),
+       res=st.integers(12, 20))
+def test_reduced_grid_matches_full_grid_on_random_corrugations(kind, factor,
+                                                               res):
+    chart = SurfaceChart(SIMPLE_CORRUGATION, (TAU, TAU),
+                         (make_profile(kind, factor, TAU),))
+    _assert_matches_full_grid(chart, res, REDUCED["corrugation"])
 
 
 def test_build_grid_keeps_the_requested_nodes():

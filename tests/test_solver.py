@@ -14,11 +14,11 @@ from corruga.chart import BUILTIN_NAMES, builtin_chart
 from corruga.grid import (_FIRST, _stencil, build_grid, display_cover,
                           display_lattice, display_positions)
 from corruga.oracle import analytic_mode, sample_rotation
-from corruga.solver import (ROW_CREASE, ROW_PDE, DeflectionField,
-                            SolverError, ThresholdPolicy, assemble_system,
-                            kernel_distance, recover_deflection,
-                            strain_forms)
-from corruga.strains import effective_spaces, membrane_row_map
+from corruga.solver import (ROW_CREASE, ROW_PDE, SolverError,
+                            assemble_system, kernel_distance,
+                            recover_deflection, strain_forms)
+from corruga.strains import (cut, effective_spaces, membrane_row_map,
+                             parse_threshold)
 
 
 def test_plane_system_counts():
@@ -94,25 +94,22 @@ def test_plane_near_kernel_is_a_continuum_slice():
     # the policy must flag that rather than pick an arbitrary rank
     system = assemble_system(build_grid(builtin_chart("plane"), 16))
     rel, _ = _dense_spectrum(system)
-    count, _, _, ambiguous = ThresholdPolicy().cut(rel, system.grid.h_max,
-                                                   1e-12)
+    count, _, _, ambiguous = cut(rel, system.grid.h_max, 1e-12)
     assert ambiguous or count >= 6
 
 
 def test_threshold_policy_coercion():
-    pol = ThresholdPolicy.coerce("auto")
-    assert pol.kind == "auto"
-    pol = ThresholdPolicy.coerce(1e-5)
-    assert pol.kind == "fixed" and pol.tau == 1e-5
+    assert parse_threshold("auto") is None
+    assert parse_threshold(1e-5) == 1e-5
 
 
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0,
                                  1.0, 2.0])
 def test_threshold_policy_rejects_tau_outside_unit_interval(tau):
     with pytest.raises(ValueError, match="threshold"):
-        ThresholdPolicy(kind="fixed", tau=tau)
+        parse_threshold(tau)
     with pytest.raises(ValueError, match="threshold"):
-        ThresholdPolicy.coerce(str(tau))
+        parse_threshold(str(tau))
 
 
 @pytest.mark.parametrize("name", ["eggbox", "plane"])
@@ -129,7 +126,7 @@ def test_effective_spaces_factors_once(name, monkeypatch):
         return splu(H, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
-    effective_spaces(system)
+    effective_spaces(system, system.grid.h_max)
     assert len(factored) == 1
     H = factored[0]
     assert H.shape == (system.w_size, system.w_size)
@@ -195,10 +192,9 @@ def _growth_levels_own_kkt(system, eps_rel=1e-13):
 @pytest.mark.parametrize("name", ["eggbox", "miura"])
 def test_growth_levels_match_growth_only_kkt(name):
     system = assemble_system(build_grid(builtin_chart(name), 16))
-    spaces = effective_spaces(system)
+    spaces = effective_spaces(system, system.grid.h_max)
     ref = _growth_levels_own_kkt(system)
-    count, cap, _, ambiguous = ThresholdPolicy().cut(
-        ref, system.grid.h_max, 1e-15)
+    count, cap, _, ambiguous = cut(ref, system.grid.h_max, 1e-15)
     assert (count, ambiguous) == (spaces.chi_cut.count,
                                   spaces.chi_cut.ambiguous)
     assert spaces.dims[1] == count
@@ -333,7 +329,7 @@ def membrane_strain_field(deflection, grid) -> np.ndarray:
 
     eps_mn = sym <d_m(xdot), x_n>; an infinitesimal isometry has eps -> 0.
     """
-    V = deflection.values
+    V = deflection
     d1 = display_derivative(V, grid, 0)
     d2 = display_derivative(V, grid, 1)
     ib, jb, _, _ = display_lattice(grid)
@@ -347,7 +343,7 @@ def membrane_strain_field(deflection, grid) -> np.ndarray:
     return eps
 
 
-def recover_deflection_by_columns(mode, grid) -> DeflectionField:
+def recover_deflection_by_columns(mode, grid) -> np.ndarray:
     """recover_deflection along the transposed spanning tree: the first row,
     then each column."""
     t1, t2 = grid.chart.period
@@ -358,7 +354,7 @@ def recover_deflection_by_columns(mode, grid) -> DeflectionField:
     out = np.zeros_like(P)
     out[0, 1:] = np.cumsum(d1[0], axis=0)
     out[1:, :] = out[:1, :] + np.cumsum(d0, axis=0)
-    return DeflectionField(values=out)
+    return out
 
 
 def test_recover_deflection_constant_mode_is_rigid():
@@ -372,7 +368,7 @@ def test_recover_deflection_constant_mode_is_rigid():
     w0 = np.array([0.0, 0.0, 1.0]) * np.max(np.abs(mode.w))
     expect = np.cross(w0, display_positions(grid))
     expect = expect - expect[0, 0]
-    got = defl.values - defl.values[0, 0]
+    got = defl - defl[0, 0]
     scale = np.max(np.linalg.norm(expect, axis=-1))
     assert np.max(np.linalg.norm(got - expect, axis=-1)) <= 1e-10 * scale
     eps = membrane_strain_field(defl, grid)
@@ -383,7 +379,7 @@ def test_recover_deflection_strainfree_on_analytic_modes():
     # piecewise catalogue fields integrate exactly; smooth ones decay ~h^2
     am = analytic_mode("corrugation-membrane")
     grid = build_grid(am.chart, 16)
-    mode = sample_rotation(am, grid, normalize=False)
+    mode = sample_rotation(am, grid)
     eps = membrane_strain_field(recover_deflection(mode, grid), grid)
     assert np.max(np.abs(eps)) <= 1e-12
 
@@ -391,7 +387,7 @@ def test_recover_deflection_strainfree_on_analytic_modes():
     for res in (16, 32):
         am = analytic_mode("translation-twist")
         grid = build_grid(am.chart, res)
-        mode = sample_rotation(am, grid, normalize=False)
+        mode = sample_rotation(am, grid)
         eps = membrane_strain_field(recover_deflection(mode, grid), grid)
         errs.append(np.max(np.abs(eps)))
     assert errs[0] <= 1e-1
@@ -402,9 +398,9 @@ def test_path_independence_of_recovery():
     # integrating along the transposed spanning tree lands on the same field
     am = analytic_mode("eggbox-membrane")
     grid = build_grid(am.chart, 32)
-    mode = sample_rotation(am, grid, normalize=False)
-    rows = recover_deflection(mode, grid).values
-    cols = recover_deflection_by_columns(mode, grid).values
+    mode = sample_rotation(am, grid)
+    rows = recover_deflection(mode, grid)
+    cols = recover_deflection_by_columns(mode, grid)
     rows = rows - rows[0, 0]
     cols = cols - cols[0, 0]
     scale = max(1e-300, float(np.max(np.linalg.norm(rows, axis=-1))))
@@ -415,8 +411,8 @@ def test_path_independence_of_recovery():
 def test_recovery_matches_analytic_deflection():
     am = analytic_mode("corrugation-membrane")
     grid = build_grid(am.chart, 32)
-    mode = sample_rotation(am, grid, normalize=False)
-    got = recover_deflection(mode, grid).values
+    mode = sample_rotation(am, grid)
+    got = recover_deflection(mode, grid)
     ib, jb, e1, e2 = display_lattice(grid)
     t1, t2 = grid.chart.period
     u1 = grid.axis1.u[ib] + e1 * t1
@@ -435,9 +431,9 @@ def test_sampled_analytic_modes_have_tiny_residual():
         am = analytic_mode(mid)
         grid = build_grid(am.chart, 24)
         system = assemble_system(grid)
-        mode = sample_rotation(am, grid)
-        assert (np.linalg.norm(system.matrix @ mode.vector(grid))
-                <= 1e-9 * system.sigma_max()), mid
+        v = sample_rotation(am, grid).vector(grid)
+        assert (np.linalg.norm(system.matrix @ v)
+                <= 1e-9 * system.sigma_max() * np.linalg.norm(v)), mid
 
 
 def test_growth_columns_hold_no_rounding_noise():

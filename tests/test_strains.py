@@ -10,8 +10,8 @@ from corruga.grid import build_grid
 from corruga.oracle import analytic_mode, sample_rotation
 from corruga.solver import RotationMode
 from corruga.strains import (chi_from_growth, classify_mode,
-                             effective_membrane_strain, mode_scale,
-                             orthogonality_residual,
+                             effective_membrane_strain, growth_share,
+                             mode_scale, orthogonality_residual,
                              orthogonality_residual_rel, poisson_ratios,
                              unvec_sym, vec_sym)
 
@@ -89,7 +89,7 @@ def test_chi_sign_covariance_under_normal_flip():
 def test_strain_invariance_under_constant_rotation_shift():
     am = analytic_mode("eggbox-membrane")
     grid = build_grid(am.chart, 16)
-    mode = sample_rotation(am, grid, normalize=False)
+    mode = sample_rotation(am, grid)
     shifted = RotationMode(w=mode.w + np.array([0.4, -0.2, 0.9]),
                            W1=mode.W1, W2=mode.W2, sigma=mode.sigma)
     E0 = effective_membrane_strain(mode, grid)
@@ -108,7 +108,7 @@ def test_constant_mode_has_no_strain():
     assert np.max(np.abs(E)) <= 1e-13
     assert np.max(np.abs(chi_from_growth(mode.W1, mode.W2,
                                          grid.geometry))) == 0.0
-    assert classify_mode(mode, grid) == "constant"
+    assert classify_mode(mode, grid, grid.h_max) == "constant"
 
 
 def test_sampled_catalogue_strains_match_predictions():
@@ -117,7 +117,7 @@ def test_sampled_catalogue_strains_match_predictions():
     for mid, which in cases:
         am = analytic_mode(mid)
         grid = build_grid(am.chart, 32)
-        mode = sample_rotation(am, grid, normalize=False)
+        mode = sample_rotation(am, grid)
         if which == "E":
             got = effective_membrane_strain(mode, grid)
             want = am.E
@@ -131,21 +131,35 @@ def test_sampled_catalogue_strains_match_predictions():
 def test_classify_mode_labels():
     am = analytic_mode("eggbox-membrane")
     grid = build_grid(am.chart, 16)
-    assert classify_mode(sample_rotation(am, grid), grid) == "membrane"
+    assert classify_mode(sample_rotation(am, grid), grid,
+                         grid.h_max) == "membrane"
     tw = analytic_mode("corrugation-twist")
     gridt = build_grid(tw.chart, 16)
-    assert classify_mode(sample_rotation(tw, gridt), gridt) == "bending"
+    assert classify_mode(sample_rotation(tw, gridt), gridt,
+                         gridt.h_max) == "bending"
 
 
 def test_mode_scale_is_positive_and_scales_linearly():
     am = analytic_mode("eggbox-membrane")
     grid = build_grid(am.chart, 16)
-    mode = sample_rotation(am, grid, normalize=False)
+    mode = sample_rotation(am, grid)
     s = mode_scale(mode, grid)
     doubled = RotationMode(w=2.0 * mode.w, W1=2.0 * mode.W1,
                            W2=2.0 * mode.W2, sigma=mode.sigma)
     assert s > 0
     assert_allclose(mode_scale(doubled, grid), 2.0 * s, rtol=1e-12)
+
+
+def test_growth_share_holds_under_refinement():
+    # a share of per-node means: the sampled twist reads 0.868 at 16 nodes
+    # and 0.861 at 64, where a sum over the nodes would fall fourfold
+    am = analytic_mode("translation-twist")
+    shares = []
+    for res in (16, 64):
+        grid = build_grid(am.chart, res)
+        shares.append(growth_share(sample_rotation(am, grid), grid))
+    assert 0.5 < shares[1] < 1.0
+    assert abs(shares[0] - shares[1]) <= 1e-2
 
 
 @pytest.mark.parametrize("name, sign", [("eggbox", -1.0), ("miura", 1.0)])
@@ -156,7 +170,7 @@ def test_membrane_representative_matches_catalogue(analysis_bundle, name,
     report = analysis_bundle(name, 16)
     grid = report["_grid"]
     am = analytic_mode(f"{name}-membrane")
-    ref = am.E / mode_scale(sample_rotation(am, grid, normalize=False), grid)
+    ref = am.E / mode_scale(sample_rotation(am, grid), grid)
     assert_allclose(ref, np.diag([1.0, sign]) / np.sqrt(3.0), atol=1e-12)
     (E,) = [m["E"] for m in report["modes"] if m["id"].startswith("membrane")]
     assert np.linalg.norm(E - ref) <= 1e-4 * np.linalg.norm(ref)

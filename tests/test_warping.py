@@ -18,7 +18,7 @@ def _circle(nseg, radius=1.0):
 def test_straight_segment_through_origin_has_zero_warping():
     seg = section_from_points([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
     w = warping_function(seg, alpha=1.3)
-    assert np.max(np.abs(w.w)) == 0.0
+    assert np.max(np.abs(w)) == 0.0
 
 
 def test_l_section_hand_values():
@@ -27,7 +27,7 @@ def test_l_section_hand_values():
     a, alpha = 1.5, 0.8
     sec = section_from_points([[0, 0], [a, 0], [a, 0.25], [a, 1.0]])
     w = warping_function(sec, alpha=alpha)
-    assert_allclose(w.w, [0.0, 0.0, -alpha * a * 0.25, -alpha * a * 1.0],
+    assert_allclose(w, [0.0, 0.0, -alpha * a * 0.25, -alpha * a * 1.0],
                     atol=1e-12)
 
 
@@ -37,7 +37,7 @@ def test_circular_arc_linear_in_angle():
     t = np.linspace(0.0, np.pi / 2, 2049)
     arc = section_from_points(r * np.column_stack([np.cos(t), np.sin(t)]))
     w = warping_function(arc, alpha=alpha)
-    assert_allclose(w.w[-1], -alpha * r * r * (np.pi / 2), rtol=1e-5)
+    assert_allclose(w[-1], -alpha * r * r * (np.pi / 2), rtol=1e-5)
 
 
 def test_unit_circle_dislocation():
@@ -71,7 +71,7 @@ def test_densification_invariance_on_straight_segments():
         + [[a, y] for y in ys])
     wc = warping_function(coarse, alpha=alpha)
     wf = warping_function(fine, alpha=alpha)
-    assert_allclose(wf.w[-1], wc.w[-1], atol=1e-13)
+    assert_allclose(wf[-1], wc[-1], atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
