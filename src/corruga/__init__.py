@@ -33,7 +33,7 @@ from .chart import (SurfaceChart, SpaceCurve, PeriodGeometry, builtin_chart,
 from .grid import PeriodicGrid, build_grid, cell_average
 from .solver import (ConstraintSystem, RotationMode, assemble_system,
                      recover_deflection)
-from .strains import (StrainSpaces, PoissonRatios,
+from .strains import (StrainSpaces,
                       effective_membrane_strain, effective_spaces,
                       classify_mode,
                       orthogonality_residual, poisson_ratios)
@@ -52,7 +52,7 @@ __all__ = [
     "PeriodicGrid", "build_grid", "cell_average",
     "ConstraintSystem", "RotationMode",
     "assemble_system", "recover_deflection",
-    "StrainSpaces", "PoissonRatios",
+    "StrainSpaces",
     "effective_membrane_strain", "effective_spaces",
     "classify_mode", "orthogonality_residual", "poisson_ratios",
     "AnalyticMode", "MODE_IDS", "analytic_mode", "canonical_chart",

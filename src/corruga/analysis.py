@@ -18,7 +18,7 @@ import numpy as np
 
 from .chart import SurfaceChart, chart_to_config
 from .grid import (MIN_RESOLUTION, PeriodicGrid, build_grid,
-                   display_positions, write_obj)
+                   display_positions, resolution_counts, write_obj)
 from .solver import assemble_system, recover_deflection
 from .strains import (classify_mode, chi_from_growth,
                       effective_membrane_strain, effective_spaces, mode_scale,
@@ -29,17 +29,13 @@ from .strains import (classify_mode, chi_from_growth,
 DISPLAY_AMPLITUDE = 0.2
 
 
-def _round_trip(obj):
-    """numpy -> plain python, recursively."""
-    if isinstance(obj, dict):
-        return {k: _round_trip(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_trip(v) for v in obj]
+def _plain(obj):
+    """json.dumps default: numpy arrays and scalars as plain python."""
     if isinstance(obj, np.ndarray):
-        return _round_trip(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _analysis_system(chart: SurfaceChart, requested):
@@ -81,9 +77,7 @@ def run_analysis(chart: SurfaceChart, resolution=32,
     ``threshold`` is "auto" or a fixed relative cut (see parse_threshold).
     """
     tau = parse_threshold(threshold)
-    requested = ([int(n) for n in resolution]
-                 if isinstance(resolution, (tuple, list))
-                 else [int(resolution)] * 2)
+    requested = list(resolution_counts(resolution))
     t0 = time.perf_counter()
     system, h = _analysis_system(chart, requested)
     grid = system.grid
@@ -120,14 +114,11 @@ def run_analysis(chart: SurfaceChart, resolution=32,
                 "residual_rel": orthogonality_residual_rel(a["E"], b["chi"]),
             })
             try:
-                pr = poisson_ratios(a["E"], b["chi"])
+                nu_in, nu_out = poisson_ratios(a["E"], b["chi"])
             except ValueError:
                 continue
-            poisson.append({
-                "membrane": a["id"], "bending": b["id"],
-                "nu_in": pr.nu_in if pr.in_defined else None,
-                "nu_out": pr.nu_out if pr.out_defined else None,
-            })
+            poisson.append({"membrane": a["id"], "bending": b["id"],
+                            "nu_in": nu_in, "nu_out": nu_out})
 
     levels = [{"space": "growth", "index": i, "sigma_rel": float(v),
                "sigma": float(v * smax)}
@@ -166,7 +157,7 @@ def write_report(report: dict, path) -> None:
     clean = {k: v for k, v in report.items() if not k.startswith("_")}
     clean["modes"] = [{k: v for k, v in m.items() if not k.startswith("_")}
                       for m in clean["modes"]]
-    Path(path).write_text(json.dumps(_round_trip(clean), indent=2) + "\n")
+    Path(path).write_text(json.dumps(clean, indent=2, default=_plain) + "\n")
 
 
 def write_spectrum(report: dict, path) -> None:
@@ -203,7 +194,7 @@ def export_modes(report: dict, out_dir) -> list[str]:
         entries.append({k: v for k, v in m.items() if not k.startswith("_")}
                        | {"obj": path.name, "display_scale": amp})
     (out / "modes.json").write_text(
-        json.dumps(_round_trip(entries), indent=2) + "\n")
+        json.dumps(entries, indent=2, default=_plain) + "\n")
     return paths
 
 

@@ -48,17 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_resolution(text: str):
-    from .grid import MIN_RESOLUTION
-    parts = [int(t) for t in text.split(",")]
-    if len(parts) not in (1, 2):
-        raise ValueError("expected N or N,M")
-    if min(parts) < MIN_RESOLUTION:
-        raise ValueError(f"resolution {text} is below the minimum of "
-                         f"{MIN_RESOLUTION} samples per period")
-    return parts[0] if len(parts) == 1 else tuple(parts)
-
-
 def _load_surface(source: str):
     from .chart import BUILTIN_NAMES, builtin_chart, load_chart
     if source in BUILTIN_NAMES:
@@ -69,6 +58,7 @@ def _load_surface(source: str):
 def cmd_analyze(args) -> int:
     from .analysis import (export_modes, run_analysis, write_report,
                            write_spectrum)
+    from .grid import resolution_counts
     from .solver import SolverError
     from .strains import parse_threshold
     try:
@@ -77,7 +67,7 @@ def cmd_analyze(args) -> int:
         print(f"corruga: bad surface config: {exc}", file=sys.stderr)
         return 1
     try:
-        resolution = _parse_resolution(args.resolution)
+        resolution = resolution_counts(args.resolution.split(","))
         tau = parse_threshold(args.threshold)
     except ValueError as exc:
         print(f"corruga: bad argument: {exc}", file=sys.stderr)
@@ -120,12 +110,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import analysis
-    from .grid import MIN_RESOLUTION
+    from .grid import resolution_counts
 
-    if args.resolution < MIN_RESOLUTION or args.seed < 0:
-        print(f"corruga: bad argument: resolution must be at least "
-              f"{MIN_RESOLUTION} and seed non-negative, got "
-              f"{args.resolution} and {args.seed}", file=sys.stderr)
+    try:
+        resolution_counts(args.resolution)
+        if args.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed}")
+    except ValueError as exc:
+        print(f"corruga: bad argument: {exc}", file=sys.stderr)
         return 1
     if args.suite == "examples":
         ok, lines = analysis.verify_examples(resolution=args.resolution)

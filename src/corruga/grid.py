@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .chart import SurfaceChart, PeriodGeometry, period_geometry
+from .chart import (SurfaceChart, PeriodGeometry, chart_partials,
+                    evaluate_chart, period_geometry)
 
 MIN_RESOLUTION = 8
 
@@ -237,18 +238,32 @@ class PeriodicGrid:
         return self._lift(direction, _FOURTH)
 
 
+def resolution_counts(resolution) -> tuple[int, int]:
+    """(n1, n2) from one count or a sequence of one or two counts.
+
+    Refuses any count below MIN_RESOLUTION.
+    """
+    counts = ([int(n) for n in resolution]
+              if isinstance(resolution, (tuple, list)) else [int(resolution)])
+    if len(counts) == 1:
+        counts *= 2
+    if len(counts) != 2:
+        raise ValueError(f"resolution must be one or two counts, got "
+                         f"{resolution!r}")
+    n1, n2 = counts
+    if min(n1, n2) < MIN_RESOLUTION:
+        raise ValueError(f"resolution {n1},{n2} is below the minimum of "
+                         f"{MIN_RESOLUTION} samples per period")
+    return n1, n2
+
+
 def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
     """Discretize one period of ``chart``.
 
     ``resolution`` is the approximate node count per direction (int or pair);
     each arc gets a proportional share, at least two intervals.
     """
-    if isinstance(resolution, (tuple, list)):
-        n1, n2 = int(resolution[0]), int(resolution[1])
-    else:
-        n1 = n2 = int(resolution)
-    if n1 < MIN_RESOLUTION or n2 < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be at least {MIN_RESOLUTION} per direction")
+    n1, n2 = resolution_counts(resolution)
     if not chart.grid_compatible:
         raise ValueError(f"family {chart.family!r} has panel joints that are "
                          "not axis-aligned; it is supported analytically only")
@@ -257,16 +272,12 @@ def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
     axis1 = _build_axis(t1, n1, chart.panel_breakpoints(0), chart.crease_breakpoints(0))
     axis2 = _build_axis(t2, n2, chart.panel_breakpoints(1), chart.crease_breakpoints(1))
 
-    # one-sided tangents, each node's from its own arc
-    alpha, beta = chart.curves
-    positions = alpha.point(axis1.xi)[:, None] + beta.point(axis2.xi)[None]
-    x1 = np.broadcast_to(alpha.tangent(axis1.xi, axis1.sides)[:, None],
-                         positions.shape).copy()
-    x2 = np.broadcast_to(beta.tangent(axis2.xi, axis2.sides)[None],
-                         positions.shape).copy()
-
+    # one-sided partials, each node's from its own arc
+    X1, X2 = axis1.xi[:, None], axis2.xi[None, :]
+    x1, x2 = chart_partials(chart, X1, X2,
+                            (axis1.sides[:, None], axis2.sides[None, :]))
     return PeriodicGrid(chart, axis1, axis2, period_geometry(chart),
-                        positions, x1, x2)
+                        evaluate_chart(chart, X1, X2), x1, x2)
 
 
 def cell_average(values, grid: PeriodicGrid):

@@ -30,12 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import (TAU, SHEARED_DOUBLE_CORRUGATION, SpaceCurve,
-                    SurfaceChart, builtin_chart, period_geometry)
+from .chart import (TAU, SHEARED_DOUBLE_CORRUGATION, PeriodGeometry,
+                    SpaceCurve, SurfaceChart, builtin_chart, period_geometry)
 from .grid import PeriodicGrid, cell_average
 from .profiles import Profile
 from .solver import RotationMode
-from .strains import chi_from_growth, orthogonality_residual
+from .strains import (chi_from_growth, orthogonality_residual,
+                      stretch_from_rates)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def _curve_mean(curve: SpaceCurve, period: float) -> np.ndarray:
     out[curve.axis] = 0.5 * period
     for p, k in ((curve.lateral, 1 - curve.axis), (curve.vertical, 2)):
         if p is not None:
-            out[k] = p.value_integral(period) / period
+            out[k] = p.value_mean()
     return out
 
 
@@ -200,11 +201,7 @@ def _translation_twist(chart):
              + np.cross(geom.p1, _curve_mean(beta, t2)))
     pdot2 = (-_curve_swirl(beta, t2) / t2
              + np.cross(_curve_mean(alpha, t1), geom.p2))
-    E = np.array([
-        [np.dot(pdot1, geom.p1),
-         0.5 * (np.dot(pdot1, geom.p2) + np.dot(pdot2, geom.p1))],
-        [0.0, np.dot(pdot2, geom.p2)]])
-    E[1, 0] = E[0, 1]
+    E = stretch_from_rates(pdot1, pdot2, geom)
     return rot, defl, W1, W2, E, chi
 
 
@@ -304,31 +301,34 @@ class TrigField:
     cos_c: np.ndarray   # (nk, 3)
     sin_c: np.ndarray   # (nk, 3)
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """One complex amplitude per harmonic, a = cos_c - i sin_c, so that
+        the field is Re sum a exp(i (k1 xi1 + k2 xi2))."""
+        return self.cos_c - 1j * self.sin_c
+
     def sample(self, xi1, xi2):
         """The value and both partials (v, v_1, v_2) at (xi1, xi2).
 
-        All three come from one phase table and one cos/sin pair.
+        The phase factors are products of one exponential table per
+        direction; the partials' wavenumbers go into the coefficients.
         """
         k1 = TAU * self.waves[:, 0] / self.period[0]
         k2 = TAU * self.waves[:, 1] / self.period[1]
-        th = (np.asarray(xi1, dtype=float)[..., None] * k1
-              + np.asarray(xi2, dtype=float)[..., None] * k2)
-        c = np.cos(th)
-        s = np.sin(th, out=th)   # the phase table is not needed past here
-        # the wavenumbers go into the coefficients, so no table is scaled
-        k1, k2 = k1[:, None], k2[:, None]
-        out = (c @ np.hstack([self.cos_c, k1 * self.sin_c, k2 * self.sin_c])
-               + s @ np.hstack([self.sin_c, -k1 * self.cos_c,
-                                -k2 * self.cos_c]))
+        phase = (np.exp(1j * np.asarray(xi1, dtype=float)[..., None] * k1)
+                 * np.exp(1j * np.asarray(xi2, dtype=float)[..., None] * k2))
+        a = self.amplitudes
+        out = (phase @ np.hstack([a, 1j * k1[:, None] * a,
+                                  1j * k2[:, None] * a])).real
         return out[..., :3], out[..., 3:6], out[..., 6:]
 
     def rms(self) -> float:
         # mean square over the cell is exactly half the coefficient energy
         # (plus the full energy of the constant term)
+        energy = np.sum(np.abs(self.amplitudes) ** 2, axis=1)
         const = ~self.waves.any(axis=1)
-        e = 0.5 * (np.sum(self.cos_c[~const] ** 2) + np.sum(self.sin_c[~const] ** 2))
-        e += np.sum(self.cos_c[const] ** 2)
-        return float(np.sqrt(e))
+        return float(np.sqrt(0.5 * np.sum(energy[~const])
+                             + np.sum(energy[const])))
 
 
 def make_trig_field(seed: int) -> TrigField:
@@ -445,14 +445,10 @@ def reparametrization_check(f: Profile, g: Profile,
 
     # first principles: sheared partials mix as x1' = x1 + gamma x2, so the
     # averaged stretch vectors mix the same way before pairing
-    p1 = np.array([1.0, gamma, 0.0])
-    p2 = np.array([0.0, 1.0, 0.0])
+    geom = PeriodGeometry.from_tangents([1.0, gamma, 0.0], [0.0, 1.0, 0.0])
     pdot1 = np.array([a, -gamma * b, 0.0])    # pdot1_0 + gamma pdot2_0
     pdot2 = np.array([0.0, -b, 0.0])
-    E_direct = np.array([
-        [np.dot(pdot1, p1), 0.5 * (np.dot(pdot1, p2) + np.dot(pdot2, p1))],
-        [0.0, np.dot(pdot2, p2)]])
-    E_direct[1, 0] = E_direct[0, 1]
+    E_direct = stretch_from_rates(pdot1, pdot2, geom)
     cong_res = float(np.max(np.abs(E_direct - E_cong)))
 
     chis = [np.array([[1.0, 0.0], [0.0, 0.0]]),

@@ -59,23 +59,60 @@ def _poly_square(coeffs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _PiecewiseTables:
-    """Exact per-piece polynomial data for a piecewise profile.
+class _Piecewise:
+    """A piecewise polynomial over one period, continued past it by a
+    constant gain per period.
 
-    Every table is indexed by piece; polynomials are in the local
-    coordinate t = x - knots[i].  ``*_knots`` arrays hold cumulative
-    antiderivative values at the left knot of each piece plus the full
-    period total in the last slot.
+    Piece i holds coefficients (low order first) in the local coordinate
+    t = x - knots[i], with the value at its left knot in the constant term.
     """
 
-    knots: np.ndarray          # (npieces + 1,)
-    slope_poly: np.ndarray     # (npieces, 2)    f'
-    value_knots: np.ndarray    # (npieces + 1,)  f at knots
-    value_poly: np.ndarray     # (npieces, 3)    f - f(knot)
-    vint_knots: np.ndarray     # (npieces + 1,)  integral of f
-    vint_poly: np.ndarray      # (npieces, 4)
-    ss_knots: np.ndarray       # (npieces + 1,)  integral of f'^2
-    ss_poly: np.ndarray        # (npieces, 4)
+    knots: np.ndarray          # (npieces + 1,), 0 to the period
+    poly: np.ndarray           # (npieces, degree + 1)
+    gain: float = 0.0
+
+    def __call__(self, x, side=1):
+        """The value at any real x.  ``side`` picks the right piece where it
+        is >= 0, else the left one, at knots and at multiples of the period;
+        one sign for all x or an array of signs that broadcasts against x."""
+        knots = self.knots
+        period = knots[-1]
+        x = np.asarray(x, dtype=float)
+        wraps = np.floor(x / period)
+        # roundoff can leave x - wraps*period just outside [0, period]
+        r = np.clip(x - wraps * period, 0.0, period)
+        # 0 and period are one point, the end of one period and the start of
+        # the next: a right limit there reads the next period's first piece,
+        # a left limit the previous period's last
+        left = np.asarray(side) < 0
+        up = ~left & (r == period)
+        down = left & (r == 0.0)
+        r = np.where(up, 0.0, np.where(down, period, r))
+        wraps = wraps + up - down
+        idx = np.where(left, np.searchsorted(knots, r, side="left"),
+                       np.searchsorted(knots, r, side="right")) - 1
+        out = _poly_eval(self.poly[idx], r - knots[idx])
+        # a periodic table adds nothing, not even to the sign of a zero
+        return out + wraps * self.gain if self.gain else out
+
+    def integral(self) -> "_Piecewise":
+        """The running integral from 0, its gain the integral over a period."""
+        anti = _poly_antiderivative(self.poly)
+        at_knots = np.concatenate(
+            [[0.0], np.cumsum(_poly_eval(anti, np.diff(self.knots)))])
+        anti[:, 0] = at_knots[:-1]
+        return _Piecewise(self.knots, anti, float(at_knots[-1]))
+
+
+@dataclass(frozen=True)
+class _PiecewiseTables:
+    """The exact piecewise polynomials of a piecewise profile."""
+
+    slope: _Piecewise                 # f'
+    value: _Piecewise                 # f
+    value_integral: _Piecewise        # integral of f from 0
+    slope_square: _Piecewise          # integral of f'^2 from 0
+    inverse_slope: _Piecewise | None  # integral of 1/f' (piecewise-linear)
 
 
 def _build_tables(kind: str, amplitude: float, period: float,
@@ -93,8 +130,8 @@ def _build_tables(kind: str, amplitude: float, period: float,
             "breakpoints do not balance: the alternating-slope wave gains "
             f"{closure:g} over one period and cannot be periodic")
 
+    slope_poly = np.zeros((npieces, 2))
     if kind == PIECEWISE_LINEAR:
-        slope_poly = np.zeros((npieces, 2))
         slope_poly[:, 0] = amplitude * signs
     else:
         # piecewise-quadratic: f' is the centred, peak-normalised version of
@@ -107,27 +144,18 @@ def _build_tables(kind: str, amplitude: float, period: float,
         if peak == 0.0:
             raise ValueError("degenerate breakpoint layout: slope wave is identically zero")
         scale = amplitude / peak
-        slope_poly = np.zeros((npieces, 2))
         slope_poly[:, 0] = scale * centred[:-1]
         slope_poly[:, 1] = scale * signs
 
-    def _accumulate(poly):
-        anti = _poly_antiderivative(poly)
-        piece_totals = _poly_eval(anti, lengths)
-        knot_vals = np.concatenate([[0.0], np.cumsum(piece_totals)])
-        return knot_vals, anti
-
-    value_knots, value_poly = _accumulate(slope_poly)
-    # shift antiderivative polys so each piece starts from the knot value
-    ss_knots, ss_poly = _accumulate(_poly_square(slope_poly))
-
-    # integral of f itself: per piece, f(x) = value_knots[i] + value_poly_i(t)
-    vpoly_full = value_poly.copy()
-    vpoly_full[:, 0] += value_knots[:-1]
-    vint_knots, vint_poly = _accumulate(vpoly_full)
-
-    return _PiecewiseTables(knots, slope_poly, value_knots, value_poly,
-                            vint_knots, vint_poly, ss_knots, ss_poly)
+    slope = _Piecewise(knots, slope_poly)
+    # f is periodic: its gain over a period is exactly 0
+    value = _Piecewise(knots, slope.integral().poly)
+    inverse = None
+    if kind == PIECEWISE_LINEAR:
+        inverse = _Piecewise(knots, 1.0 / slope_poly[:, :1]).integral()
+    return _PiecewiseTables(
+        slope, value, value.integral(),
+        _Piecewise(knots, _poly_square(slope_poly)).integral(), inverse)
 
 
 @dataclass(frozen=True)
@@ -140,36 +168,6 @@ class Profile:
     breakpoints: tuple[float, ...] = ()
     _tables: _PiecewiseTables | None = field(default=None, repr=False, compare=False)
 
-    # -- piece lookup -------------------------------------------------
-
-    def _split(self, x):
-        x = np.asarray(x, dtype=float)
-        wraps = np.floor(x / self.period)
-        r = x - wraps * self.period
-        # guard against r == period from roundoff
-        hi = r >= self.period
-        r = np.where(hi, r - self.period, r)
-        wraps = np.where(hi, wraps + 1, wraps)
-        return wraps, r
-
-    def _piece(self, r: np.ndarray, side) -> np.ndarray:
-        """Piece index of each r: the right piece where side >= 0, else the
-        left one (r == 0 then belongs to the final piece of the previous
-        period copy).  ``side`` is a sign or an array of signs."""
-        knots = self._tables.knots
-        last = len(knots) - 2
-        idx = np.where(np.asarray(side) >= 0,
-                       np.searchsorted(knots, r, side="right"),
-                       np.searchsorted(knots, r, side="left")) - 1
-        return np.where(idx < 0, last, np.minimum(idx, last))
-
-    def _eval_piecewise(self, knot_vals, polys, x):
-        wraps, r = self._split(x)
-        idx = self._piece(r, 1)
-        t = r - self._tables.knots[idx]
-        per_period = knot_vals[-1]
-        return wraps * per_period + knot_vals[idx] + _poly_eval(polys[idx], t)
-
     # -- evaluation ---------------------------------------------------
 
     def value(self, x):
@@ -177,12 +175,7 @@ class Profile:
         if self.kind == SINUSOIDAL:
             k = 2.0 * math.pi / self.period
             return self.amplitude * np.cos(k * np.asarray(x, dtype=float))
-        t = self._tables
-        poly = t.value_poly.copy()
-        poly[:, 0] += t.value_knots[:-1]
-        wraps, r = self._split(x)
-        idx = self._piece(r, 1)
-        return _poly_eval(poly[idx], r - t.knots[idx])
+        return self._tables.value(x)
 
     def slope(self, x, side=1):
         """f'(x).  ``side`` picks the one-sided limit at breakpoints, one
@@ -190,18 +183,14 @@ class Profile:
         if self.kind == SINUSOIDAL:
             k = 2.0 * math.pi / self.period
             return -self.amplitude * k * np.sin(k * np.asarray(x, dtype=float))
-        t = self._tables
-        wraps, r = self._split(x)
-        idx = self._piece(r, side)
-        return _poly_eval(t.slope_poly[idx], r - t.knots[idx])
+        return self._tables.slope(x, side)
 
     def value_integral(self, x):
         """Integral of f from 0 to x, exactly."""
         if self.kind == SINUSOIDAL:
             k = 2.0 * math.pi / self.period
             return (self.amplitude / k) * np.sin(k * np.asarray(x, dtype=float))
-        t = self._tables
-        return self._eval_piecewise(t.vint_knots, t.vint_poly, x)
+        return self._tables.value_integral(x)
 
     def running_slope_square(self, x):
         """Integral of f'^2 from 0 to x, exactly."""
@@ -209,20 +198,14 @@ class Profile:
             k = 2.0 * math.pi / self.period
             x = np.asarray(x, dtype=float)
             return self.amplitude**2 * k**2 * (x / 2.0 - np.sin(2.0 * k * x) / (4.0 * k))
-        t = self._tables
-        return self._eval_piecewise(t.ss_knots, t.ss_poly, x)
+        return self._tables.slope_square(x)
 
     def running_inverse_slope(self, x):
         """Integral of 1/f' from 0 to x.  Piecewise-linear profiles only."""
         if self.kind != PIECEWISE_LINEAR:
             raise ValueError("1/f' is integrable in closed form only for "
                              f"piecewise-linear profiles, not {self.kind!r}")
-        t = self._tables
-        inv = np.zeros_like(t.slope_poly)
-        inv[:, 0] = 1.0 / t.slope_poly[:, 0]
-        knot_vals, anti = np.concatenate(
-            [[0.0], np.cumsum(inv[:, 0] * np.diff(t.knots))]), _poly_antiderivative(inv)
-        return self._eval_piecewise(knot_vals, anti, x)
+        return self._tables.inverse_slope(x)
 
     # -- exact means ----------------------------------------------------
 
@@ -231,12 +214,12 @@ class Profile:
         if self.kind == SINUSOIDAL:
             k = 2.0 * math.pi / self.period
             return 0.5 * self.amplitude**2 * k**2
-        return float(self._tables.ss_knots[-1]) / self.period
+        return self._tables.slope_square.gain / self.period
 
     def value_mean(self) -> float:
         if self.kind == SINUSOIDAL:
             return 0.0
-        return float(self._tables.vint_knots[-1]) / self.period
+        return self._tables.value_integral.gain / self.period
 
     # -- structure -------------------------------------------------------
 
@@ -333,7 +316,9 @@ def _checked(profile: Profile) -> Profile:
     except OverflowError:   # float ** overflows instead of returning inf
         sms = math.inf
     tables = vars(profile._tables).values() if profile._tables else ()
-    if not (math.isfinite(sms) and all(np.isfinite(t).all() for t in tables)):
+    if not (math.isfinite(sms) and all(
+            np.isfinite(t.poly).all() and math.isfinite(t.gain)
+            for t in tables if t is not None)):
         raise ValueError(f"amplitude {profile.amplitude} is too large: the "
                          "profile's exact integrals overflow")
     return profile

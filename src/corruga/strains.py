@@ -92,13 +92,19 @@ def effective_membrane_strain(mode: RotationMode,
     E is defined for periodic rotation fields; on a field with growth the
     formula is evaluated on its periodic part, e.g. for mixed-mode reporting.
     """
-    geom = grid.geometry
-    pdot1 = cell_average(np.cross(mode.w, grid.x1), grid)
-    pdot2 = cell_average(np.cross(mode.w, grid.x2), grid)
+    return stretch_from_rates(cell_average(np.cross(mode.w, grid.x1), grid),
+                              cell_average(np.cross(mode.w, grid.x2), grid),
+                              grid.geometry)
+
+
+def stretch_from_rates(pdot1, pdot2, geometry: PeriodGeometry) -> np.ndarray:
+    """E from the period-mean rates pdot_n of the lattice tangents:
+    E_mn = sym <p_m, pdot_n>."""
+    p1, p2 = geometry.p1, geometry.p2
     E = np.empty((2, 2))
-    E[0, 0] = geom.p1 @ pdot1
-    E[1, 1] = geom.p2 @ pdot2
-    E[0, 1] = E[1, 0] = 0.5 * (geom.p1 @ pdot2 + geom.p2 @ pdot1)
+    E[0, 0] = p1 @ pdot1
+    E[1, 1] = p2 @ pdot2
+    E[0, 1] = E[1, 0] = 0.5 * (p1 @ pdot2 + p2 @ pdot1)
     return E
 
 
@@ -153,20 +159,12 @@ def orthogonality_residual_rel(E, chi) -> float:
 
 # -- Poisson ratios ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoissonRatios:
-    nu_in: float
-    nu_out: float
-    basis: np.ndarray       # columns: principal directions of E (rotation)
-    in_defined: bool
-    out_defined: bool
+def poisson_ratios(E, chi) -> tuple[float | None, float | None]:
+    """(nu_in, nu_out) = (-E22/E11, -chi22/chi11) in an orthonormal
+    principal basis of E.
 
-
-def poisson_ratios(E, chi) -> PoissonRatios:
-    """-E22/E11 and -chi22/chi11 in an orthonormal principal basis of E.
-
-    Principal axes sorted by |eigenvalue| descending.  Ratios with
-    denominators below POISSON_TOL (relative) are flagged, not invented.
+    Principal axes sorted by |eigenvalue| descending.  A ratio whose
+    denominator is below POISSON_TOL (relative) is None, not invented.
     """
     Em = _as_matrix(E)
     Cm = _as_matrix(chi)
@@ -176,20 +174,15 @@ def poisson_ratios(E, chi) -> PoissonRatios:
     evals, evecs = la.eigh(Em)
     order = np.argsort(-np.abs(evals))
     lam = evals[order]
+    # the diagonal of chi in that basis does not depend on the axes' signs
     R = evecs[:, order]
-    if la.det(R) < 0:
-        R = R @ np.diag([1.0, -1.0])
-    if R[0, 0] < 0:
-        R = -R
     Cp = R.T @ Cm @ R
-    in_defined = abs(lam[0]) > POISSON_TOL * En
-    nu_in = float(-lam[1] / lam[0]) if in_defined else float("nan")
+    nu_in = (float(-lam[1] / lam[0]) if abs(lam[0]) > POISSON_TOL * En
+             else None)
     Cn = np.linalg.norm(Cm)
-    out_defined = Cn > 0 and abs(Cp[0, 0]) > POISSON_TOL * Cn
-    nu_out = float(-Cp[1, 1] / Cp[0, 0]) if out_defined else float("nan")
-    return PoissonRatios(nu_in=nu_in, nu_out=nu_out, basis=R,
-                         in_defined=bool(in_defined),
-                         out_defined=bool(out_defined))
+    nu_out = (float(-Cp[1, 1] / Cp[0, 0])
+              if Cn > 0 and abs(Cp[0, 0]) > POISSON_TOL * Cn else None)
+    return nu_in, nu_out
 
 
 # -- the cut ----------------------------------------------------------------

@@ -154,3 +154,16 @@ def test_trig_field_rms_matches_sampling():
     vals, _, _ = f.sample(xi[:, 0], xi[:, 1])
     sampled = np.sqrt(np.mean(np.sum(vals**2, axis=-1)))
     assert_allclose(sampled, f.rms(), rtol=5e-2)
+
+
+def test_trig_field_partials_are_derivatives_of_its_value():
+    # the lemma cannot see every partial's sign flipped (D changes sign on
+    # both sides of the identity), so the partials are checked on their own
+    f = make_trig_field(11)
+    xi1, xi2 = np.random.default_rng(5).uniform(0.0, TAU, (2, 64))
+    h = 1e-5
+    _, v1, v2 = f.sample(xi1, xi2)
+    d1 = (f.sample(xi1 + h, xi2)[0] - f.sample(xi1 - h, xi2)[0]) / (2 * h)
+    d2 = (f.sample(xi1, xi2 + h)[0] - f.sample(xi1, xi2 - h)[0]) / (2 * h)
+    assert_allclose(v1, d1, rtol=0, atol=1e-7 * np.abs(v1).max())
+    assert_allclose(v2, d2, rtol=0, atol=1e-7 * np.abs(v2).max())

@@ -108,6 +108,58 @@ def test_running_slope_square_matches_quadrature():
         assert_allclose(f.running_slope_square(x), approx, atol=2e-7)
 
 
+# a layout other than the default, with four breakpoints and pieces of
+# unequal length, and the sinusoid's own non-default period; dyadic, so
+# that shifting a breakpoint by whole periods is exact
+LAYOUTS = {PIECEWISE_LINEAR: (1.2, 5.5, (0.875, 2.5, 3.0, 4.125)),
+           PIECEWISE_QUADRATIC: (0.8, 5.5, (0.875, 2.5, 3.0, 4.125)),
+           SINUSOIDAL: (0.6, 5.5, None)}
+
+
+def _running_trapezoid(g, x):
+    """Trapezoid integral of g(x, side) from x[0] to every node; each
+    interval reads its ends from inside itself."""
+    pieces = 0.5 * np.diff(x) * (g(x[:-1], 1) + g(x[1:], -1))
+    return np.concatenate([[0.0], np.cumsum(pieces)])
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_running_integrals_match_quadrature_over_four_periods(kind):
+    amplitude, period, breakpoints = LAYOUTS[kind]
+    f = make_profile(kind, amplitude, period, breakpoints)
+    # nodes on every breakpoint and period multiple of [-T, 3T]
+    knots = (np.add.outer(np.arange(-1, 3) * period,
+                          (0.0,) + f.breakpoints).ravel())
+    x = np.unique(np.concatenate([np.linspace(-period, 3 * period, 40001),
+                                  knots, [3 * period]]))
+    integrands = {"value_integral": lambda t, side: f.value(t),
+                  "running_slope_square": lambda t, side: f.slope(t, side) ** 2}
+    if kind == PIECEWISE_LINEAR:
+        integrands["running_inverse_slope"] = lambda t, side: 1.0 / f.slope(t, side)
+    for name, g in integrands.items():
+        exact = getattr(f, name)(x)
+        quad = _running_trapezoid(g, x)
+        assert_allclose(exact - exact[0], quad, rtol=0, atol=1e-6, err_msg=name)
+    # f gains its mean over every period
+    t = np.linspace(-period, 2 * period, 37)
+    assert_allclose(f.value_integral(t + period) - f.value_integral(t),
+                    period * f.value_mean(), rtol=0, atol=1e-12)
+
+
+def test_one_sided_limits_at_period_multiples():
+    # 0 and the period are one point: a left limit there reads the end of
+    # the previous period, where the continuous slope of a
+    # piecewise-quadratic profile has its value at 0
+    amplitude, period, breakpoints = LAYOUTS[PIECEWISE_QUADRATIC]
+    f = make_profile(PIECEWISE_QUADRATIC, amplitude, period, breakpoints)
+    for x in (0.0, period, -2 * period):
+        assert_allclose(f.slope(x, side=-1), f.slope(x, side=1), atol=1e-12)
+    # roundoff just below a period multiple picks no far piece
+    x = np.nextafter(np.arange(-50, 51) * period, -np.inf)
+    assert_allclose(f.value(x), f.value(0.0), rtol=0, atol=1e-9)
+    assert_allclose(f.slope(x, side=-1), f.slope(0.0), rtol=0, atol=1e-9)
+
+
 def test_config_roundtrip():
     from corruga.profiles import profile_from_config
     f = make_profile(PIECEWISE_QUADRATIC, 0.7, 3.0, (0.6, 2.1))
