@@ -263,28 +263,39 @@ def _check_translation_partials(chart: SurfaceChart) -> None:
 
 # -- evaluation ---------------------------------------------------------
 
+def _sheared(chart: SurfaceChart, xi1, xi2):
+    """The second curve's argument eta = xi2 + gamma*xi1.
+
+    Each curve is evaluated on its own inputs and the sum broadcasts, so on
+    a grid a curve costs one value per grid line; only a sheared chart's
+    eta needs every node.
+    """
+    return xi2 + chart.gamma * xi1 if chart.gamma else xi2
+
+
 def evaluate_chart(chart: SurfaceChart, xi1, xi2) -> np.ndarray:
     """Position x(xi1, xi2), broadcasting over the inputs."""
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
-    xi1, xi2 = np.broadcast_arrays(xi1, xi2)
     a, b = chart.curves
-    return a.point(xi1) + b.point(xi2 + chart.gamma * xi1)
+    return a.point(xi1) + b.point(_sheared(chart, xi1, xi2))
 
 
 def chart_partials(chart: SurfaceChart, xi1, xi2, side=(1, 1)):
-    """One-sided partial derivatives (x1, x2) at (xi1, xi2).
+    """One-sided partial derivatives (x1, x2) at (xi1, xi2), broadcasting
+    over the inputs.
 
     ``side`` picks the panel when the point sits on a breakpoint line:
-    +1 takes the limit from above in that parameter, -1 from below.
+    +1 takes the limit from above in that parameter, -1 from below.  Each
+    side broadcasts against its own parameter.
     """
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    xi1, xi2 = np.broadcast_arrays(xi1, xi2)
     s1, s2 = side
+    xi1, s1 = np.broadcast_arrays(np.asarray(xi1, dtype=float), s1)
+    xi2, s2 = np.broadcast_arrays(np.asarray(xi2, dtype=float), s2)
     a, b = chart.curves
-    tb = b.tangent(xi2 + chart.gamma * xi1, s2)
-    return a.tangent(xi1, s1) + chart.gamma * tb, tb
+    tb = b.tangent(_sheared(chart, xi1, xi2), s2)
+    x1 = a.tangent(xi1, s1) + chart.gamma * tb
+    return x1, np.broadcast_to(tb, x1.shape).copy()
 
 
 def period_geometry(chart: SurfaceChart) -> PeriodGeometry:

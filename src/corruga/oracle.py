@@ -308,18 +308,26 @@ class TrigField:
         return self.cos_c - 1j * self.sin_c
 
     def sample(self, xi1, xi2):
-        """The value and both partials (v, v_1, v_2) at (xi1, xi2).
+        """The value and both partials (v, v_1, v_2) at (xi1, xi2),
+        broadcasting over the inputs.
 
-        The phase factors are products of one exponential table per
-        direction; the partials' wavenumbers go into the coefficients.
+        The coefficients [a, i k1 a, i k2 a] go into a (k1, k2, 9) array C
+        over the distinct wavenumbers of each direction, so there is one
+        exponential table per distinct k1 and per distinct k2, not per
+        harmonic: T = E1 @ C at each xi1, then E2 contracts T at each point.
         """
-        k1 = TAU * self.waves[:, 0] / self.period[0]
-        k2 = TAU * self.waves[:, 1] / self.period[1]
-        phase = (np.exp(1j * np.asarray(xi1, dtype=float)[..., None] * k1)
-                 * np.exp(1j * np.asarray(xi2, dtype=float)[..., None] * k2))
+        u1, i1 = np.unique(self.waves[:, 0], return_inverse=True)
+        u2, i2 = np.unique(self.waves[:, 1], return_inverse=True)
+        k1 = TAU * u1 / self.period[0]
+        k2 = TAU * u2 / self.period[1]
         a = self.amplitudes
-        out = (phase @ np.hstack([a, 1j * k1[:, None] * a,
-                                  1j * k2[:, None] * a])).real
+        C = np.zeros((u1.size, u2.size, 9), dtype=complex)
+        np.add.at(C, (i1, i2), np.hstack([a, 1j * k1[i1, None] * a,
+                                          1j * k2[i2, None] * a]))
+        E1 = np.exp(1j * np.asarray(xi1, dtype=float)[..., None] * k1)
+        E2 = np.exp(1j * np.asarray(xi2, dtype=float)[..., None] * k2)
+        T = (E1 @ C.reshape(u1.size, -1)).reshape(E1.shape[:-1] + (u2.size, 9))
+        out = (E2[..., None, :] @ T)[..., 0, :].real
         return out[..., :3], out[..., 3:6], out[..., 6:]
 
     def rms(self) -> float:

@@ -34,9 +34,11 @@ strain coordinates; those minimizers are also the representative fields,
 and dimension counts are taken on their strain images.  The growth
 coordinates are data: each growth minimizer fixes them and solves for the
 rotation samples alone.  The symmetric positive definite rotation-sample
-block H = A_w^T A_w + eps I is factored once by a minimum-degree sparse LU
-with diagonal pivots; the membrane constraints enter through the r x r
-(r <= 3) Schur complement Lr H^-1 Lr^T, and two refinement steps follow.
+block H = A_w^T A_w + eps I is factored once by a sparse LU with diagonal
+pivots, under a minimum-degree ordering of its graph of nodes (each node's
+3 unknowns stay together); the membrane constraints enter through the
+r x r (r <= 3) Schur complement Lr H^-1 Lr^T, and two refinement steps
+follow.
 That LU is the module's only factorization: kernel_distance certifies a
 sampled field by its residual, one sparse product.  Which levels count as
 achievable is decided in strains.cut.
@@ -288,6 +290,34 @@ class QuadraticSpace:
     floor: np.ndarray        # (m,) regularization bias bound per level
 
 
+def _node_order(H) -> np.ndarray:
+    """A fill-reducing symmetric permutation p of H that keeps every node's
+    3 unknowns together, in component order: p = 3 * order + (0, 1, 2).
+
+    ``order`` is SuperLU's minimum degree on the n x n node graph, where
+    nodes i and j are adjacent when the block H[3i:3i+3, 3j:3j+3] is
+    nonzero.  Compressing the graph first gives less fill than ordering the
+    3n unknowns one by one (Ashcraft, SIAM J. Sci. Comput. 16(6), 1995).
+    An incomplete LU that drops every off-diagonal entry computes that
+    ordering at almost no cost; its matrix is a diagonally dominant
+    M-matrix on the node pattern, so it meets no zero pivot.  H is CSC:
+    node j's columns 3j..3j+2 are contiguous there, so the node matrix
+    reuses H's column pointers (spilu sums the repeated entries).
+    """
+    n = H.shape[0] // 3
+    starts = H.indptr[::3].copy()
+    rows = H.indices // 3
+    cols = np.repeat(np.arange(n), np.diff(starts))
+    N = sp.csc_matrix((np.where(rows == cols, float(H.nnz), -1.0), rows,
+                       starts), shape=(n, n))
+    ilu = spla.spilu(N, drop_tol=np.inf, fill_factor=1,
+                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+    # perm_c[i] is the new position of node i
+    order = np.argsort(ilu.perm_c)
+    return (3 * order[:, None] + np.arange(3)).ravel()
+
+
 def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray) -> np.ndarray:
     """Ridge minimizers over the rotation samples w, H = A_w^T A_w + eps I.
 
@@ -295,19 +325,22 @@ def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray) -> np.ndarray:
     minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2 with w free, so
     w = -H^-1 Gwg e_j, Gwg = A_w^T A_g.  Column g + i keeps the growth at 0
     and solves Lr w = e_i, the KKT system [[H, Lr^T], [Lr, 0]], by the
-    r x r Schur complement S = Lr H^-1 Lr^T.  Only H enters the sparse LU:
-    it is symmetric positive definite, so a minimum-degree ordering of
-    H + H^T with diagonal pivots is stable.  One block solve over
-    [-Gwg | Lr^T] and two refinement steps follow, the growth columns
-    against H and the membrane ones against the KKT matrix; the
-    factorization is freed on return.  Returns the w part of all g + r
+    r x r Schur complement S = Lr H^-1 Lr^T.  Only H enters the sparse LU,
+    permuted symmetrically by _node_order and factored in that order: it is
+    symmetric positive definite, so diagonal pivots are stable.  The solves
+    gather their right-hand sides through p and scatter the result back.
+    One block solve over [-Gwg | Lr^T] and two refinement steps follow, the
+    growth columns against H and the membrane ones against the KKT matrix;
+    the factorization is freed on return.  Returns the w part of all g + r
     minimizers as columns.  An ill-conditioned S would give fields that
     break the rank bound, so it raises SolverError instead.
     """
-    lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    p = _node_order(H)
+    q = np.argsort(p)
+    lu = spla.splu(H[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     g, r = Gwg.shape[1], Lr.shape[0]
-    X = lu.solve(np.hstack([-Gwg, Lr.T]))
+    X = lu.solve(np.hstack([-Gwg, Lr.T])[p])[q]
     Z = X[:, g:]
     S = Lr @ Z
 
@@ -326,7 +359,7 @@ def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray) -> np.ndarray:
     for _ in range(2):
         R = b - H @ W
         R[:, g:] -= Lr.T @ lam
-        T = lu.solve(R)
+        T = lu.solve(R[p])[q]
         d = schur(Lr @ (W[:, g:] + T[:, g:]) - np.eye(r))
         T[:, g:] -= Z @ d
         W += T

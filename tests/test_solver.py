@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from corruga import solver
 from corruga.chart import BUILTIN_NAMES, builtin_chart
@@ -136,6 +136,52 @@ def test_effective_spaces_factors_once(name, monkeypatch):
     H = factored[0]
     assert H.shape == (system.w_size, system.w_size)
     assert abs(H - H.T).max() == 0.0
+
+
+def _one_factorization(system, monkeypatch):
+    """(H, the matrix splu factored, its LU) from strain_forms."""
+    blocks, factored = [], []
+    ridge, splu = solver._ridge_minimizers, spla.splu
+
+    def spy_ridge(H, Gwg, Lr):
+        blocks.append(H)
+        return ridge(H, Gwg, Lr)
+
+    def spy_splu(K, *args, **kwargs):
+        lu = splu(K, *args, **kwargs)
+        factored.append((K, lu))
+        return lu
+
+    monkeypatch.setattr(solver, "_ridge_minimizers", spy_ridge)
+    monkeypatch.setattr(spla, "splu", spy_splu)
+    strain_forms(system, membrane_row_map(system.grid))
+    (H,), ((K, lu),) = blocks, factored
+    return H, K, lu
+
+
+@pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
+def test_lu_keeps_each_nodes_unknowns_together(name, monkeypatch):
+    # the LU factors H[p][:, p] in that order, and p moves whole nodes: each
+    # node's 3 unknowns are consecutive, in component order
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    H, K, lu = _one_factorization(system, monkeypatch)
+    p = solver._node_order(H)
+    ws = system.w_size
+    assert_array_equal(np.sort(p), np.arange(ws))
+    assert abs(K - H[p][:, p]).max() == 0.0
+    assert_array_equal(lu.perm_c, np.arange(ws))
+    assert_array_equal(lu.perm_r, np.arange(ws))
+    nodes = p.reshape(-1, 3)
+    assert_array_equal(nodes, nodes[:, :1] + np.arange(3))
+    assert np.all(nodes[:, 0] % 3 == 0)
+
+
+def test_node_order_fill_on_eggbox(monkeypatch):
+    # nnz(L+U) / nnz(H) at eggbox@32: 13.9 under minimum degree on the 3n
+    # unknowns, 12.8 on the graph of nodes
+    system = assemble_system(build_grid(builtin_chart("eggbox"), 32))
+    H, _, lu = _one_factorization(system, monkeypatch)
+    assert lu.nnz / H.nnz <= 12.9
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
