@@ -252,6 +252,8 @@ def verify_lemma(samples: int = 128, npairs: int = 20, seed: int = 2024):
     from .oracle import make_trig_field, symmetry_lemma_check
     from .profiles import SINUSOIDAL, make_profile
 
+    if npairs < 1:
+        raise ValueError(f"the lemma needs at least one pair, got {npairs}")
     chart = SurfaceChart(SIMPLE_CORRUGATION, (TAU, TAU),
                          (make_profile(SINUSOIDAL, 1.0, TAU),))
     grid = build_grid(chart, samples)

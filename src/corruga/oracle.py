@@ -307,15 +307,11 @@ class TrigField:
         the field is Re sum a exp(i (k1 xi1 + k2 xi2))."""
         return self.cos_c - 1j * self.sin_c
 
-    def sample(self, xi1, xi2):
-        """The value and both partials (v, v_1, v_2) at (xi1, xi2),
-        broadcasting over the inputs.
-
-        The coefficients [a, i k1 a, i k2 a] go into a (k1, k2, 9) array C
-        over the distinct wavenumbers of each direction, so there is one
-        exponential table per distinct k1 and per distinct k2, not per
-        harmonic: T = E1 @ C at each xi1, then E2 contracts T at each point.
-        """
+    def _tables(self, xi1, xi2):
+        """The coefficients [a, i k1 a, i k2 a] as a (k1, k2, 9) array C over
+        the distinct wavenumbers of each direction, and one exponential
+        table per direction, E1 = exp(i xi1 k1) and E2 = exp(i xi2 k2), so
+        the field and both partials are Re sum C E1 E2."""
         u1, i1 = np.unique(self.waves[:, 0], return_inverse=True)
         u2, i2 = np.unique(self.waves[:, 1], return_inverse=True)
         k1 = TAU * u1 / self.period[0]
@@ -326,9 +322,33 @@ class TrigField:
                                           1j * k2[i2, None] * a]))
         E1 = np.exp(1j * np.asarray(xi1, dtype=float)[..., None] * k1)
         E2 = np.exp(1j * np.asarray(xi2, dtype=float)[..., None] * k2)
-        T = (E1 @ C.reshape(u1.size, -1)).reshape(E1.shape[:-1] + (u2.size, 9))
+        return C, E1, E2
+
+    def sample(self, xi1, xi2):
+        """The value and both partials (v, v_1, v_2) at (xi1, xi2),
+        broadcasting over the inputs: T = E1 @ C at each xi1, then E2
+        contracts T at each point.  The reference for ``planes``."""
+        C, E1, E2 = self._tables(xi1, xi2)
+        u1, u2 = C.shape[:2]
+        T = (E1 @ C.reshape(u1, -1)).reshape(E1.shape[:-1] + (u2, 9))
         out = (E2[..., None, :] @ T)[..., 0, :].real
         return out[..., :3], out[..., 3:6], out[..., 6:]
+
+    def planes(self, xi1, xi2) -> np.ndarray:
+        """The value and both partials on the tensor grid xi1 x xi2 of two
+        1-D axes, as component planes of shape (9, n1, n2): rows 0-2 hold
+        v, 3-5 v_1 and 6-8 v_2.
+
+        E1 contracts C first, M = E1 @ C, and Re(M E2^T) is one real
+        product of [Re M, -Im M] with [Re E2, Im E2]^T.
+        """
+        C, E1, E2 = self._tables(xi1, xi2)
+        u1, u2 = C.shape[:2]
+        n1, n2 = E1.shape[0], E2.shape[0]
+        M = (E1 @ C.reshape(u1, -1)).reshape(n1, u2, 9).transpose(2, 0, 1)
+        M = np.concatenate([M.real, -M.imag], axis=2).reshape(9 * n1, 2 * u2)
+        E = np.concatenate([E2.real, E2.imag], axis=1)
+        return (M @ E.T).reshape(9, n1, n2)
 
     def rms(self) -> float:
         # mean square over the cell is exactly half the coefficient energy
@@ -355,29 +375,35 @@ def make_trig_field(seed: int) -> TrigField:
                      sin_c=sin_c)
 
 
+def _det(a, b, c):
+    """det(a, b, c) = <a, b x c> over (3, ...) component planes."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
 def symmetry_lemma_check(chart: SurfaceChart, omega: TrigField, w: TrigField,
                          grid: PeriodicGrid) -> tuple[float, float]:
     """Both sides of the pairing identity mean<omega, D w> = mean<w, D omega>.
 
-    D v = v_2 x x_1 - v_1 x x_2 with analytic field partials; only the cell
-    average uses grid quadrature.  Needs a smooth chart so that every smooth
+    D v = v_2 x x_1 - v_1 x x_2 with analytic field partials, so
+    <u, D v> = det(u, v_2, x_1) - det(u, v_1, x_2); only the cell average
+    uses grid quadrature.  Needs a smooth chart so that every smooth
     periodic field is admissible.
     """
     if chart.panel_breakpoints(0) or chart.panel_breakpoints(1):
         raise ValueError("the pairing identity check needs a smooth chart")
     if grid.chart != chart:
         raise ValueError("grid was built for a different chart")
-    X1 = grid.axis1.xi[:, None]
-    X2 = grid.axis2.xi[None, :]
+    x1, x2 = np.moveaxis(grid.x1, -1, 0), np.moveaxis(grid.x2, -1, 0)
 
-    def dop(v1, v2):
-        return np.cross(v2, grid.x1) - np.cross(v1, grid.x2)
+    def pair(u, v):
+        return float(cell_average(_det(u[:3], v[6:], x1)
+                                  - _det(u[:3], v[3:6], x2), grid))
 
-    ov, o1, o2 = omega.sample(X1, X2)
-    wv, w1, w2 = w.sample(X1, X2)
-    lhs = float(cell_average(np.einsum("ijk,ijk->ij", ov, dop(w1, w2)), grid))
-    rhs = float(cell_average(np.einsum("ijk,ijk->ij", wv, dop(o1, o2)), grid))
-    return lhs, rhs
+    po = omega.planes(grid.axis1.xi, grid.axis2.xi)
+    pw = w.planes(grid.axis1.xi, grid.axis2.xi)
+    return pair(po, pw), pair(pw, po)
 
 
 # -- quadratic-limit check -------------------------------------------------

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from corruga import cli
-from corruga.analysis import (export_modes, run_analysis, write_report,
-                              write_spectrum)
+from corruga.analysis import (export_modes, run_analysis, verify_lemma,
+                              write_report, write_spectrum)
 from corruga.chart import BUILTIN_NAMES, builtin_chart, save_chart
 from corruga.strains import vec_sym
 
@@ -349,6 +349,13 @@ def test_cli_names_missing_config_key(tmp_path, capsys, config, message):
 def test_cli_verify_rejects_bad_arguments(capsys, argv):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("corruga: bad argument:")
+
+
+@pytest.mark.parametrize("npairs", [0, -1])
+def test_verify_lemma_refuses_an_empty_pair_set(npairs):
+    # a check over zero pairs would pass with worst = 0
+    with pytest.raises(ValueError, match="at least one pair"):
+        verify_lemma(samples=16, npairs=npairs)
 
 
 def test_cli_analyze_unwritable_out_exits_1(tmp_path, capsys):

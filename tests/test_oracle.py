@@ -1,6 +1,7 @@
 """Closed-form mode catalogue, quadrature cross-checks, symbolic identities."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from corruga.chart import (SHEARED_DOUBLE_CORRUGATION, SIMPLE_CORRUGATION,
@@ -167,3 +168,48 @@ def test_trig_field_partials_are_derivatives_of_its_value():
     d2 = (f.sample(xi1, xi2 + h)[0] - f.sample(xi1, xi2 - h)[0]) / (2 * h)
     assert_allclose(v1, d1, rtol=0, atol=1e-7 * np.abs(v1).max())
     assert_allclose(v2, d2, rtol=0, atol=1e-7 * np.abs(v2).max())
+
+
+def _lemma_chart():
+    return SurfaceChart(SIMPLE_CORRUGATION, (TAU, TAU),
+                        (make_profile(SINUSOIDAL, 1.0, TAU),))
+
+
+@pytest.mark.parametrize("resolution", [128, (40, 24)], ids=["128", "40x24"])
+def test_trig_field_planes_match_pointwise_sample(resolution):
+    # the grid route against the pointwise reference at the grid's nodes; a
+    # non-square grid catches swapped axes
+    grid = build_grid(_lemma_chart(), resolution)
+    xi1, xi2 = grid.axis1.xi, grid.axis2.xi
+    for seed in (3, 11):
+        f = make_trig_field(seed)
+        planes = f.planes(xi1, xi2)
+        assert planes.shape == (9,) + grid.shape
+        for k, ref in enumerate(f.sample(xi1[:, None], xi2[None, :])):
+            got = np.moveaxis(planes[3 * k:3 * k + 3], 0, -1)
+            assert_allclose(got, ref, rtol=0,
+                            atol=1e-13 * np.abs(ref).max())
+
+
+def test_symmetry_lemma_matches_cross_product_reference():
+    # both sides against <omega, w_2 x x_1 - w_1 x x_2> from the pointwise
+    # samples and np.cross
+    chart = _lemma_chart()
+    grid = build_grid(chart, 128)
+    X1, X2 = grid.axis1.xi[:, None], grid.axis2.xi[None, :]
+
+    def side(u, v):
+        uv, _, _ = u.sample(X1, X2)
+        _, v1, v2 = v.sample(X1, X2)
+        dv = np.cross(v2, grid.x1) - np.cross(v1, grid.x2)
+        return float(cell_average(np.einsum("ijk,ijk->ij", uv, dv), grid))
+
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        a = make_trig_field(int(rng.integers(1 << 31)))
+        b = make_trig_field(int(rng.integers(1 << 31)))
+        lhs, rhs = symmetry_lemma_check(chart, a, b, grid)
+        ref_lhs, ref_rhs = side(a, b), side(b, a)
+        scale = max(abs(ref_lhs), abs(ref_rhs), a.rms() * b.rms())
+        assert abs(lhs - ref_lhs) <= 1e-13 * scale
+        assert abs(rhs - ref_rhs) <= 1e-13 * scale
