@@ -29,7 +29,7 @@ if _threads:
 from .profiles import Profile, make_profile, profile_from_config
 from .chart import (SurfaceChart, SpaceCurve, PeriodGeometry, builtin_chart,
                     evaluate_chart, chart_partials, period_geometry,
-                    chart_from_config, chart_to_config, load_chart, save_chart)
+                    chart_from_config, chart_to_config, load_chart)
 from .grid import PeriodicGrid, build_grid, cell_average
 from .solver import (ConstraintSystem, RotationMode, assemble_system,
                      recover_deflection)
@@ -39,16 +39,15 @@ from .strains import (StrainSpaces,
                       orthogonality_residual, poisson_ratios)
 from .oracle import (AnalyticMode, MODE_IDS, analytic_mode, canonical_chart,
                      sample_rotation, make_trig_field,
-                     symmetry_lemma_check, scaling_limit_check,
-                     reparametrization_check)
-from .warping import (SectionCurve, section_from_points, shoelace_area,
-                      warping_function, dislocation)
+                     symmetry_lemma_check, scaling_limit_check)
+from .warping import (SectionCurve, section_from_points, warping_function,
+                      dislocation)
 
 __all__ = [
     "Profile", "make_profile", "profile_from_config",
     "SurfaceChart", "SpaceCurve", "PeriodGeometry", "builtin_chart",
     "evaluate_chart", "chart_partials", "period_geometry",
-    "chart_from_config", "chart_to_config", "load_chart", "save_chart",
+    "chart_from_config", "chart_to_config", "load_chart",
     "PeriodicGrid", "build_grid", "cell_average",
     "ConstraintSystem", "RotationMode",
     "assemble_system", "recover_deflection",
@@ -57,9 +56,8 @@ __all__ = [
     "classify_mode", "orthogonality_residual", "poisson_ratios",
     "AnalyticMode", "MODE_IDS", "analytic_mode", "canonical_chart",
     "sample_rotation", "make_trig_field",
-    "symmetry_lemma_check", "scaling_limit_check", "reparametrization_check",
-    "SectionCurve", "section_from_points", "shoelace_area",
-    "warping_function", "dislocation",
+    "symmetry_lemma_check", "scaling_limit_check",
+    "SectionCurve", "section_from_points", "warping_function", "dislocation",
 ]
 
 __version__ = "0.1.0"

@@ -75,6 +75,8 @@ def run_analysis(chart: SurfaceChart, resolution=32,
     tensors normalized per unit RMS rotation.  `pairs` evaluates the strain
     orthogonality identity on every (membrane E, bending chi) pair.
     ``threshold`` is "auto" or a fixed relative cut (see parse_threshold).
+    A cut is ambiguous when it has no clear gap, or when its dims break the
+    rank bound dim E + dim chi <= 3, which any cut can.
     """
     tau = parse_threshold(threshold)
     requested = list(resolution_counts(resolution))
@@ -140,7 +142,8 @@ def run_analysis(chart: SurfaceChart, resolution=32,
                       "E_cut": spaces.E_cut._asdict(),
                       "chi_cut": spaces.chi_cut._asdict(),
                       "ambiguous": spaces.E_cut.ambiguous
-                      or spaces.chi_cut.ambiguous},
+                      or spaces.chi_cut.ambiguous
+                      or not spaces.rank_bound_ok},
         "modes": reps["membrane"] + reps["bending"],
         "pairs": pairs,
         "poisson": poisson,

@@ -381,9 +381,3 @@ def chart_from_config(cfg: dict) -> SurfaceChart:
 def load_chart(path) -> SurfaceChart:
     with open(path) as fh:
         return chart_from_config(json.load(fh))
-
-
-def save_chart(chart: SurfaceChart, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(chart_to_config(chart), fh, indent=2)
-        fh.write("\n")

@@ -4,8 +4,9 @@ Exit codes form a stable contract: 0 success, 1 unreadable or invalid
 surface config (also one the analysis rejects, such as a degenerate crease
 tangent), an invalid resolution, threshold or seed, an output that cannot
 be written, or a solver step that did not converge or lost all precision,
-2 verification failure, 3 ambiguous rank (no clear spectral gap; the report
-is still written).  argparse keeps its own exit code 2 for usage errors.
+2 verification failure, 3 ambiguous rank (no clear spectral gap, or dims
+that break the rank bound dim E + dim chi <= 3; the report is still
+written).  argparse keeps its own exit code 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ def cmd_analyze(args) -> int:
     print(f"  report written to {out / 'report.json'}")
 
     if report["threshold"]["ambiguous"]:
-        print("corruga: ambiguous rank (no clear spectral gap)",
-              file=sys.stderr)
+        why = ("no clear spectral gap" if d["rank_bound_ok"] else
+               f"dim E + dim chi = {d['sum']} breaks the rank bound <= 3")
+        print(f"corruga: ambiguous rank ({why})", file=sys.stderr)
         return 3
     return 0
 

@@ -68,14 +68,6 @@ def _increments(section: SectionCurve) -> np.ndarray:
     return x[1:] * y[:-1] - x[:-1] * y[1:]
 
 
-def shoelace_area(section: SectionCurve) -> float:
-    """Signed enclosed area of a closed section (counterclockwise positive)."""
-    if not section.closed:
-        raise ValueError("shoelace area needs a closed section")
-    x, y = section.x, section.y
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-
-
 def warping_function(section: SectionCurve, alpha: float) -> np.ndarray:
     """Warping values w(s) = alpha * integral of (x'y - xy'), with w(0) = 0,
     one per section sample.

@@ -3,25 +3,22 @@
 Thirteen checks, one test each, run against the full pipeline at the stated
 resolutions. Decay clauses are floor-guarded: piecewise surfaces integrate
 machine-exactly, so their errors sit on the rounding floor at every
-resolution instead of shrinking like h^2.
+resolution instead of shrinking like h^2. Criteria 9, 10 and 11 are the
+`corruga verify` lemma, scaling and warping suites, run as they are.
 """
 
 import numpy as np
 from conftest import (adjugate_residual, analysis_bundle, bending_reps,
-                      membrane_reps)
+                      membrane_reps, reparametrization_check)
 from numpy.linalg import lstsq, norm
 
-from corruga.chart import (SIMPLE_CORRUGATION, TAU, SurfaceChart,
-                           builtin_chart, period_geometry)
+from corruga import analysis
+from corruga.chart import TAU, builtin_chart, period_geometry
 from corruga.grid import build_grid
-from corruga.oracle import (MODE_IDS, analytic_mode, fitted_rate,
-                            make_trig_field, reparametrization_check,
-                            sample_rotation, scaling_limit_check,
-                            symmetry_lemma_check)
+from corruga.oracle import MODE_IDS, analytic_mode, sample_rotation
 from corruga.profiles import make_profile
 from corruga.solver import assemble_system, kernel_distance
 from corruga.strains import orthogonality_residual
-from corruga.warping import dislocation, section_from_points, warping_function
 
 NONTRIVIAL = ("corrugation", "eggbox", "eggbox-hybrid", "miura",
               "translation")
@@ -44,6 +41,21 @@ def _acceptance(n, checks, detail=""):
     tail = detail if not bad else "; ".join(bad)
     print(f"ACCEPTANCE {n:02d}: {status}" + (f" ({tail})" if tail else ""))
     assert not bad, "; ".join(bad)
+
+
+def _suite_acceptance(n, suite):
+    """Criterion n is the `corruga verify` suite whose (ok, lines) result is
+    given: its ok decides, and its check lines give the detail."""
+    ok, lines = suite
+    details, failed = [], []
+    for line in lines[1:]:
+        label, _, value = line.strip()[len("[ok  ] "):].partition("  (")
+        details.append(f"{label.partition(': ')[0]} {value[:-1]}")
+        if "[FAIL]" in line:
+            failed.append(line.strip())
+    _acceptance(n, [(len(lines) > 1, "the suite ran no check"),
+                    (ok, "; ".join(failed) or "the suite failed")],
+                detail="; ".join(details))
 
 
 def _decays(seq, factor, floor):
@@ -225,62 +237,16 @@ def test_criterion_08_bending_growth_structure():
 
 
 def test_criterion_09_symmetry_identity():
-    chart = SurfaceChart(SIMPLE_CORRUGATION, (TAU, TAU),
-                         (make_profile("sinusoidal", 1.0, TAU),))
-    grid = build_grid(chart, 128)
-    rng = np.random.default_rng(20240814)
-    worst = 0.0
-    for _ in range(20):
-        a = make_trig_field(int(rng.integers(1 << 31)))
-        b = make_trig_field(int(rng.integers(1 << 31)))
-        lhs, rhs = symmetry_lemma_check(chart, a, b, grid)
-        scale = max(abs(lhs), abs(rhs), a.rms() * b.rms())
-        worst = max(worst, abs(lhs - rhs) / scale)
-    _acceptance(9, [(worst <= 1e-6, f"identity gap {worst:.2e} > 1e-6")],
-                detail=f"worst gap {worst:.1e} over 20 pairs")
+    _suite_acceptance(9, analysis.verify_lemma(samples=128, npairs=20,
+                                               seed=20240814))
 
 
 def test_criterion_10_scaling_limit():
-    eps = (0.25, 0.125, 0.0625, 0.03125)
-    checks = []
-    rates = {}
-    for mid in MODE_IDS:
-        errs = scaling_limit_check(analytic_mode(mid), eps_list=eps)
-        if mid == "plane-bending":
-            checks.append((np.max(errs) == 0.0,
-                           f"{mid}: error {np.max(errs):.2e} != 0"))
-            continue
-        checks.append((all(b < a for a, b in zip(errs, errs[1:])),
-                       f"{mid}: not monotone {errs}"))
-        rate = fitted_rate(eps, errs)
-        rates[mid] = round(rate, 2)
-        checks.append((rate >= 0.9, f"{mid}: rate {rate:.2f} < 0.9"))
-    _acceptance(10, checks, detail=f"rates {rates}")
+    _suite_acceptance(10, analysis.verify_scaling())
 
 
 def test_criterion_11_warping_identities():
-    theta = np.linspace(0.0, TAU, 1025)
-    circle = section_from_points(np.column_stack([np.cos(theta),
-                                                  np.sin(theta)]),
-                                 closed=True)
-    d_circle = dislocation(circle, alpha=1.0)
-    gap_circle = abs(d_circle + TAU) / TAU
-
-    square = section_from_points([[0, 0], [1, 0], [1, 1], [0, 1]],
-                                 closed=True)
-    d_square = dislocation(square, alpha=1.0)
-
-    a, al = 1.0, 2.0
-    leg = section_from_points([[0, 0], [a, 0], [a, 0.5], [a, 1.0]])
-    w = warping_function(leg, al)
-    hand = np.array([0.0, 0.0, -al * a * 0.5, -al * a * 1.0])
-    gap_leg = np.max(np.abs(w - hand))
-
-    _acceptance(11, [
-        (gap_circle <= 1e-3, f"circle dislocation {d_circle:.6f}"),
-        (d_square == -2.0, f"square dislocation {d_square!r} != -2"),
-        (gap_leg <= 1e-6, f"L-section values off by {gap_leg:.2e}"),
-    ], detail=f"circle {d_circle:.5f}, square {d_square}, leg {gap_leg:.1e}")
+    _suite_acceptance(11, analysis.verify_warping())
 
 
 def test_criterion_12_catalogue_lies_in_numeric_kernel():

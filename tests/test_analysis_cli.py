@@ -10,7 +10,7 @@ import pytest
 from corruga import cli
 from corruga.analysis import (export_modes, run_analysis, verify_lemma,
                               write_report, write_spectrum)
-from corruga.chart import BUILTIN_NAMES, builtin_chart, save_chart
+from corruga.chart import BUILTIN_NAMES, builtin_chart, chart_to_config
 from corruga.strains import vec_sym
 
 REPORT_KEYS = {"E_basis", "chi_basis", "dims", "modes", "pairs", "poisson",
@@ -100,7 +100,7 @@ def test_cli_analyze_builtin(tmp_path, capsys):
 
 def test_cli_analyze_from_config_file(tmp_path):
     cfg = tmp_path / "surface.json"
-    save_chart(builtin_chart("corrugation"), cfg)
+    cfg.write_text(json.dumps(chart_to_config(builtin_chart("corrugation"))))
     out = tmp_path / "run"
     code = cli.main(["analyze", "--surface", str(cfg), "--resolution", "16",
                      "--out", str(out), "--export-obj"])
@@ -147,6 +147,33 @@ def test_cli_exit_code_for_ambiguous_threshold(tmp_path, monkeypatch):
     assert code == 3
     # report still written so the run can be inspected
     assert (out / "report.json").exists()
+
+
+MIURA_LIKE_X4 = {"family": "miura-like", "profiles": [
+    {"kind": "piecewise-quadratic", "amplitude": 4.0},
+    {"kind": "piecewise-linear", "amplitude": 4.0}]}
+
+
+@pytest.mark.parametrize("surface, resolution, threshold", [
+    ("eggbox", "16", "0.125"),          # dims (1, 3)
+    (MIURA_LIKE_X4, "12", "0.1"),       # dims (2, 2)
+], ids=["eggbox@16", "miura-like-x4@12"])
+def test_cli_broken_rank_bound_exits_3(tmp_path, capsys, surface,
+                                       resolution, threshold):
+    # a fixed cut has no gap to miss, but it can still count more strains
+    # than the rank bound allows; that report is ambiguous, not a result
+    if isinstance(surface, dict):
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(surface))
+        surface = str(path)
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", surface, "--resolution",
+                     resolution, "--threshold", threshold, "--out", str(out)])
+    assert code == 3
+    assert "rank bound" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["threshold"]["ambiguous"]
+    assert not report["dims"]["rank_bound_ok"]
 
 
 def test_cli_verify_warping(tmp_path, capsys):

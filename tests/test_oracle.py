@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from conftest import reparametrization_check
 from numpy.testing import assert_allclose
 
 from corruga.chart import (SHEARED_DOUBLE_CORRUGATION, SIMPLE_CORRUGATION,
-                           TAU, SurfaceChart, builtin_chart)
+                           TAU, SurfaceChart)
 from corruga.grid import build_grid, cell_average
 from corruga.oracle import (MODE_IDS, TrigField, analytic_mode, fitted_rate,
-                            make_trig_field, reparametrization_check,
-                            sample_rotation, scaling_limit_check,
-                            symmetry_lemma_check)
+                            make_trig_field, sample_rotation,
+                            scaling_limit_check, symmetry_lemma_check)
 from corruga.profiles import PIECEWISE_QUADRATIC, SINUSOIDAL, make_profile
 from corruga.solver import assemble_system
 
@@ -24,7 +24,7 @@ def test_catalogue_reference_tensors():
     assert_allclose(twist.chi, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
     corr = analytic_mode("corrugation-membrane")
     assert_allclose(corr.E, np.diag([1.0, 0.0]), atol=1e-14)
-    assert not corr.has_growth
+    assert not np.any(corr.W1) and not np.any(corr.W2)
 
 
 def test_sampled_modes_are_discrete_solutions():

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from corruga.warping import (dislocation, section_from_points, shoelace_area,
-                             warping_function)
+from corruga.warping import dislocation, section_from_points, warping_function
 
 
 def _circle(nseg, radius=1.0):
@@ -86,7 +85,9 @@ def test_dislocation_is_shoelace_identity(pts):
     sec = section_from_points(arr, closed=True)
     alpha = 1.7
     lhs = dislocation(sec, alpha)
-    rhs = -2.0 * alpha * shoelace_area(sec)
+    x, y = sec.x, sec.y
+    area = 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+    rhs = -2.0 * alpha * area
     assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
