@@ -71,9 +71,10 @@ def run_analysis(chart: SurfaceChart, resolution=32,
                  threshold="auto") -> dict:
     """Analyze one surface; returns the report dict (JSON-ready values).
 
-    The report's `modes` list holds one entry per extracted representative,
-    tensors normalized per unit RMS rotation.  `pairs` evaluates the strain
-    orthogonality identity on every (membrane E, bending chi) pair.
+    The report's `modes` list holds one entry per representative the
+    strain spans keep, dims.sum in all, tensors normalized per unit RMS
+    rotation.  `pairs` evaluates the strain orthogonality identity on
+    every (membrane E, bending chi) pair.
     ``threshold`` is "auto" or a fixed relative cut (see parse_threshold).
     A cut is ambiguous when it has no clear gap, or when its dims break the
     rank bound dim E + dim chi <= 3, which any cut can.

@@ -34,14 +34,16 @@ strain coordinates; those minimizers are also the representative fields,
 and dimension counts are taken on their strain images.  The growth
 coordinates are data: each growth minimizer fixes them and solves for the
 rotation samples alone.  The symmetric positive definite rotation-sample
-block H = A_w^T A_w + eps I is factored once by a sparse LU with diagonal
-pivots, under a minimum-degree ordering of its graph of nodes (each node's
-3 unknowns stay together); the membrane constraints enter through the
-r x r (r <= 3) Schur complement Lr H^-1 Lr^T, and two refinement steps
-follow.
-That LU is the module's only factorization: kernel_distance certifies a
-sampled field by its residual, one sparse product.  Which levels count as
-achievable is decided in strains.cut.
+block H = A_w^T A_w + eps I is split by the grid's mirror symmetries into
+decoupled blocks, one per parity class (one block, H itself, when the grid
+has no mirror), and each block is factored once by a sparse LU with
+diagonal pivots, under a minimum-degree ordering of its graph of nodes
+(each node's 3 unknowns stay together); the membrane constraints enter
+through the r x r (r <= 3) Schur complement Lr H^-1 Lr^T, and two
+refinement steps follow.
+Those LUs, one per symmetry block, are the module's only factorizations:
+kernel_distance certifies a sampled field by its residual, one sparse
+product.  Which levels count as achievable is decided in strains.cut.
 """
 from __future__ import annotations
 
@@ -67,6 +69,7 @@ SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
 # strain_forms constants; the ridge is relative to sigma_max^2
 EPS_REL = 1e-13          # ridge of the one KKT system
 RANK_RTOL = 1e-10        # rows of the membrane map below this are dropped
+MIRROR_RTOL = 1e-13      # relative gap up to which u, x1, x2, H mirror
 
 
 class SolverError(RuntimeError):
@@ -290,6 +293,103 @@ class QuadraticSpace:
     floor: np.ndarray        # (m,) regularization bias bound per level
 
 
+def _mirror_signs(grid: PeriodicGrid, direction: int):
+    """The diagonal of M for the node reversal k -> n-1-k of one axis, or
+    None when that reversal is not a mirror of the grid.
+
+    The reversal is the mirror about the axis' first breakpoint when
+    u[k] + u[n-1-k] = 2 u[0] + T; it maps arcs onto arcs.  A node it fixed
+    would sit inside an arc mapped onto itself, which a mirror of a chart
+    never has (each profile has an even number of breakpoints), so an odd
+    node count is refused.  A mirror sigma of xi1 maps the partials by
+    x1(sigma xi) = -M x1(xi) and x2(sigma xi) = M x2(xi), one of xi2 the
+    other way round; only a diagonal M of signs is taken.
+    """
+    a = grid.axis(direction)
+    if a.closed or a.n % 2 or not np.allclose(
+            a.u + a.u[::-1], 2 * a.u[0] + a.period, rtol=0.0,
+            atol=MIRROR_RTOL * a.period):
+        return None
+    odd, even = (grid.x1, grid.x2) if direction == 0 else (grid.x2, grid.x1)
+    tol = MIRROR_RTOL * max(np.abs(odd).max(), np.abs(even).max())
+    flip_odd, flip_even = np.flip(odd, direction), np.flip(even, direction)
+    signs = []
+    for c in range(3):
+        fits = [s for s in (1.0, -1.0)
+                if np.abs(flip_even[..., c] - s * even[..., c]).max() <= tol
+                and np.abs(flip_odd[..., c] + s * odd[..., c]).max() <= tol]
+        if not fits:
+            return None
+        signs.append(fits[0])
+    return np.array(signs)
+
+
+def _commutes(H, perm: np.ndarray, sign: np.ndarray) -> bool:
+    """Whether the signed permutation (P w)[i] = sign[i] w[perm[i]], an
+    involution, satisfies P^T H P = H entrywise to MIRROR_RTOL of max|H|.
+
+    P^T H P holds sign[i] sign[j] H[perm[i], perm[j]] at (i, j).
+    """
+    moved = H[perm][:, perm]
+    cols = np.repeat(np.arange(H.shape[1]), np.diff(moved.indptr))
+    moved.data *= sign[moved.indices] * sign[cols]
+    return abs(moved - H).max() <= MIRROR_RTOL * abs(H).max()
+
+
+def _symmetry_blocks(H, grid: PeriodicGrid):
+    """The blocks H_k = Q_k^T H Q_k of the grid's mirror symmetries.
+
+    Each axis whose node reversal is a mirror (_mirror_signs) acts on w as
+    a signed permutation P: node k's unknowns go to node n-1-k, component c
+    times M[c] (w is a pseudovector, and -P commutes with H whenever P
+    does).  The mirrors kept are those with P^T H P = H (_commutes).  The
+    m of them generate a group of 2^m commuting involutions, and each
+    parity class (one sign per mirror) spans the fields that every kept
+    mirror maps to that sign times themselves.  Its orthonormal basis Q_k
+    has one column per orbit of an unknown: the orbit's 2^m unknowns with
+    signs t = +-1, over 2^(m/2), its representative (the image in the
+    first half of each mirrored axis) with t = +1.  The Q_k together are
+    orthogonal and H maps each one's span into itself, so
+    H^-1 = sum_k Q_k H_k^-1 Q_k^T.  With no mirror there is one block,
+    Q = I and H_k = H.
+
+    Yields one (Q_k, H_k) per class.  H_k is CSC and exactly symmetric,
+    its unknowns those of the representative nodes in node order, 3 each.
+    It is gathered from H's representative rows,
+    H_k[x, y] = sum over z in y's orbit of t(z) H[x, z], and symmetrized.
+    """
+    n1, n2 = grid.shape
+    i, j, c = (x.ravel() for x in np.indices((n1, n2, 3)))
+    low, half, mirrors = [i, j], [n1, n2], []
+    own = np.ones(c.size, dtype=bool)      # z is its orbit's representative
+    for d, k in enumerate((i, j)):
+        m = _mirror_signs(grid, d)
+        if m is None:
+            continue
+        image = grid.shape[d] - 1 - k
+        node = image * n2 + j if d == 0 else i * n2 + image
+        if _commutes(H, 3 * node + c, m[c]):
+            mirrors.append((k > image, m[c]))
+            own &= k < image
+            low[d] = np.minimum(k, image)
+            half[d] //= 2
+    col = 3 * (low[0] * half[1] + low[1]) + c     # column of z's orbit
+    nk = 3 * half[0] * half[1]
+    # H's entries in representative rows, the rows as block indices
+    e = own[H.indices]
+    rows, vals = col[H.indices[e]], H.data[e]
+    cols = np.repeat(np.arange(c.size), np.diff(H.indptr))[e]
+
+    for parity in np.ndindex((2,) * len(mirrors)):
+        t = np.ones(c.size)
+        for (far, m), a in zip(mirrors, parity):
+            t[far] *= (-1) ** a * m[far]
+        K = sp.csc_matrix((vals * t[cols], (rows, col[cols])), shape=(nk, nk))
+        Q = sp.csc_matrix((t / np.sqrt(2.0 ** len(mirrors)),
+                           (np.arange(c.size), col)), shape=(c.size, nk))
+        yield Q, ((K + K.T) * 0.5).tocsc()
+
+
 def _node_order(H) -> np.ndarray:
     """A fill-reducing symmetric permutation p of H that keeps every node's
     3 unknowns together, in component order: p = 3 * order + (0, 1, 2).
@@ -318,29 +418,48 @@ def _node_order(H) -> np.ndarray:
     return (3 * order[:, None] + np.arange(3)).ravel()
 
 
-def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray) -> np.ndarray:
+def _block_solver(H, grid: PeriodicGrid):
+    """H^-1 as a function, from one LU per symmetry block.
+
+    Each block H_k (_symmetry_blocks) is permuted symmetrically by
+    _node_order and factored in that order with diagonal pivots: it is
+    symmetric positive definite, so they are stable.  The blocks are
+    factored one after another, and each keeps its factor and its basis,
+    its columns in the factor's order, so a solve is
+    H^-1 b = sum_k Q_k H_k^-1 Q_k^T b.
+    """
+    factors = []
+    for Q, K in _symmetry_blocks(H, grid):
+        p = _node_order(K)
+        lu = spla.splu(K[p][:, p], permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        factors.append((Q[:, p], lu))
+
+    def solve(b):
+        return sum(Q @ lu.solve(Q.T @ b) for Q, lu in factors)
+    return solve
+
+
+def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
+                      grid: PeriodicGrid) -> np.ndarray:
     """Ridge minimizers over the rotation samples w, H = A_w^T A_w + eps I.
 
     Column j < g (g = Gwg.shape[1]) pins growth coordinate j to 1: it
     minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2 with w free, so
     w = -H^-1 Gwg e_j, Gwg = A_w^T A_g.  Column g + i keeps the growth at 0
     and solves Lr w = e_i, the KKT system [[H, Lr^T], [Lr, 0]], by the
-    r x r Schur complement S = Lr H^-1 Lr^T.  Only H enters the sparse LU,
-    permuted symmetrically by _node_order and factored in that order: it is
-    symmetric positive definite, so diagonal pivots are stable.  The solves
-    gather their right-hand sides through p and scatter the result back.
-    One block solve over [-Gwg | Lr^T] and two refinement steps follow, the
-    growth columns against H and the membrane ones against the KKT matrix;
-    the factorization is freed on return.  Returns the w part of all g + r
+    r x r Schur complement S = Lr H^-1 Lr^T.  Only H enters the sparse
+    LUs, one per symmetry block of ``grid`` (_block_solver).  One block
+    solve over [-Gwg | Lr^T] and two refinement steps follow, the growth
+    columns against H and the membrane ones against the KKT matrix; the
+    factorizations are freed on return.  Returns the w part of all g + r
     minimizers as columns.  An ill-conditioned S would give fields that
     break the rank bound, so it raises SolverError instead.
     """
-    p = _node_order(H)
-    q = np.argsort(p)
-    lu = spla.splu(H[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    solve = _block_solver(H, grid)
     g, r = Gwg.shape[1], Lr.shape[0]
-    X = lu.solve(np.hstack([-Gwg, Lr.T])[p])[q]
+    X = solve(np.hstack([-Gwg, Lr.T]))
     Z = X[:, g:]
     S = Lr @ Z
 
@@ -359,7 +478,7 @@ def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray) -> np.ndarray:
     for _ in range(2):
         R = b - H @ W
         R[:, g:] -= Lr.T @ lam
-        T = lu.solve(R[p])[q]
+        T = solve(R)
         d = schur(Lr @ (W[:, g:] + T[:, g:]) - np.eye(r))
         T[:, g:] -= Z @ d
         W += T
@@ -379,8 +498,8 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     The 6 growth coordinates are data, not unknowns: growth minimizer j
     fixes them to e_j and minimizes over w alone, with no membrane
     constraint; membrane minimizer i keeps them at 0 and solves Lr w = e_i.
-    _ridge_minimizers gets both from one factorization of the rotation
-    block H = A_w^T A_w + eps I.  The membrane columns go through the
+    _ridge_minimizers gets both from one LU per symmetry block of the
+    rotation block H = A_w^T A_w + eps I.  The membrane columns go through the
     r x r Schur complement S = Lr H^-1 Lr^T, which is formed; it is
     ill-conditioned on the finest grids, and the two refinement steps
     against the KKT matrix restore what its solve loses.  The levels are
@@ -400,7 +519,8 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     eps = EPS_REL * system.sigma_max() ** 2
     Aw = A[:, :ws]
     H = (Aw.T @ Aw + eps * sp.identity(ws)).tocsc()
-    W = _ridge_minimizers(H, (Aw.T @ A[:, ws:]).toarray(), Ur.T @ L)
+    W = _ridge_minimizers(H, (Aw.T @ A[:, ws:]).toarray(), Ur.T @ L,
+                          system.grid)
 
     def space(Ys, basis):
         _, s, Vt = la.svd(A @ Ys, full_matrices=False)

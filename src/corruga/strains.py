@@ -274,6 +274,15 @@ def _orthonormal_rows(stack: np.ndarray) -> np.ndarray:
     return np.array([_leading_sign(r) * r for r in Vt[:rank]]).reshape(-1, 3)
 
 
+def _spanning(stack: np.ndarray) -> list[int]:
+    """Indices of the (k, 3) rows that each add to the span of the rows
+    before them, ranks taken as in _orthonormal_rows: as many as it keeps."""
+    tol = SPAN_RTOL * la.svdvals(stack)[0] if len(stack) else 0.0
+    ranks = [0] + [int(np.sum(la.svdvals(stack[:k]) > tol))
+                   for k in range(1, len(stack) + 1)]
+    return [k for k in range(len(stack)) if ranks[k + 1] > ranks[k]]
+
+
 def _tensors(rows) -> np.ndarray:
     """(k, 2, 2) symmetric tensors from (k, 3) vec_sym rows, k possibly 0."""
     return np.array([unvec_sym(r) for r in rows]).reshape(-1, 2, 2)
@@ -287,9 +296,10 @@ def effective_spaces(system: ConstraintSystem, h: float,
     directions under the cut are achievable, and chi is a linear function of
     growth alone.  Membrane: the analogous levels over (E11, E12, E22)
     subject to strict periodicity.  Both come from one solver.strain_forms
-    call; representative modes come from its minimizers.  ``h`` is the mesh
-    spacing the analysis is judged at and ``tau`` the fixed cut, if any
-    (see cut).
+    call; representative modes come from its minimizers, one per basis row:
+    a bending one whose chi adds nothing to the span of those before it is
+    dropped.  ``h`` is the mesh spacing the analysis is judged at and
+    ``tau`` the fixed cut, if any (see cut).
     """
     grid = system.grid
     smax = system.sigma_max()
@@ -319,6 +329,7 @@ def effective_spaces(system: ConstraintSystem, h: float,
     membrane, _ = representatives(
         ms, E_cut.count, lambda m: effective_membrane_strain(m, grid))
     chi_rows = _orthonormal_rows(chis)
+    bending = tuple(bending[k] for k in _spanning(chis))
     E_rows = [_leading_sign(r) * r
               for r in (ms.basis @ ms.directions[:, :E_cut.count]).T]
     return StrainSpaces(

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from corruga import solver
-from corruga.chart import BUILTIN_NAMES, builtin_chart
+from corruga.chart import BUILTIN_NAMES, builtin_chart, chart_from_config
 from corruga.grid import (_FIRST, _stencil, build_grid, display_cover,
                           display_lattice, display_positions)
 from corruga.oracle import analytic_mode, sample_rotation
@@ -117,10 +117,24 @@ def test_threshold_policy_rejects_tau_outside_unit_interval(tau):
         parse_threshold(str(tau))
 
 
+# symmetry blocks per builtin at 16: a mirror per broken axis whose node
+# reversal maps the surface onto itself
+BLOCKS = {"plane": 1, "corrugation": 2, "eggbox": 4, "eggbox-hybrid": 2,
+          "miura": 2, "translation": 2}
+
+
+def _rotation_block(system):
+    """H = A_w^T A_w + eps I, as strain_forms builds it."""
+    Aw = system.matrix.tocsr()[:, :system.w_size]
+    eps = solver.EPS_REL * system.sigma_max() ** 2
+    return (Aw.T @ Aw + eps * sp.identity(system.w_size)).tocsc()
+
+
 @pytest.mark.parametrize("name", ["eggbox", "plane"])
 def test_effective_spaces_factors_once(name, monkeypatch):
-    # one factorization, of the symmetric rotation-sample block alone, gives
-    # the growth and the membrane levels, the cuts and the representatives
+    # one factorization per symmetry block, each of an exactly symmetric
+    # block of the rotation-sample matrix alone, gives the growth and the
+    # membrane levels, the cuts and the representatives
     system = assemble_system(build_grid(builtin_chart(name), 16))
     system.sigma_max()
     factored = []
@@ -132,20 +146,21 @@ def test_effective_spaces_factors_once(name, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counted)
     effective_spaces(system, system.grid.h_max)
-    assert len(factored) == 1
-    H = factored[0]
-    assert H.shape == (system.w_size, system.w_size)
-    assert abs(H - H.T).max() == 0.0
+    assert len(factored) == BLOCKS[name]
+    for H in factored:
+        assert H.shape == (system.w_size // BLOCKS[name],) * 2
+        assert abs(H - H.T).max() == 0.0
 
 
-def _one_factorization(system, monkeypatch):
-    """(H, the matrix splu factored, its LU) from strain_forms."""
+def _block_factorizations(system, monkeypatch):
+    """(H, [(the matrix splu factored, its LU)] per block) from
+    strain_forms."""
     blocks, factored = [], []
     ridge, splu = solver._ridge_minimizers, spla.splu
 
-    def spy_ridge(H, Gwg, Lr):
+    def spy_ridge(H, Gwg, Lr, grid):
         blocks.append(H)
-        return ridge(H, Gwg, Lr)
+        return ridge(H, Gwg, Lr, grid)
 
     def spy_splu(K, *args, **kwargs):
         lu = splu(K, *args, **kwargs)
@@ -155,33 +170,104 @@ def _one_factorization(system, monkeypatch):
     monkeypatch.setattr(solver, "_ridge_minimizers", spy_ridge)
     monkeypatch.setattr(spla, "splu", spy_splu)
     strain_forms(system, membrane_row_map(system.grid))
-    (H,), ((K, lu),) = blocks, factored
-    return H, K, lu
+    (H,) = blocks
+    return H, factored
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
 def test_lu_keeps_each_nodes_unknowns_together(name, monkeypatch):
-    # the LU factors H[p][:, p] in that order, and p moves whole nodes: each
-    # node's 3 unknowns are consecutive, in component order
+    # each LU factors its block H_k[p][:, p] in that order, and p moves
+    # whole node orbits: each one's 3 unknowns are consecutive, in
+    # component order
     system = assemble_system(build_grid(builtin_chart(name), 16))
-    H, K, lu = _one_factorization(system, monkeypatch)
-    p = solver._node_order(H)
-    ws = system.w_size
-    assert_array_equal(np.sort(p), np.arange(ws))
-    assert abs(K - H[p][:, p]).max() == 0.0
-    assert_array_equal(lu.perm_c, np.arange(ws))
-    assert_array_equal(lu.perm_r, np.arange(ws))
-    nodes = p.reshape(-1, 3)
-    assert_array_equal(nodes, nodes[:, :1] + np.arange(3))
-    assert np.all(nodes[:, 0] % 3 == 0)
+    H, factored = _block_factorizations(system, monkeypatch)
+    blocks = list(solver._symmetry_blocks(H, system.grid))
+    assert len(factored) == len(blocks) == BLOCKS[name]
+    for (Q, B), (K, lu) in zip(blocks, factored):
+        n = B.shape[0]
+        assert abs(Q.T @ H @ Q - B).max() <= 1e-14 * abs(H).max()
+        p = solver._node_order(B)
+        assert_array_equal(np.sort(p), np.arange(n))
+        assert abs(K - B[p][:, p]).max() == 0.0
+        assert_array_equal(lu.perm_c, np.arange(n))
+        assert_array_equal(lu.perm_r, np.arange(n))
+        nodes = p.reshape(-1, 3)
+        assert_array_equal(nodes, nodes[:, :1] + np.arange(3))
+        assert np.all(nodes[:, 0] % 3 == 0)
 
 
 def test_node_order_fill_on_eggbox(monkeypatch):
-    # nnz(L+U) / nnz(H) at eggbox@32: 13.9 under minimum degree on the 3n
-    # unknowns, 12.8 on the graph of nodes
+    # sum nnz(L+U) / nnz(H) at eggbox@32: 13.9 under minimum degree on the
+    # 3n unknowns of H, 12.8 on the graph of nodes, 8.3 on the node-orbit
+    # graphs of its 4 symmetry blocks
     system = assemble_system(build_grid(builtin_chart("eggbox"), 32))
-    H, _, lu = _one_factorization(system, monkeypatch)
-    assert lu.nnz / H.nnz <= 12.9
+    H, factored = _block_factorizations(system, monkeypatch)
+    assert len(factored) == 4
+    assert sum(lu.nnz for _, lu in factored) / H.nnz <= 8.4
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_symmetry_blocks_per_builtin(name):
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    blocks = list(solver._symmetry_blocks(_rotation_block(system),
+                                          system.grid))
+    assert len(blocks) == BLOCKS[name]
+
+
+@pytest.mark.parametrize("name", ["eggbox", "miura"])
+def test_symmetry_blocks_split_h_orthogonally(name):
+    # the bases together are orthogonal, and H maps each one's span into
+    # itself: the cross blocks are rounding
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    H = _rotation_block(system)
+    Qs = [Q for Q, _ in solver._symmetry_blocks(H, system.grid)]
+    eye = sum(Q @ Q.T for Q in Qs) - sp.identity(system.w_size)
+    assert abs(eye).max() <= 1e-15
+    for a, Qa in enumerate(Qs):
+        for Qb in Qs[a + 1:]:
+            assert abs(Qa.T @ H @ Qb).max() <= 1e-14 * abs(H).max()
+
+
+def test_chart_without_mirrors_factors_once_in_node_order(monkeypatch):
+    # a sinusoid has no breakpoint and this piecewise-quadratic profile's
+    # node reversal is no mirror: one LU of H itself, ordered as it always
+    # was, by minimum degree on H's graph of nodes
+    chart = chart_from_config({
+        "family": "double-corrugation",
+        "profiles": [{"kind": "sinusoidal", "amplitude": 0.5},
+                     {"kind": "piecewise-quadratic", "amplitude": 0.7}]})
+    system = assemble_system(build_grid(chart, 16))
+    H, factored = _block_factorizations(system, monkeypatch)
+    (Q, B), = solver._symmetry_blocks(H, system.grid)
+    assert abs(Q - sp.identity(system.w_size)).max() == 0.0
+    assert abs(B - H).max() == 0.0
+    (K, _), = factored
+    p = solver._node_order(H)
+    assert abs(K - H[p][:, p]).max() == 0.0
+
+
+@pytest.mark.parametrize("name, direction, kept", [("miura", 1, 1),
+                                                    ("eggbox", 0, 2)])
+def test_broken_symmetry_is_refused(name, direction, kept):
+    # one crease row rescaled, of a crease across xi1 (direction 0) or xi2:
+    # the grid and its partials are still mirror images, but H no longer
+    # commutes with a mirror that maps the row onto another.  The mirror
+    # across that crease maps the row onto itself and holds; miura has no
+    # other, and falls back to one block, H itself.
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    grid = system.grid
+    A = system.matrix.tocsr(copy=True)
+    row = system.row_counts()[ROW_PDE]
+    if direction == 1:
+        row += 3 * len(grid.axis1.pairs) * grid.shape[1]
+    A.data[A.indptr[row]:A.indptr[row + 1]] *= 1.5
+    H = _rotation_block(replace(system, matrix=A))
+    blocks = list(solver._symmetry_blocks(H, grid))
+    assert len(blocks) == kept
+    if kept == 1:
+        (Q, B), = blocks
+        assert abs(B - H).max() == 0.0
+        assert abs(Q - sp.identity(system.w_size)).max() == 0.0
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
@@ -193,8 +279,8 @@ def test_ridge_minimizers_match_dense_kkt(name, monkeypatch):
     calls = []
     ridge = solver._ridge_minimizers
 
-    def spy(H, Gwg, Lr):
-        W = ridge(H, Gwg, Lr)
+    def spy(H, Gwg, Lr, grid):
+        W = ridge(H, Gwg, Lr, grid)
         calls.append((H, Gwg, Lr))
         return W
 
