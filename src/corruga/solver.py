@@ -36,14 +36,17 @@ coordinates are data: each growth minimizer fixes them and solves for the
 rotation samples alone.  The symmetric positive definite rotation-sample
 block H = A_w^T A_w + eps I is split by the grid's mirror symmetries into
 decoupled blocks, one per parity class (one block, H itself, when the grid
-has no mirror), and each block is factored once by a sparse LU with
-diagonal pivots, under a minimum-degree ordering of its graph of nodes
-(each node's 3 unknowns stay together); the membrane constraints enter
-through the r x r (r <= 3) Schur complement Lr H^-1 Lr^T, and two
-refinement steps follow.
-Those LUs, one per symmetry block, are the module's only factorizations:
-kernel_distance certifies a sampled field by its residual, one sparse
-product.  Which levels count as achievable is decided in strains.cut.
+has no mirror), and the membrane strain coordinates are split with it.
+The whole solve then runs one block at a time: the block is factored by a
+sparse LU with diagonal pivots, under a minimum-degree ordering of its
+graph of nodes (each node's 3 unknowns stay together); only the growth
+columns and membrane coordinates of its parity are solved, the membrane
+constraints through the block's own r_k x r_k (r_k <= 3) Schur complement,
+two refinement steps follow, and the factor is freed before the next block
+is gathered.  Those LUs, one per symmetry block, are the module's only
+factorizations: kernel_distance certifies a sampled field by its residual,
+one sparse product.  Which levels count as achievable is decided in
+strains.cut.
 """
 from __future__ import annotations
 
@@ -70,6 +73,8 @@ SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
 EPS_REL = 1e-13          # ridge of the one KKT system
 RANK_RTOL = 1e-10        # rows of the membrane map below this are dropped
 MIRROR_RTOL = 1e-13      # relative gap up to which u, x1, x2, H mirror
+SPLIT_RTOL = 1e-13       # membrane rank and parity split, of max row norm
+PROJ_RTOL = 1e-12        # a growth column's share that a block solves
 
 
 class SolverError(RuntimeError):
@@ -336,27 +341,55 @@ def _commutes(H, perm: np.ndarray, sign: np.ndarray) -> bool:
     return abs(moved - H).max() <= MIRROR_RTOL * abs(H).max()
 
 
-def _symmetry_blocks(H, grid: PeriodicGrid):
+def _parity_range(B: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal basis of B's range: its left singular vectors whose
+    singular values exceed SPLIT_RTOL * scale."""
+    U, s, _ = la.svd(B, full_matrices=False)
+    return U[:, s > SPLIT_RTOL * scale]
+
+
+def _splits(Lr: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> bool:
+    """Whether the signed permutation P (as in _commutes) splits the rows
+    of Lr: the ranges of Lr (I + P) and Lr (I - P), taken by _parity_range
+    relative to Lr's largest row norm, are orthogonal to SPLIT_RTOL and
+    together span all r coordinates.
+
+    (Lr P)[:, j] is sign[j] Lr[:, perm[j]].
+    """
+    scale = np.linalg.norm(Lr, axis=1).max(initial=0.0)
+    mirrored = Lr[:, perm] * sign
+    O = np.hstack([_parity_range(Lr + mirrored, 2.0 * scale),
+                   _parity_range(Lr - mirrored, 2.0 * scale)])
+    return (O.shape[1] == Lr.shape[0]
+            and abs(O.T @ O - np.eye(O.shape[1])).max(initial=0.0)
+            <= SPLIT_RTOL)
+
+
+def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray | None = None):
     """The blocks H_k = Q_k^T H Q_k of the grid's mirror symmetries.
 
     Each axis whose node reversal is a mirror (_mirror_signs) acts on w as
     a signed permutation P: node k's unknowns go to node n-1-k, component c
     times M[c] (w is a pseudovector, and -P commutes with H whenever P
-    does).  The mirrors kept are those with P^T H P = H (_commutes).  The
-    m of them generate a group of 2^m commuting involutions, and each
+    does).  The mirrors kept are those with P^T H P = H (_commutes) under
+    which the membrane rows Lr, when given, split (_splits); any other is
+    dropped.  This is decided before the first block is yielded.  The
+    m mirrors kept generate a group of 2^m commuting involutions, and each
     parity class (one sign per mirror) spans the fields that every kept
     mirror maps to that sign times themselves.  Its orthonormal basis Q_k
     has one column per orbit of an unknown: the orbit's 2^m unknowns with
     signs t = +-1, over 2^(m/2), its representative (the image in the
     first half of each mirrored axis) with t = +1.  The Q_k together are
     orthogonal and H maps each one's span into itself, so
-    H^-1 = sum_k Q_k H_k^-1 Q_k^T.  With no mirror there is one block,
-    Q = I and H_k = H.
+    H^-1 = sum_k Q_k H_k^-1 Q_k^T; the ranges of the Lr Q_k are orthogonal
+    and together span Lr's r coordinates.  With no mirror there is one
+    block, Q = I and H_k = H.
 
-    Yields one (Q_k, H_k) per class.  H_k is CSC and exactly symmetric,
-    its unknowns those of the representative nodes in node order, 3 each.
-    It is gathered from H's representative rows,
-    H_k[x, y] = sum over z in y's orbit of t(z) H[x, z], and symmetrized.
+    Yields one (Q_k, H_k) per class, each gathered only when it is asked
+    for.  H_k is CSC and exactly symmetric, its unknowns those of the
+    representative nodes in node order, 3 each.  It is gathered from H's
+    representative rows, H_k[x, y] = sum over z in y's orbit of
+    t(z) H[x, z], and symmetrized.
     """
     n1, n2 = grid.shape
     i, j, c = (x.ravel() for x in np.indices((n1, n2, 3)))
@@ -368,7 +401,8 @@ def _symmetry_blocks(H, grid: PeriodicGrid):
             continue
         image = grid.shape[d] - 1 - k
         node = image * n2 + j if d == 0 else i * n2 + image
-        if _commutes(H, 3 * node + c, m[c]):
+        if _commutes(H, 3 * node + c, m[c]) and (
+                Lr is None or _splits(Lr, 3 * node + c, m[c])):
             mirrors.append((k > image, m[c]))
             own &= k < image
             low[d] = np.minimum(k, image)
@@ -418,50 +452,25 @@ def _node_order(H) -> np.ndarray:
     return (3 * order[:, None] + np.arange(3)).ravel()
 
 
-def _block_solver(H, grid: PeriodicGrid):
-    """H^-1 as a function, from one LU per symmetry block.
+def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
+    """The ridge minimizers of one symmetry block, from its own LU.
 
-    Each block H_k (_symmetry_blocks) is permuted symmetrically by
-    _node_order and factored in that order with diagonal pivots: it is
-    symmetric positive definite, so they are stable.  The blocks are
-    factored one after another, and each keeps its factor and its basis,
-    its columns in the factor's order, so a solve is
-    H^-1 b = sum_k Q_k H_k^-1 Q_k^T b.
+    K is the block, b its growth right-hand sides and C (r_k, n_k) its
+    membrane rows.  K is factored with diagonal pivots (it is symmetric
+    positive definite, so they are stable) and returns X = K^-1 b and the
+    solutions Y of the KKT system [[K, C^T], [C, 0]] [Y; lam] = [0; I]
+    through the r_k x r_k Schur complement S = C K^-1 C^T.  One solve over
+    [b | C^T] and two refinement steps follow, the growth columns against K
+    and the membrane ones against the KKT matrix; the factorization is
+    freed on return.  An ill-conditioned S would give fields that break the
+    rank bound, so it raises SolverError instead.
     """
-    factors = []
-    for Q, K in _symmetry_blocks(H, grid):
-        p = _node_order(K)
-        lu = spla.splu(K[p][:, p], permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        factors.append((Q[:, p], lu))
-
-    def solve(b):
-        return sum(Q @ lu.solve(Q.T @ b) for Q, lu in factors)
-    return solve
-
-
-def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
-                      grid: PeriodicGrid) -> np.ndarray:
-    """Ridge minimizers over the rotation samples w, H = A_w^T A_w + eps I.
-
-    Column j < g (g = Gwg.shape[1]) pins growth coordinate j to 1: it
-    minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2 with w free, so
-    w = -H^-1 Gwg e_j, Gwg = A_w^T A_g.  Column g + i keeps the growth at 0
-    and solves Lr w = e_i, the KKT system [[H, Lr^T], [Lr, 0]], by the
-    r x r Schur complement S = Lr H^-1 Lr^T.  Only H enters the sparse
-    LUs, one per symmetry block of ``grid`` (_block_solver).  One block
-    solve over [-Gwg | Lr^T] and two refinement steps follow, the growth
-    columns against H and the membrane ones against the KKT matrix; the
-    factorizations are freed on return.  Returns the w part of all g + r
-    minimizers as columns.  An ill-conditioned S would give fields that
-    break the rank bound, so it raises SolverError instead.
-    """
-    solve = _block_solver(H, grid)
-    g, r = Gwg.shape[1], Lr.shape[0]
-    X = solve(np.hstack([-Gwg, Lr.T]))
+    lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    g, r = b.shape[1], C.shape[0]
+    X = lu.solve(np.hstack([b, C.T]))
     Z = X[:, g:]
-    S = Lr @ Z
+    S = C @ Z
 
     def schur(rhs):
         with warnings.catch_warnings():
@@ -474,15 +483,58 @@ def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
 
     lam = -schur(np.eye(r))
     W = np.hstack([X[:, :g], -Z @ lam])
-    b = np.hstack([-Gwg, np.zeros((H.shape[0], r))])
+    rhs = np.hstack([b, np.zeros((K.shape[0], r))])
     for _ in range(2):
-        R = b - H @ W
-        R[:, g:] -= Lr.T @ lam
-        T = solve(R)
-        d = schur(Lr @ (W[:, g:] + T[:, g:]) - np.eye(r))
+        R = rhs - K @ W
+        R[:, g:] -= C.T @ lam
+        T = lu.solve(R)
+        d = schur(C @ (W[:, g:] + T[:, g:]) - np.eye(r))
         T[:, g:] -= Z @ d
         W += T
         lam += d
+    return W[:, :g], W[:, g:]
+
+
+def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
+                      grid: PeriodicGrid) -> np.ndarray:
+    """Ridge minimizers over the rotation samples w, H = A_w^T A_w + eps I.
+
+    Column j < g (g = Gwg.shape[1]) pins growth coordinate j to 1: it
+    minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2 with w free, so
+    w = -H^-1 Gwg e_j, Gwg = A_w^T A_g.  Column g + i keeps the growth at 0
+    and solves Lr w = e_i, the KKT system [[H, Lr^T], [Lr, 0]].  Returns the
+    w part of all g + r minimizers as columns.
+
+    The solve runs one symmetry block of ``grid`` at a time
+    (_symmetry_blocks, with the mirrors that split Lr's rows), since H is
+    block diagonal in the Q_k basis and nothing couples the blocks.  Each
+    block is permuted symmetrically by _node_order.  Block k solves
+    H_k X = -Q_k^T Gwg for the growth columns whose projection on it exceeds
+    PROJ_RTOL of their norm.  Its membrane coordinates are parity adapted:
+    U_k, the left singular vectors of B_k = Lr Q_k above SPLIT_RTOL of Lr's
+    largest row norm, form together an orthogonal O = [U_1 ... U_K], and
+    the block solves U_k^T B_k y = I through its own r_k x r_k Schur
+    complement.  The membrane columns are mapped back by O^T, so they solve
+    Lr w = e_i.  _block_minimizers factors, solves and refines each block
+    and frees its LU before the next block is gathered; a block that no
+    column reaches is not factored.
+    """
+    g, r = Gwg.shape[1], Lr.shape[0]
+    scale = np.linalg.norm(Lr, axis=1).max(initial=0.0)
+    col = np.linalg.norm(Gwg, axis=0)
+    W = np.zeros((H.shape[0], g + r))
+    for Q, K in _symmetry_blocks(H, grid, Lr):
+        p = _node_order(K)
+        Q = Q[:, p]
+        b = -(Q.T @ Gwg)
+        grow = np.linalg.norm(b, axis=0) > PROJ_RTOL * col
+        B = (Q.T @ Lr.T).T
+        U = _parity_range(B, scale)
+        if not grow.any() and not U.size:
+            continue
+        X, Y = _block_minimizers(K[p][:, p], b[:, grow], U.T @ B)
+        W[:, :g][:, grow] += Q @ X
+        W[:, g:] += Q @ (Y @ U.T)
     return W
 
 
@@ -499,10 +551,12 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     fixes them to e_j and minimizes over w alone, with no membrane
     constraint; membrane minimizer i keeps them at 0 and solves Lr w = e_i.
     _ridge_minimizers gets both from one LU per symmetry block of the
-    rotation block H = A_w^T A_w + eps I.  The membrane columns go through the
-    r x r Schur complement S = Lr H^-1 Lr^T, which is formed; it is
-    ill-conditioned on the finest grids, and the two refinement steps
-    against the KKT matrix restore what its solve loses.  The levels are
+    rotation block H = A_w^T A_w + eps I, solved, refined and freed one
+    block at a time, with Lr's coordinates split by parity.  The membrane
+    columns go through each block's r_k x r_k Schur complement, which is
+    formed; it is ill-conditioned on the finest grids, and the two
+    refinement steps against the block's KKT matrix restore what its solve
+    loses.  The levels are
     the singular values of A times the minimizers, never square roots of
     their Gram form.  The near-vanishing ridge (EPS_REL) leaves the
     residuals essentially unbiased, and the minimizers along the directions

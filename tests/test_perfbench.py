@@ -3,10 +3,12 @@
 perfbench/ builds its workloads from corruga's public functions and times
 them by rebinding module attributes; a renamed or removed entry point shows
 up there as a missing span, not as an error.  This builds every workload,
-runs its warm-up items under the tracer and checks what the tracer found.
+runs its warm-up items under the tracer and checks what the tracer found,
+the SuperLU factorizations and their solves included.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -14,6 +16,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # entry points the harness still lists though the pipeline no longer has
 # them: the strain forms replaced both
 KNOWN_MISSING = ["solver.growth_space", "solver.constrained_space"]
+EGGBOX_BLOCKS = 4
 
 
 def test_benchmark_workloads_find_their_entry_points(tmp_path, monkeypatch):
@@ -29,12 +32,25 @@ def test_benchmark_workloads_find_their_entry_points(tmp_path, monkeypatch):
         built[name] = build(1, work)
     tracer = spans.Tracer()
     tracer.install()
+    checks = {}
     try:
-        checks = {f"{name}/{item.id}": item.check(item.run())
-                  for name, wl in built.items() for item in wl.warmup}
+        for name, wl in built.items():
+            for item in wl.warmup:
+                tracer.item = f"{name}/{item.id}"
+                checks[tracer.item] = item.check(item.run())
     finally:
         tracer.uninstall()
     assert checks and all(bad == [] for bad in checks.values()), checks
     assert tracer.missing == KNOWN_MISSING
     for key in ("grid.nodes", "solver.unknowns", "solver.nnz"):
         assert tracer.sizes.get(key, 0) > 0, key
+    # every LU goes through the traced splu: one per symmetry block of each
+    # warm-up analysis (eggbox has a mirror per axis, so 4 blocks, each
+    # reached by its columns), and the catalogue factors nothing
+    factored = Counter(item for span, *_, item in tracer.spans
+                       if span == spans.SPLU)
+    assert factored == {f"{name}/{item.id}": EGGBOX_BLOCKS
+                        for name in ("analyze-sweep", "analyze-fine")
+                        for item in built[name].warmup}
+    assert len(tracer.lu) == sum(factored.values())
+    assert tracer.lu_solves > 0
