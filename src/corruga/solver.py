@@ -37,20 +37,22 @@ rotation samples alone.  The symmetric positive definite rotation-sample
 block H = A_w^T A_w + eps I is split by the grid's mirror symmetries into
 decoupled blocks, one per parity class (one block, H itself, when the grid
 has no mirror), and the membrane strain coordinates are split with it.
-The whole solve then runs one block at a time: the block is factored by a
-sparse LU with diagonal pivots, under a minimum-degree ordering of its
-graph of nodes (each node's 3 unknowns stay together); only the growth
-columns and membrane coordinates of its parity are solved, the membrane
-constraints through the block's own r_k x r_k (r_k <= 3) Schur complement,
-two refinement steps follow, and the factor is freed before the next block
-is gathered.  Those LUs, one per symmetry block, are the module's only
-factorizations: kernel_distance certifies a sampled field by its residual,
-one sparse product.  Which levels count as achievable is decided in
+The whole solve then runs one block at a time: the block is put in a
+reverse Cuthill-McKee order of its graph of nodes (each node's 3 unknowns
+stay together), which makes it a narrow band, and that band is factored by
+LAPACK's banded Cholesky; only the growth columns and membrane coordinates
+of its parity are solved, the membrane constraints through the block's own
+r_k x r_k (r_k <= 3) Schur complement, two refinement steps follow, and
+the factor is freed before the next block is gathered.  Those Cholesky
+factors, one per symmetry block, are the module's only factorizations:
+kernel_distance certifies a sampled field by its residual, one sparse
+product.  Which levels count as achievable is decided in
 strains.cut.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import os
 import warnings
 
 import numpy as np
@@ -425,50 +427,73 @@ def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray | None = None):
 
 
 def _node_order(H) -> np.ndarray:
-    """A fill-reducing symmetric permutation p of H that keeps every node's
-    3 unknowns together, in component order: p = 3 * order + (0, 1, 2).
+    """A bandwidth-reducing symmetric permutation p of H that keeps every
+    node's 3 unknowns together, in component order: p = 3 * order + (0, 1, 2).
 
-    ``order`` is SuperLU's minimum degree on the n x n node graph, where
-    nodes i and j are adjacent when the block H[3i:3i+3, 3j:3j+3] is
-    nonzero.  Compressing the graph first gives less fill than ordering the
-    3n unknowns one by one (Ashcraft, SIAM J. Sci. Comput. 16(6), 1995).
-    An incomplete LU that drops every off-diagonal entry computes that
-    ordering at almost no cost; its matrix is a diagonally dominant
-    M-matrix on the node pattern, so it meets no zero pivot.  H is CSC:
-    node j's columns 3j..3j+2 are contiguous there, so the node matrix
-    reuses H's column pointers (spilu sums the repeated entries).
+    ``order`` is reverse Cuthill-McKee on the n x n node graph, where nodes
+    i and j are adjacent when the block H[3i:3i+3, 3j:3j+3] is nonzero
+    (Cuthill & McKee, ACM 1969; George & Liu, 1981).  A mirror block is a
+    node rectangle with reflecting ends and no wrap, and H couples nodes at
+    most 4 apart along each axis, so this order makes it a narrow band.  H
+    is CSC: node j's columns 3j..3j+2 are contiguous there, so the node
+    matrix reuses H's column pointers, its repeated entries summed.
     """
     n = H.shape[0] // 3
-    starts = H.indptr[::3].copy()
-    rows = H.indices // 3
-    cols = np.repeat(np.arange(n), np.diff(starts))
-    N = sp.csc_matrix((np.where(rows == cols, float(H.nnz), -1.0), rows,
-                       starts), shape=(n, n))
-    ilu = spla.spilu(N, drop_tol=np.inf, fill_factor=1,
-                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
-    # perm_c[i] is the new position of node i
-    order = np.argsort(ilu.perm_c)
+    N = sp.csc_matrix((np.ones(H.nnz), H.indices // 3, H.indptr[::3].copy()),
+                      shape=(n, n))
+    N.sum_duplicates()
+    order = sp.csgraph.reverse_cuthill_mckee(N, symmetric_mode=True)
     return (3 * order[:, None] + np.arange(3)).ravel()
 
 
-def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
-    """The ridge minimizers of one symmetry block, from its own LU.
+def _band_limit() -> int:
+    """Bytes one block's banded factor may take: half of physical memory."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
-    K is the block, b its growth right-hand sides and C (r_k, n_k) its
-    membrane rows.  K is factored with diagonal pivots (it is symmetric
-    positive definite, so they are stable) and returns X = K^-1 b and the
-    solutions Y of the KKT system [[K, C^T], [C, 0]] [Y; lam] = [0; I]
-    through the r_k x r_k Schur complement S = C K^-1 C^T.  One solve over
-    [b | C^T] and two refinement steps follow, the growth columns against K
-    and the membrane ones against the KKT matrix; the factorization is
-    freed on return.  An ill-conditioned S would give fields that break the
-    rank bound, so it raises SolverError instead.
+
+def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
+    """The ridge minimizers of one symmetry block, from its own banded
+    Cholesky factor.
+
+    K is the block (CSC, exactly symmetric, in _node_order), b its growth
+    right-hand sides and C (r_k, n_k) its membrane rows.  K's lower band,
+    of half-bandwidth w, is written into LAPACK's (w + 1, n_k) banded
+    storage and factored in place, K = L L^T (dpbtrf); a block that is not
+    positive definite, or whose 8 (w + 1) n_k bytes exceed _band_limit,
+    raises SolverError before anything is solved.  The factor gives
+    X = K^-1 b and the solutions Y of the KKT system
+    [[K, C^T], [C, 0]] [Y; lam] = [0; I] through the r_k x r_k Schur
+    complement S = C K^-1 C^T.  One solve over [b | C^T] and two refinement
+    steps follow, the growth columns against K and the membrane ones against
+    the KKT matrix; the factor is freed on return.  An ill-conditioned S
+    would give fields that break the rank bound, so it raises SolverError
+    instead.
     """
-    lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    n = K.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(K.indptr))
+    off = K.indices - cols
+    w = int(off.max(initial=0))
+    need, limit = 8 * (w + 1) * n, _band_limit()
+    if need > limit:
+        raise SolverError(
+            f"the banded factor of a symmetry block of {n} unknowns "
+            f"(half-bandwidth {w}) needs {need} bytes, more than the "
+            f"{limit} bytes allowed (half of physical memory)")
+    band = np.zeros((w + 1, n), order="F")
+    low = off >= 0
+    band[off[low], cols[low]] = K.data[low]
+    try:
+        band = la.cholesky_banded(band, overwrite_ab=True, lower=True,
+                                  check_finite=False)
+    except la.LinAlgError as exc:
+        raise SolverError(f"a symmetry block of {n} unknowns is not "
+                          f"positive definite: {exc}") from exc
+
+    def solve(rhs):
+        return la.cho_solve_banded((band, True), rhs, check_finite=False)
+
     g, r = b.shape[1], C.shape[0]
-    X = lu.solve(np.hstack([b, C.T]))
+    X = solve(np.hstack([b, C.T]))
     Z = X[:, g:]
     S = C @ Z
 
@@ -483,11 +508,11 @@ def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
 
     lam = -schur(np.eye(r))
     W = np.hstack([X[:, :g], -Z @ lam])
-    rhs = np.hstack([b, np.zeros((K.shape[0], r))])
+    rhs = np.hstack([b, np.zeros((n, r))])
     for _ in range(2):
         R = rhs - K @ W
         R[:, g:] -= C.T @ lam
-        T = lu.solve(R)
+        T = solve(R)
         d = schur(C @ (W[:, g:] + T[:, g:]) - np.eye(r))
         T[:, g:] -= Z @ d
         W += T
@@ -508,16 +533,16 @@ def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
     The solve runs one symmetry block of ``grid`` at a time
     (_symmetry_blocks, with the mirrors that split Lr's rows), since H is
     block diagonal in the Q_k basis and nothing couples the blocks.  Each
-    block is permuted symmetrically by _node_order.  Block k solves
-    H_k X = -Q_k^T Gwg for the growth columns whose projection on it exceeds
-    PROJ_RTOL of their norm.  Its membrane coordinates are parity adapted:
-    U_k, the left singular vectors of B_k = Lr Q_k above SPLIT_RTOL of Lr's
-    largest row norm, form together an orthogonal O = [U_1 ... U_K], and
-    the block solves U_k^T B_k y = I through its own r_k x r_k Schur
-    complement.  The membrane columns are mapped back by O^T, so they solve
-    Lr w = e_i.  _block_minimizers factors, solves and refines each block
-    and frees its LU before the next block is gathered; a block that no
-    column reaches is not factored.
+    block is permuted symmetrically into a band by _node_order.  Block k
+    solves H_k X = -Q_k^T Gwg for the growth columns whose projection on it
+    exceeds PROJ_RTOL of their norm.  Its membrane coordinates are parity
+    adapted: U_k, the left singular vectors of B_k = Lr Q_k above
+    SPLIT_RTOL of Lr's largest row norm, form together an orthogonal
+    O = [U_1 ... U_K], and the block solves U_k^T B_k y = I through its own
+    r_k x r_k Schur complement.  The membrane columns are mapped back by
+    O^T, so they solve Lr w = e_i.  _block_minimizers factors each block by
+    banded Cholesky, solves and refines it, and frees its factor before the
+    next block is gathered; a block that no column reaches is not factored.
     """
     g, r = Gwg.shape[1], Lr.shape[0]
     scale = np.linalg.norm(Lr, axis=1).max(initial=0.0)
@@ -550,17 +575,17 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     The 6 growth coordinates are data, not unknowns: growth minimizer j
     fixes them to e_j and minimizes over w alone, with no membrane
     constraint; membrane minimizer i keeps them at 0 and solves Lr w = e_i.
-    _ridge_minimizers gets both from one LU per symmetry block of the
-    rotation block H = A_w^T A_w + eps I, solved, refined and freed one
-    block at a time, with Lr's coordinates split by parity.  The membrane
-    columns go through each block's r_k x r_k Schur complement, which is
-    formed; it is ill-conditioned on the finest grids, and the two
-    refinement steps against the block's KKT matrix restore what its solve
-    loses.  The levels are
-    the singular values of A times the minimizers, never square roots of
-    their Gram form.  The near-vanishing ridge (EPS_REL) leaves the
-    residuals essentially unbiased, and the minimizers along the directions
-    under the cap are the representative fields.
+    _ridge_minimizers gets both from one banded Cholesky factor per
+    symmetry block of the rotation block H = A_w^T A_w + eps I, solved,
+    refined and freed one block at a time, with Lr's coordinates split by
+    parity.  The membrane columns go through each block's r_k x r_k Schur
+    complement, which is formed; it is ill-conditioned on the finest grids,
+    and the two refinement steps against the block's KKT matrix restore
+    what its solve loses.  The levels are the singular values of A times
+    the minimizers, never square roots of their Gram form.  The
+    near-vanishing ridge (EPS_REL) leaves the residuals essentially
+    unbiased, and the minimizers along the directions under the cap are the
+    representative fields.
     """
     A = system.matrix.tocsr()
     ws = system.w_size

@@ -295,6 +295,34 @@ def test_cli_ill_conditioned_schur_complement_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_a_band_over_the_memory_limit(tmp_path, capsys,
+                                                  monkeypatch):
+    # the banded factor's size, 8 (w + 1) n bytes, is known before it is
+    # allocated: over the limit (half of physical memory, patched down
+    # here), the run exits 1 with the block's size, the bytes it needs and
+    # the limit, and nothing is factored
+    import re
+    import scipy.linalg as la
+    from corruga import solver
+
+    def never(*args, **kwargs):
+        raise AssertionError("factored a block over the limit")
+
+    monkeypatch.setattr(solver, "_band_limit", lambda: 100_000)
+    monkeypatch.setattr(la, "cholesky_banded", never)
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", "eggbox", "--resolution", "16",
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    found = re.search(r"block of (\d+) unknowns \(half-bandwidth (\d+)\) "
+                      r"needs (\d+) bytes, more than the 100000 bytes", err)
+    assert found and "solver failed" in err, err
+    n, w, need = map(int, found.groups())
+    assert need == 8 * (w + 1) * n > 100_000
+    assert not out.exists()
+
+
 def test_cli_rejects_profile_less_translation_curve(tmp_path, capsys):
     cfg = _write_json(tmp_path / "bare.json",
                       '{"family": "translation-surface", "profiles": ['

@@ -3,13 +3,16 @@
 perfbench/ builds its workloads from corruga's public functions and times
 them by rebinding module attributes; a renamed or removed entry point shows
 up there as a missing span, not as an error.  This builds every workload,
-runs its warm-up items under the tracer and checks what the tracer found,
-the SuperLU factorizations and their solves included.
+runs its warm-up items under the tracer and checks what the tracer found.
+The pipeline factors by banded Cholesky, not SuperLU, so the harness's
+``splu`` wrapper sees no call and its LU metrics read absent.
 """
 
 import sys
 from collections import Counter
 from pathlib import Path
+
+import scipy.linalg as la
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,6 +34,14 @@ def test_benchmark_workloads_find_their_entry_points(tmp_path, monkeypatch):
         work.mkdir()
         built[name] = build(1, work)
     tracer = spans.Tracer()
+    factored = Counter()
+    cholesky = la.cholesky_banded
+
+    def counted(*args, **kwargs):
+        factored[tracer.item] += 1
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(la, "cholesky_banded", counted)
     tracer.install()
     checks = {}
     try:
@@ -44,13 +55,13 @@ def test_benchmark_workloads_find_their_entry_points(tmp_path, monkeypatch):
     assert tracer.missing == KNOWN_MISSING
     for key in ("grid.nodes", "solver.unknowns", "solver.nnz"):
         assert tracer.sizes.get(key, 0) > 0, key
-    # every LU goes through the traced splu: one per symmetry block of each
-    # warm-up analysis (eggbox has a mirror per axis, so 4 blocks, each
-    # reached by its columns), and the catalogue factors nothing
-    factored = Counter(item for span, *_, item in tracer.spans
-                       if span == spans.SPLU)
+    # one factorization per symmetry block of each warm-up analysis
+    # (eggbox has a mirror per axis, so 4 blocks, each reached by its
+    # columns), and the catalogue factors nothing; the blocks are factored
+    # by banded Cholesky, so the traced splu sees no span, LU or solve
     assert factored == {f"{name}/{item.id}": EGGBOX_BLOCKS
                         for name in ("analyze-sweep", "analyze-fine")
                         for item in built[name].warmup}
-    assert len(tracer.lu) == sum(factored.values())
-    assert tracer.lu_solves > 0
+    assert not any(span == spans.SPLU for span, *_ in tracer.spans)
+    assert tracer.lu == []
+    assert tracer.lu_solves == 0

@@ -131,6 +131,59 @@ def _rotation_block(system):
     return (Aw.T @ Aw + eps * sp.identity(system.w_size)).tocsc()
 
 
+def _spy_factors(monkeypatch):
+    """Patch the banded Cholesky route of _block_minimizers.  Returns a dict
+    of lists, one entry per factorization: "blocks" the block K that
+    _block_minimizers was given, "bands" a copy of the band that
+    la.cholesky_banded factored, "alive" how many factors were alive right
+    after it was made (weakref.finalize on the factor array itself), and
+    "solves" the column count of each la.cho_solve_banded call with it."""
+    block_minimizers = solver._block_minimizers
+    cholesky, cho_solve = la.cholesky_banded, la.cho_solve_banded
+    rec = {"blocks": [], "bands": [], "alive": [], "solves": []}
+    live, latest = [0], [lambda: None]
+
+    def freed():
+        live[0] -= 1
+
+    def spy_block(K, b, C):
+        rec["blocks"].append(K)
+        return block_minimizers(K, b, C)
+
+    def spy_cholesky(ab, *args, **kwargs):
+        rec["bands"].append(ab.copy())
+        factor = cholesky(ab, *args, **kwargs)
+        weakref.finalize(factor, freed)
+        live[0] += 1
+        rec["alive"].append(live[0])
+        rec["solves"].append([])
+        latest[0] = weakref.ref(factor)
+        return factor
+
+    def spy_solve(cb_and_lower, b, *args, **kwargs):
+        assert cb_and_lower[0] is latest[0]()
+        rec["solves"][-1].append(b.shape[1])
+        return cho_solve(cb_and_lower, b, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_block_minimizers", spy_block)
+    monkeypatch.setattr(la, "cholesky_banded", spy_cholesky)
+    monkeypatch.setattr(la, "cho_solve_banded", spy_solve)
+    return rec
+
+
+def _lower_band(K):
+    """LAPACK's lower banded storage of tril(K), from its dense diagonals:
+    row d holds the d-th subdiagonal, zero past its end, down to the lowest
+    subdiagonal with a nonzero."""
+    A = np.tril(K.toarray())
+    i, j = np.nonzero(A)
+    n = A.shape[0]
+    band = np.zeros(((i - j).max() + 1, n))
+    for d in range(band.shape[0]):
+        band[d, :n - d] = np.diagonal(A, -d)
+    return band
+
+
 @pytest.mark.parametrize("name", ["eggbox", "plane"])
 def test_effective_spaces_factors_once(name, monkeypatch):
     # one factorization per symmetry block, each of an exactly symmetric
@@ -138,73 +191,64 @@ def test_effective_spaces_factors_once(name, monkeypatch):
     # membrane levels, the cuts and the representatives
     system = assemble_system(build_grid(builtin_chart(name), 16))
     system.sigma_max()
-    factored = []
-    splu = spla.splu
-
-    def counted(H, *args, **kwargs):
-        factored.append(H)
-        return splu(H, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted)
+    rec = _spy_factors(monkeypatch)
     effective_spaces(system, system.grid.h_max)
-    assert len(factored) == BLOCKS[name]
-    for H in factored:
-        assert H.shape == (system.w_size // BLOCKS[name],) * 2
-        assert abs(H - H.T).max() == 0.0
+    assert len(rec["bands"]) == len(rec["blocks"]) == BLOCKS[name]
+    for K, band in zip(rec["blocks"], rec["bands"]):
+        assert K.shape == (system.w_size // BLOCKS[name],) * 2
+        assert abs(K - K.T).max() == 0.0
+        assert_array_equal(band, _lower_band(K))
 
 
 def _block_factorizations(system, monkeypatch):
-    """(H, [(the matrix splu factored, its LU)] per block) from
-    strain_forms."""
-    blocks, factored = [], []
-    ridge, splu = solver._ridge_minimizers, spla.splu
+    """(H, the _spy_factors record) from strain_forms."""
+    blocks = []
+    ridge = solver._ridge_minimizers
 
     def spy_ridge(H, Gwg, Lr, grid):
         blocks.append(H)
         return ridge(H, Gwg, Lr, grid)
 
-    def spy_splu(K, *args, **kwargs):
-        lu = splu(K, *args, **kwargs)
-        factored.append((K, lu))
-        return lu
-
     monkeypatch.setattr(solver, "_ridge_minimizers", spy_ridge)
-    monkeypatch.setattr(spla, "splu", spy_splu)
+    rec = _spy_factors(monkeypatch)
     strain_forms(system, membrane_row_map(system.grid))
     (H,) = blocks
-    return H, factored
+    return H, rec
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
 def test_lu_keeps_each_nodes_unknowns_together(name, monkeypatch):
-    # each LU factors its block H_k[p][:, p] in that order, and p moves
-    # whole node orbits: each one's 3 unknowns are consecutive, in
-    # component order
+    # each Cholesky factor is of its block H_k[p][:, p], in that order: the
+    # band it factors is exactly tril(H_k[p][:, p]), and p moves whole node
+    # orbits: each one's 3 unknowns are consecutive, in component order
     system = assemble_system(build_grid(builtin_chart(name), 16))
-    H, factored = _block_factorizations(system, monkeypatch)
+    H, rec = _block_factorizations(system, monkeypatch)
     blocks = list(solver._symmetry_blocks(H, system.grid))
-    assert len(factored) == len(blocks) == BLOCKS[name]
-    for (Q, B), (K, lu) in zip(blocks, factored):
+    assert len(rec["bands"]) == len(blocks) == BLOCKS[name]
+    for (Q, B), K, band in zip(blocks, rec["blocks"], rec["bands"]):
         n = B.shape[0]
         assert abs(Q.T @ H @ Q - B).max() <= 1e-14 * abs(H).max()
         p = solver._node_order(B)
         assert_array_equal(np.sort(p), np.arange(n))
         assert abs(K - B[p][:, p]).max() == 0.0
-        assert_array_equal(lu.perm_c, np.arange(n))
-        assert_array_equal(lu.perm_r, np.arange(n))
+        assert_array_equal(band, _lower_band(B[p][:, p]))
         nodes = p.reshape(-1, 3)
         assert_array_equal(nodes, nodes[:, :1] + np.arange(3))
         assert np.all(nodes[:, 0] % 3 == 0)
 
 
 def test_node_order_fill_on_eggbox(monkeypatch):
-    # sum nnz(L+U) / nnz(H) at eggbox@32: 13.9 under minimum degree on the
-    # 3n unknowns of H, 12.8 on the graph of nodes, 8.3 on the node-orbit
-    # graphs of its 4 symmetry blocks
-    system = assemble_system(build_grid(builtin_chart("eggbox"), 32))
-    H, factored = _block_factorizations(system, monkeypatch)
-    assert len(factored) == 4
-    assert sum(lu.nnz for _, lu in factored) / H.nnz <= 8.4
+    # the factor is the band: half-bandwidth 199 in each of eggbox@32's 4
+    # symmetry blocks, 381 in each of eggbox-hybrid@32's 2 blocks, whose
+    # row-major node order would give 1683
+    for name, blocks, width in (("eggbox", 4, 199),
+                                ("eggbox-hybrid", 2, 381)):
+        system = assemble_system(build_grid(builtin_chart(name), 32))
+        _, rec = _block_factorizations(system, monkeypatch)
+        assert len(rec["bands"]) == blocks
+        for band in rec["bands"]:
+            assert band.shape[0] - 1 <= 1.02 * width
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -231,20 +275,21 @@ def test_symmetry_blocks_split_h_orthogonally(name):
 
 def test_chart_without_mirrors_factors_once_in_node_order(monkeypatch):
     # a sinusoid has no breakpoint and this piecewise-quadratic profile's
-    # node reversal is no mirror: one LU of H itself, ordered as it always
-    # was, by minimum degree on H's graph of nodes
+    # node reversal is no mirror: one factor of H itself, in its band order
+    # on H's graph of nodes
     chart = chart_from_config({
         "family": "double-corrugation",
         "profiles": [{"kind": "sinusoidal", "amplitude": 0.5},
                      {"kind": "piecewise-quadratic", "amplitude": 0.7}]})
     system = assemble_system(build_grid(chart, 16))
-    H, factored = _block_factorizations(system, monkeypatch)
+    H, rec = _block_factorizations(system, monkeypatch)
     (Q, B), = solver._symmetry_blocks(H, system.grid)
     assert abs(Q - sp.identity(system.w_size)).max() == 0.0
     assert abs(B - H).max() == 0.0
-    (K, _), = factored
+    (K,), (band,) = rec["blocks"], rec["bands"]
     p = solver._node_order(H)
     assert abs(K - H[p][:, p]).max() == 0.0
+    assert_array_equal(band, _lower_band(H[p][:, p]))
 
 
 @pytest.mark.parametrize("name, direction, kept", [("miura", 1, 1),
@@ -280,47 +325,14 @@ def _membrane_rows(system, L=None):
     return U[:, :int(np.sum(sv > solver.RANK_RTOL * sv[0]))].T @ L
 
 
-class _TrackedLU:
-    """A factorization whose solves are recorded; SuperLU itself takes no
-    weak reference, so its lifetime is read off this wrapper's."""
-
-    def __init__(self, lu, solves):
-        self._lu, self._solves = lu, solves
-
-    def solve(self, b):
-        self._solves.append(b.shape[1])
-        return self._lu.solve(b)
-
-
-def _tracked_factorizations(monkeypatch):
-    """Patch spla.splu; returns (alive, solves): per factorization, how many
-    were alive right after it was made, and the column count of each of its
-    solves."""
-    splu, live, alive, solves = spla.splu, [0], [], []
-
-    def freed():
-        live[0] -= 1
-
-    def tracked(K, *args, **kwargs):
-        solves.append([])
-        lu = _TrackedLU(splu(K, *args, **kwargs), solves[-1])
-        weakref.finalize(lu, freed)
-        live[0] += 1
-        alive.append(live[0])
-        return lu
-
-    monkeypatch.setattr(spla, "splu", tracked)
-    return alive, solves
-
-
 @pytest.mark.parametrize("name", ["eggbox", "miura"])
 def test_each_block_factor_is_freed_before_the_next(name, monkeypatch):
     # one factor alive at a time: each block is factored, solved and
-    # refined, and its LU freed before the next block's is made
+    # refined, and its factor freed before the next block's is made
     system = assemble_system(build_grid(builtin_chart(name), 16))
-    alive, _ = _tracked_factorizations(monkeypatch)
+    rec = _spy_factors(monkeypatch)
     strain_forms(system, membrane_row_map(system.grid))
-    assert alive == [1] * BLOCKS[name]
+    assert rec["alive"] == [1] * BLOCKS[name]
 
 
 def test_block_solves_take_only_their_columns(monkeypatch):
@@ -329,12 +341,23 @@ def test_block_solves_take_only_their_columns(monkeypatch):
     # and each membrane coordinate 1 block, so a round solves 15
     # block-columns, not 4 x 9
     system = assemble_system(build_grid(builtin_chart("eggbox"), 32))
-    _, solves = _tracked_factorizations(monkeypatch)
+    rec = _spy_factors(monkeypatch)
     strain_forms(system, membrane_row_map(system.grid))
+    solves = rec["solves"]
     assert len(solves) == 4
     for cols in solves:
         assert len(cols) == 3 and len(set(cols)) == 1
     assert sum(cols[0] for cols in solves) == 15
+
+
+def test_indefinite_block_is_refused():
+    # a symmetric block with a negative pivot has no Cholesky factor: the
+    # solve refuses it instead of returning fields from a broken factor
+    K = sp.csc_matrix(np.array([[2.0, 1.0, 0.0],
+                                [1.0, -1.0, 1.0],
+                                [0.0, 1.0, 2.0]]))
+    with pytest.raises(SolverError, match="not positive definite"):
+        solver._block_minimizers(K, np.ones((3, 1)), np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "eggbox-hybrid"])
@@ -373,9 +396,9 @@ def test_mirror_that_does_not_split_membrane_rows_is_refused(name,
     # holds less precision than on the surface itself (1e-9 to 3e-8 here,
     # in one block or in the mirror blocks), where a kept mirror would
     # leave errors of order 1
-    alive, _ = _tracked_factorizations(monkeypatch)
+    rec = _spy_factors(monkeypatch)
     _, membrane = strain_forms(system, L)
-    assert alive == [1]
+    assert len(rec["bands"]) == 1 and rec["alive"] == [1]
     Wm = membrane.minimizers[:system.w_size]
     assert_allclose(Lr @ Wm, np.eye(Lr.shape[0]), rtol=0, atol=1e-6)
 
