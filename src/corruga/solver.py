@@ -37,13 +37,15 @@ rotation samples alone.  The symmetric positive definite rotation-sample
 block H = A_w^T A_w + eps I is split by the grid's mirror symmetries into
 decoupled blocks, one per parity class (one block, H itself, when the grid
 has no mirror), and the membrane strain coordinates are split with it.
-The whole solve then runs one block at a time: the block is put in a
-reverse Cuthill-McKee order of its graph of nodes (each node's 3 unknowns
-stay together), which makes it a narrow band, and that band is factored by
-LAPACK's banded Cholesky; only the growth columns and membrane coordinates
-of its parity are solved, the membrane constraints through the block's own
-r_k x r_k (r_k <= 3) Schur complement, two refinement steps follow, and
-the factor is freed before the next block is gathered.  Those Cholesky
+Every block has the pattern of one graph, that of the node orbits, so the
+layout is decided once per analysis: that graph is put in reverse
+Cuthill-McKee order, and each block is gathered straight into it (each
+orbit's 3 unknowns together), a narrow band.  The whole solve then runs
+one block at a time: LAPACK's banded Cholesky factors the band as it
+comes; only the growth columns and membrane coordinates of its parity are
+solved, the membrane constraints through the block's own r_k x r_k
+(r_k <= 3) Schur complement, two refinement steps follow, and the factor
+is freed before the next block is gathered.  Those Cholesky
 factors, one per symmetry block, are the module's only factorizations:
 kernel_distance certifies a sampled field by its residual, one sparse
 product.  Which levels count as achievable is decided in
@@ -332,15 +334,17 @@ def _mirror_signs(grid: PeriodicGrid, direction: int):
 
 
 def _commutes(H, perm: np.ndarray, sign: np.ndarray) -> bool:
-    """Whether the signed permutation (P w)[i] = sign[i] w[perm[i]], an
-    involution, satisfies P^T H P = H entrywise to MIRROR_RTOL of max|H|.
+    """Whether the signed permutation (P w)[i] = sign[i] w[perm[i]], a
+    symmetric involution, satisfies P^T H P = H entrywise to MIRROR_RTOL of
+    max|H|.  H must be symmetric and CSC.
 
-    P^T H P holds sign[i] sign[j] H[perm[i], perm[j]] at (i, j).
+    Then P^T H P - H = P (H P - (H P)^T), and P only moves and signs
+    entries, so one gather decides it: column j of H P is
+    sign[j] H[:, perm[j]].
     """
-    moved = H[perm][:, perm]
-    cols = np.repeat(np.arange(H.shape[1]), np.diff(moved.indptr))
-    moved.data *= sign[moved.indices] * sign[cols]
-    return abs(moved - H).max() <= MIRROR_RTOL * abs(H).max()
+    HP = H[:, perm]
+    HP.data *= np.repeat(sign, np.diff(HP.indptr))
+    return abs(HP - HP.T).max() <= MIRROR_RTOL * abs(H).max()
 
 
 def _parity_range(B: np.ndarray, scale: float) -> np.ndarray:
@@ -367,30 +371,34 @@ def _splits(Lr: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> bool:
             <= SPLIT_RTOL)
 
 
-def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray | None = None):
-    """The blocks H_k = Q_k^T H Q_k of the grid's mirror symmetries.
+def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray):
+    """The blocks H_k = Q_k^T H Q_k of the grid's mirror symmetries, laid
+    out as bands.
 
     Each axis whose node reversal is a mirror (_mirror_signs) acts on w as
     a signed permutation P: node k's unknowns go to node n-1-k, component c
     times M[c] (w is a pseudovector, and -P commutes with H whenever P
     does).  The mirrors kept are those with P^T H P = H (_commutes) under
-    which the membrane rows Lr, when given, split (_splits); any other is
-    dropped.  This is decided before the first block is yielded.  The
-    m mirrors kept generate a group of 2^m commuting involutions, and each
-    parity class (one sign per mirror) spans the fields that every kept
-    mirror maps to that sign times themselves.  Its orthonormal basis Q_k
-    has one column per orbit of an unknown: the orbit's 2^m unknowns with
-    signs t = +-1, over 2^(m/2), its representative (the image in the
-    first half of each mirrored axis) with t = +1.  The Q_k together are
-    orthogonal and H maps each one's span into itself, so
-    H^-1 = sum_k Q_k H_k^-1 Q_k^T; the ranges of the Lr Q_k are orthogonal
-    and together span Lr's r coordinates.  With no mirror there is one
-    block, Q = I and H_k = H.
+    which the membrane rows Lr split (_splits); any other is dropped.  This
+    is decided before the first block is yielded.  The m mirrors kept
+    generate a group of 2^m commuting involutions, and each parity class
+    (one sign per mirror) spans the fields that every kept mirror maps to
+    that sign times themselves.  Its orthonormal basis Q_k has one column
+    per orbit of an unknown: the orbit's 2^m unknowns with signs t = +-1,
+    over 2^(m/2), its representative (the image in the first half of each
+    mirrored axis) with t = +1.  The Q_k together are orthogonal and H maps
+    each one's span into itself, so H^-1 = sum_k Q_k H_k^-1 Q_k^T; the
+    ranges of the Lr Q_k are orthogonal and together span Lr's r
+    coordinates.  With no mirror there is one block, Q a permutation and
+    H_k = Q^T H Q.
 
-    Yields one (Q_k, H_k) per class, each gathered only when it is asked
-    for.  H_k is CSC and exactly symmetric, its unknowns those of the
-    representative nodes in node order, 3 each.  It is gathered from H's
-    representative rows, H_k[x, y] = sum over z in y's orbit of
+    Every block has the pattern of one node-orbit graph, so that graph is
+    ordered once, by _node_order on the orbits of H's entries in the
+    representative rows, and orbit q's unknowns are every block's columns
+    3 pos[q] + (0, 1, 2), pos[q] the orbit's place in that order.  Yields
+    one (Q_k, H_k) per class, each gathered only when it is asked for and
+    already in band order.  H_k is CSC and exactly symmetric, gathered from
+    H's representative rows, H_k[x, y] = sum over z in y's orbit of
     t(z) H[x, z], and symmetrized.
     """
     n1, n2 = grid.shape
@@ -403,18 +411,22 @@ def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray | None = None):
             continue
         image = grid.shape[d] - 1 - k
         node = image * n2 + j if d == 0 else i * n2 + image
-        if _commutes(H, 3 * node + c, m[c]) and (
-                Lr is None or _splits(Lr, 3 * node + c, m[c])):
+        if (_commutes(H, 3 * node + c, m[c])
+                and _splits(Lr, 3 * node + c, m[c])):
             mirrors.append((k > image, m[c]))
             own &= k < image
             low[d] = np.minimum(k, image)
             half[d] //= 2
-    col = 3 * (low[0] * half[1] + low[1]) + c     # column of z's orbit
+    orbit = low[0] * half[1] + low[1]             # z's node orbit
     nk = 3 * half[0] * half[1]
-    # H's entries in representative rows, the rows as block indices
+    # H's entries in representative rows, and their graph of node orbits
     e = own[H.indices]
-    rows, vals = col[H.indices[e]], H.data[e]
+    rows, vals = H.indices[e], H.data[e]
     cols = np.repeat(np.arange(c.size), np.diff(H.indptr))[e]
+    N = sp.csr_matrix((np.ones_like(vals), (orbit[rows], orbit[cols])),
+                      shape=(nk // 3, nk // 3))
+    col = 3 * np.argsort(_node_order(N))[orbit] + c   # column of z's orbit
+    rows = col[rows]
 
     for parity in np.ndindex((2,) * len(mirrors)):
         t = np.ones(c.size)
@@ -426,24 +438,15 @@ def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray | None = None):
         yield Q, ((K + K.T) * 0.5).tocsc()
 
 
-def _node_order(H) -> np.ndarray:
-    """A bandwidth-reducing symmetric permutation p of H that keeps every
-    node's 3 unknowns together, in component order: p = 3 * order + (0, 1, 2).
+def _node_order(N) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the node graph N, taken as N + N^T
+    (Cuthill & McKee, ACM 1969; George & Liu, 1981).
 
-    ``order`` is reverse Cuthill-McKee on the n x n node graph, where nodes
-    i and j are adjacent when the block H[3i:3i+3, 3j:3j+3] is nonzero
-    (Cuthill & McKee, ACM 1969; George & Liu, 1981).  A mirror block is a
-    node rectangle with reflecting ends and no wrap, and H couples nodes at
-    most 4 apart along each axis, so this order makes it a narrow band.  H
-    is CSC: node j's columns 3j..3j+2 are contiguous there, so the node
-    matrix reuses H's column pointers, its repeated entries summed.
+    A mirror block is a node rectangle with reflecting ends and no wrap,
+    and H couples nodes at most 4 apart along each axis, so this order
+    makes each block a narrow band.
     """
-    n = H.shape[0] // 3
-    N = sp.csc_matrix((np.ones(H.nnz), H.indices // 3, H.indptr[::3].copy()),
-                      shape=(n, n))
-    N.sum_duplicates()
-    order = sp.csgraph.reverse_cuthill_mckee(N, symmetric_mode=True)
-    return (3 * order[:, None] + np.arange(3)).ravel()
+    return sp.csgraph.reverse_cuthill_mckee(N + N.T, symmetric_mode=True)
 
 
 def _band_limit() -> int:
@@ -455,7 +458,7 @@ def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
     """The ridge minimizers of one symmetry block, from its own banded
     Cholesky factor.
 
-    K is the block (CSC, exactly symmetric, in _node_order), b its growth
+    K is the block (CSC, exactly symmetric, in band order), b its growth
     right-hand sides and C (r_k, n_k) its membrane rows.  K's lower band,
     of half-bandwidth w, is written into LAPACK's (w + 1, n_k) banded
     storage and factored in place, K = L L^T (dpbtrf); a block that is not
@@ -532,11 +535,11 @@ def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
 
     The solve runs one symmetry block of ``grid`` at a time
     (_symmetry_blocks, with the mirrors that split Lr's rows), since H is
-    block diagonal in the Q_k basis and nothing couples the blocks.  Each
-    block is permuted symmetrically into a band by _node_order.  Block k
-    solves H_k X = -Q_k^T Gwg for the growth columns whose projection on it
-    exceeds PROJ_RTOL of their norm.  Its membrane coordinates are parity
-    adapted: U_k, the left singular vectors of B_k = Lr Q_k above
+    block diagonal in the Q_k basis and nothing couples the blocks; each
+    block comes already in band order, so it is factored as it is.  Block
+    k solves H_k X = -Q_k^T Gwg for the growth columns whose projection on
+    it exceeds PROJ_RTOL of their norm.  Its membrane coordinates are
+    parity adapted: U_k, the left singular vectors of B_k = Lr Q_k above
     SPLIT_RTOL of Lr's largest row norm, form together an orthogonal
     O = [U_1 ... U_K], and the block solves U_k^T B_k y = I through its own
     r_k x r_k Schur complement.  The membrane columns are mapped back by
@@ -549,15 +552,13 @@ def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
     col = np.linalg.norm(Gwg, axis=0)
     W = np.zeros((H.shape[0], g + r))
     for Q, K in _symmetry_blocks(H, grid, Lr):
-        p = _node_order(K)
-        Q = Q[:, p]
         b = -(Q.T @ Gwg)
         grow = np.linalg.norm(b, axis=0) > PROJ_RTOL * col
         B = (Q.T @ Lr.T).T
         U = _parity_range(B, scale)
         if not grow.any() and not U.size:
             continue
-        X, Y = _block_minimizers(K[p][:, p], b[:, grow], U.T @ B)
+        X, Y = _block_minimizers(K, b[:, grow], U.T @ B)
         W[:, :g][:, grow] += Q @ X
         W[:, g:] += Q @ (Y @ U.T)
     return W
@@ -578,10 +579,13 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     _ridge_minimizers gets both from one banded Cholesky factor per
     symmetry block of the rotation block H = A_w^T A_w + eps I, solved,
     refined and freed one block at a time, with Lr's coordinates split by
-    parity.  The membrane columns go through each block's r_k x r_k Schur
-    complement, which is formed; it is ill-conditioned on the finest grids,
-    and the two refinement steps against the block's KKT matrix restore
-    what its solve loses.  The levels are the singular values of A times
+    parity; the blocks' band order is found once per call, by one
+    _node_order of their shared orbit graph.  The membrane columns go
+    through each block's r_k x r_k Schur complement, which is formed; it is
+    ill-conditioned on the finest grids, and the two refinement steps
+    against the block's KKT matrix restore what its solve loses (on
+    eggbox-hybrid@16 the second takes the KKT stationarity residual from
+    6e-10 to 5e-13).  The levels are the singular values of A times
     the minimizers, never square roots of their Gram form.  The
     near-vanishing ridge (EPS_REL) leaves the residuals essentially
     unbiased, and the minimizers along the directions under the cap are the

@@ -124,6 +124,18 @@ BLOCKS = {"plane": 1, "corrugation": 2, "eggbox": 4, "eggbox-hybrid": 2,
           "miura": 2, "translation": 2}
 
 
+# a sinusoid has no breakpoint and this piecewise-quadratic profile's node
+# reversal is no mirror, so the grid has no symmetry block but H itself
+MIRRORLESS = {"family": "double-corrugation",
+              "profiles": [{"kind": "sinusoidal", "amplitude": 0.5},
+                           {"kind": "piecewise-quadratic", "amplitude": 0.7}]}
+
+
+def _chart(name):
+    return (chart_from_config(MIRRORLESS) if name == "mirrorless"
+            else builtin_chart(name))
+
+
 def _rotation_block(system):
     """H = A_w^T A_w + eps I, as strain_forms builds it."""
     Aw = system.matrix.tocsr()[:, :system.w_size]
@@ -201,40 +213,81 @@ def test_effective_spaces_factors_once(name, monkeypatch):
 
 
 def _block_factorizations(system, monkeypatch):
-    """(H, the _spy_factors record) from strain_forms."""
-    blocks = []
+    """(H, Lr, the _spy_factors record) from strain_forms."""
+    calls = []
     ridge = solver._ridge_minimizers
 
     def spy_ridge(H, Gwg, Lr, grid):
-        blocks.append(H)
+        calls.append((H, Lr))
         return ridge(H, Gwg, Lr, grid)
 
     monkeypatch.setattr(solver, "_ridge_minimizers", spy_ridge)
     rec = _spy_factors(monkeypatch)
     strain_forms(system, membrane_row_map(system.grid))
-    (H,) = blocks
-    return H, rec
+    (H, Lr), = calls
+    return H, Lr, rec
+
+
+def _assert_permuted(Q, B, H):
+    """Q is a permutation matrix and B is exactly Q^T H Q."""
+    assert np.all(Q.data == 1.0)
+    assert_array_equal(Q.getnnz(axis=0), 1)
+    assert_array_equal(Q.getnnz(axis=1), 1)
+    assert abs(B - Q.T @ H @ Q).max() == 0.0
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
 def test_lu_keeps_each_nodes_unknowns_together(name, monkeypatch):
-    # each Cholesky factor is of its block H_k[p][:, p], in that order: the
-    # band it factors is exactly tril(H_k[p][:, p]), and p moves whole node
-    # orbits: each one's 3 unknowns are consecutive, in component order
+    # each Cholesky factor is of its block H_k as _symmetry_blocks yields
+    # it, already in band order: the band it factors is exactly tril(H_k),
+    # and H_k's columns 3q..3q+2 are components 0, 1, 2 of one node orbit
     system = assemble_system(build_grid(builtin_chart(name), 16))
-    H, rec = _block_factorizations(system, monkeypatch)
-    blocks = list(solver._symmetry_blocks(H, system.grid))
+    H, Lr, rec = _block_factorizations(system, monkeypatch)
+    blocks = list(solver._symmetry_blocks(H, system.grid, Lr))
     assert len(rec["bands"]) == len(blocks) == BLOCKS[name]
     for (Q, B), K, band in zip(blocks, rec["blocks"], rec["bands"]):
-        n = B.shape[0]
+        assert abs(K - B).max() == 0.0
+        assert_array_equal(band, _lower_band(B))
         assert abs(Q.T @ H @ Q - B).max() <= 1e-14 * abs(H).max()
-        p = solver._node_order(B)
-        assert_array_equal(np.sort(p), np.arange(n))
-        assert abs(K - B[p][:, p]).max() == 0.0
-        assert_array_equal(band, _lower_band(B[p][:, p]))
-        nodes = p.reshape(-1, 3)
-        assert_array_equal(nodes, nodes[:, :1] + np.arange(3))
-        assert np.all(nodes[:, 0] % 3 == 0)
+        rows, cols = Q.nonzero()
+        assert_array_equal(rows % 3, cols % 3)
+        orbits = [set(rows[cols == c] // 3) for c in range(Q.shape[1])]
+        assert all(orbits[q] == orbits[q - q % 3] for q in range(len(orbits)))
+        assert all(len(o) == BLOCKS[name] for o in orbits)
+        assert sorted(v for o in orbits[::3] for v in o) == list(
+            range(system.grid.nnodes))
+
+
+@pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
+def test_node_order_runs_once_per_analysis(name, monkeypatch):
+    # one band order serves every symmetry block, and each block reaches
+    # its factorization as _symmetry_blocks yielded it: not reordered,
+    # not copied
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    orders, yielded, factored = [], [], []
+    node_order, symmetry_blocks = solver._node_order, solver._symmetry_blocks
+    block_minimizers = solver._block_minimizers
+
+    def spy_order(N):
+        orders.append(N.shape)
+        return node_order(N)
+
+    def spy_blocks(*args):
+        for Q, K in symmetry_blocks(*args):
+            yielded.append(K)
+            yield Q, K
+
+    def spy_block(K, b, C):
+        factored.append(K)
+        return block_minimizers(K, b, C)
+
+    monkeypatch.setattr(solver, "_node_order", spy_order)
+    monkeypatch.setattr(solver, "_symmetry_blocks", spy_blocks)
+    monkeypatch.setattr(solver, "_block_minimizers", spy_block)
+    strain_forms(system, membrane_row_map(system.grid))
+    assert orders == [(system.grid.nnodes // BLOCKS[name],) * 2]
+    assert len(factored) == BLOCKS[name]
+    assert all(K is Kf for K, Kf in zip(yielded, factored))
 
 
 def test_node_order_fill_on_eggbox(monkeypatch):
@@ -244,7 +297,7 @@ def test_node_order_fill_on_eggbox(monkeypatch):
     for name, blocks, width in (("eggbox", 4, 199),
                                 ("eggbox-hybrid", 2, 381)):
         system = assemble_system(build_grid(builtin_chart(name), 32))
-        _, rec = _block_factorizations(system, monkeypatch)
+        _, _, rec = _block_factorizations(system, monkeypatch)
         assert len(rec["bands"]) == blocks
         for band in rec["bands"]:
             assert band.shape[0] - 1 <= 1.02 * width
@@ -255,7 +308,8 @@ def test_node_order_fill_on_eggbox(monkeypatch):
 def test_symmetry_blocks_per_builtin(name):
     system = assemble_system(build_grid(builtin_chart(name), 16))
     blocks = list(solver._symmetry_blocks(_rotation_block(system),
-                                          system.grid))
+                                          system.grid,
+                                          _membrane_rows(system)))
     assert len(blocks) == BLOCKS[name]
 
 
@@ -265,7 +319,8 @@ def test_symmetry_blocks_split_h_orthogonally(name):
     # itself: the cross blocks are rounding
     system = assemble_system(build_grid(builtin_chart(name), 16))
     H = _rotation_block(system)
-    Qs = [Q for Q, _ in solver._symmetry_blocks(H, system.grid)]
+    Qs = [Q for Q, _ in solver._symmetry_blocks(H, system.grid,
+                                                _membrane_rows(system))]
     eye = sum(Q @ Q.T for Q in Qs) - sp.identity(system.w_size)
     assert abs(eye).max() <= 1e-15
     for a, Qa in enumerate(Qs):
@@ -274,20 +329,21 @@ def test_symmetry_blocks_split_h_orthogonally(name):
 
 
 def test_chart_without_mirrors_factors_once_in_node_order(monkeypatch):
-    # a sinusoid has no breakpoint and this piecewise-quadratic profile's
-    # node reversal is no mirror: one factor of H itself, in its band order
-    # on H's graph of nodes
-    chart = chart_from_config({
-        "family": "double-corrugation",
-        "profiles": [{"kind": "sinusoidal", "amplitude": 0.5},
-                     {"kind": "piecewise-quadratic", "amplitude": 0.7}]})
-    system = assemble_system(build_grid(chart, 16))
-    H, rec = _block_factorizations(system, monkeypatch)
-    (Q, B), = solver._symmetry_blocks(H, system.grid)
-    assert abs(Q - sp.identity(system.w_size)).max() == 0.0
-    assert abs(B - H).max() == 0.0
+    # one factor of H itself, in the band order of reverse Cuthill-McKee on
+    # H's graph of nodes (i ~ j when H[3i:3i+3, 3j:3j+3] is nonzero), each
+    # node's 3 unknowns together and in component order
+    system = assemble_system(build_grid(_chart("mirrorless"), 16))
+    H, Lr, rec = _block_factorizations(system, monkeypatch)
+    (Q, B), = solver._symmetry_blocks(H, system.grid, Lr)
+    _assert_permuted(Q, B, H)
+    n = system.grid.nnodes
+    N = sp.csc_matrix((np.ones(H.nnz), H.indices // 3, H.indptr[::3].copy()),
+                      shape=(n, n))
+    N.sum_duplicates()
+    order = sp.csgraph.reverse_cuthill_mckee(N, symmetric_mode=True)
+    p = (3 * order[:, None] + np.arange(3)).ravel()
+    assert_array_equal(Q.tocsc().indices, p)
     (K,), (band,) = rec["blocks"], rec["bands"]
-    p = solver._node_order(H)
     assert abs(K - H[p][:, p]).max() == 0.0
     assert_array_equal(band, _lower_band(H[p][:, p]))
 
@@ -308,12 +364,52 @@ def test_broken_symmetry_is_refused(name, direction, kept):
         row += 3 * len(grid.axis1.pairs) * grid.shape[1]
     A.data[A.indptr[row]:A.indptr[row + 1]] *= 1.5
     H = _rotation_block(replace(system, matrix=A))
-    blocks = list(solver._symmetry_blocks(H, grid))
+    blocks = list(solver._symmetry_blocks(H, grid, _membrane_rows(system)))
     assert len(blocks) == kept
     if kept == 1:
         (Q, B), = blocks
-        assert abs(B - H).max() == 0.0
-        assert abs(Q - sp.identity(system.w_size)).max() == 0.0
+        _assert_permuted(Q, B, H)
+
+
+def _commutes_two_gathers(H, perm, sign):
+    """max |P^T H P - H| entrywise, P^T H P gathered by rows and columns:
+    sign[i] sign[j] H[perm[i], perm[j]] at (i, j)."""
+    moved = H[perm][:, perm]
+    cols = np.repeat(np.arange(H.shape[1]), np.diff(moved.indptr))
+    moved.data *= sign[moved.indices] * sign[cols]
+    return abs(moved - H).max()
+
+
+@pytest.mark.parametrize("name", ["eggbox", "miura"])
+def test_commutes_reads_the_two_gather_gap(name, monkeypatch):
+    # one gather of H P gives the same number as P^T H P - H: _commutes
+    # flips exactly where MIRROR_RTOL crosses the two-gather gap, on the
+    # surface's own H and on one whose symmetric perturbation breaks every
+    # mirror
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    grid = system.grid
+    H = _rotation_block(system)
+    E = sp.random(H.shape[0], H.shape[0], density=1e-3, random_state=3,
+                  format="csc")
+    n1, n2 = grid.shape
+    i, j, c = (x.ravel() for x in np.indices((n1, n2, 3)))
+    mirrors = 0
+    for d in (0, 1):
+        m = solver._mirror_signs(grid, d)
+        if m is None:
+            continue
+        mirrors += 1
+        image = (n1 - 1 - i) * n2 + j if d == 0 else i * n2 + n2 - 1 - j
+        perm, sign = 3 * image + c, m[c]
+        for M, holds in ((H, True), ((H + E + E.T).tocsc(), False)):
+            assert solver._commutes(M, perm, sign) == holds
+            gap = _commutes_two_gathers(M, perm, sign) / abs(M).max()
+            assert gap > 0 and (gap <= solver.MIRROR_RTOL) == holds
+            for factor, expect in ((1 + 1e-12, True), (1 - 1e-12, False)):
+                monkeypatch.setattr(solver, "MIRROR_RTOL", gap * factor)
+                assert solver._commutes(M, perm, sign) == expect
+            monkeypatch.undo()
+    assert mirrors == BLOCKS[name].bit_length() - 1
 
 
 def _membrane_rows(system, L=None):
@@ -387,10 +483,10 @@ def test_mirror_that_does_not_split_membrane_rows_is_refused(name,
     L = membrane_row_map(system.grid)
     L[:, 3 * 40:3 * 41] *= 1.5
     H, Lr = _rotation_block(system), _membrane_rows(system, L)
-    assert len(list(solver._symmetry_blocks(H, system.grid))) == BLOCKS[name]
+    assert len(list(solver._symmetry_blocks(
+        H, system.grid, _membrane_rows(system)))) == BLOCKS[name]
     (Q, B), = solver._symmetry_blocks(H, system.grid, Lr)
-    assert abs(B - H).max() == 0.0
-    assert abs(Q - sp.identity(system.w_size)).max() == 0.0
+    _assert_permuted(Q, B, H)
     # the membrane minimizers still solve Lr w = e_i; a lone rescaled node
     # lets near-strain-free fields reach one row, so the Schur complement
     # holds less precision than on the surface itself (1e-9 to 3e-8 here,
@@ -403,12 +499,13 @@ def test_mirror_that_does_not_split_membrane_rows_is_refused(name,
     assert_allclose(Lr @ Wm, np.eye(Lr.shape[0]), rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
+@pytest.mark.parametrize("name", ["eggbox", "miura", "plane", "eggbox-hybrid",
+                                  "mirrorless"])
 def test_ridge_minimizers_match_dense_kkt(name, monkeypatch):
     # the factored, refined solves against dense ones, H = A_w^T A_w + eps I:
     # growth minimizers are -H^-1 A_w^T A_g with w free of the membrane
     # constraint, membrane ones solve [[H, Lr^T], [Lr, 0]] with growth 0
-    system = assemble_system(build_grid(builtin_chart(name), 16))
+    system = assemble_system(build_grid(_chart(name), 16))
     calls = []
     ridge = solver._ridge_minimizers
 
