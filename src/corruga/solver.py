@@ -43,22 +43,22 @@ Cuthill-McKee order, and each block is gathered straight into it (each
 orbit's 3 unknowns together), a narrow band.  The whole solve then runs
 one block at a time: LAPACK's banded Cholesky factors the band as it
 comes; only the growth columns and membrane coordinates of its parity are
-solved, the membrane constraints through the block's own r_k x r_k
-(r_k <= 3) Schur complement, two refinement steps follow, and the factor
-is freed before the next block is gathered.  Those Cholesky
-factors, one per symmetry block, are the module's only factorizations:
-kernel_distance certifies a sampled field by its residual, one sparse
-product.  Which levels count as achievable is decided in
-strains.cut.
+solved, by triangular solves with that factor, the membrane constraints
+through a thin QR of the factor's solve of them (r_k <= 3 columns), one
+refinement step follows, and the factor is freed before the next block is
+gathered.  Those Cholesky factors, one per symmetry block, are the module's
+only factorizations: kernel_distance certifies a sampled field by its
+residual, one sparse product.  Which levels count as achievable is decided
+in strains.cut.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import os
-import warnings
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -465,12 +465,21 @@ def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
     positive definite, or whose 8 (w + 1) n_k bytes exceed _band_limit,
     raises SolverError before anything is solved.  The factor gives
     X = K^-1 b and the solutions Y of the KKT system
-    [[K, C^T], [C, 0]] [Y; lam] = [0; I] through the r_k x r_k Schur
-    complement S = C K^-1 C^T.  One solve over [b | C^T] and two refinement
-    steps follow, the growth columns against K and the membrane ones against
-    the KKT matrix; the factor is freed on return.  An ill-conditioned S
-    would give fields that break the rank bound, so it raises SolverError
-    instead.
+    [[K, C^T], [C, 0]] [Y; lam] = [0; I], all by banded triangular solves
+    with L (dtbtrs): V = L^-1 [b | C^T], and with the thin QR
+    V[:, g:] = Q R the Schur complement C K^-1 C^T is R^T R, never formed,
+    so Y = L^-T Q R^-T and lam = -R^-1 R^-T (the classical QR route of
+    equality-constrained least squares, Golub & Van Loan, Matrix
+    Computations, 4th ed., 6.2).  One back solve gives X and Y together.
+    One refinement step follows (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 12), the growth columns against K
+    and the membrane ones against the KKT matrix, whose Schur solve
+    K^-1 C^T S^-1 is Y itself; the factor is freed on return.  S is as
+    ill-conditioned as R squared, so an R whose reciprocal condition number
+    (dtrcon) is under sqrt(machine eps) means an S with no precision left,
+    whose fields would break the rank bound: it raises SolverError instead.
+    A block without membrane rows skips the QR, since dtbtrs must never see
+    a right-hand side with no column.
     """
     n = K.shape[0]
     cols = np.repeat(np.arange(n), np.diff(K.indptr))
@@ -492,34 +501,28 @@ def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
         raise SolverError(f"a symmetry block of {n} unknowns is not "
                           f"positive definite: {exc}") from exc
 
-    def solve(rhs):
-        return la.cho_solve_banded((band, True), rhs, check_finite=False)
+    def tri(rhs, trans):
+        """L^-1 rhs ("N") or L^-T rhs ("T"); rhs must have a column."""
+        return lapack.dtbtrs(band, rhs, uplo="L", trans=trans)[0]
 
     g, r = b.shape[1], C.shape[0]
-    X = solve(np.hstack([b, C.T]))
-    Z = X[:, g:]
-    S = C @ Z
-
-    def schur(rhs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", la.LinAlgWarning)
-            try:
-                return la.solve(S, rhs, assume_a="sym")
-            except la.LinAlgWarning as exc:
-                raise SolverError("the membrane Schur complement lost all "
-                                  f"precision: {exc}") from exc
-
-    lam = -schur(np.eye(r))
-    W = np.hstack([X[:, :g], -Z @ lam])
-    rhs = np.hstack([b, np.zeros((n, r))])
-    for _ in range(2):
-        R = rhs - K @ W
-        R[:, g:] -= C.T @ lam
-        T = solve(R)
-        d = schur(C @ (W[:, g:] + T[:, g:]) - np.eye(r))
-        T[:, g:] -= Z @ d
-        W += T
-        lam += d
+    V = tri(np.hstack([b, C.T]), "N")
+    lam = np.zeros((r, r))
+    if r:
+        Q, R = la.qr(V[:, g:], mode="economic")
+        rcond = lapack.dtrcon(R)[0]
+        if rcond < np.sqrt(np.finfo(float).eps):
+            raise SolverError("the membrane constraints of a symmetry block "
+                              f"lost all precision: rcond(R) = {rcond:.3g}")
+        Ri = la.solve_triangular(R, np.eye(r))
+        V[:, g:] = Q @ Ri.T
+        lam = -Ri @ Ri.T
+    W = tri(V, "T")
+    res = np.hstack([b, np.zeros((n, r))]) - K @ W
+    res[:, g:] -= C.T @ lam
+    T = tri(tri(res, "N"), "T")
+    T[:, g:] -= W[:, g:] @ (C @ (W[:, g:] + T[:, g:]) - np.eye(r))
+    W += T
     return W[:, :g], W[:, g:]
 
 
@@ -541,11 +544,12 @@ def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
     it exceeds PROJ_RTOL of their norm.  Its membrane coordinates are
     parity adapted: U_k, the left singular vectors of B_k = Lr Q_k above
     SPLIT_RTOL of Lr's largest row norm, form together an orthogonal
-    O = [U_1 ... U_K], and the block solves U_k^T B_k y = I through its own
-    r_k x r_k Schur complement.  The membrane columns are mapped back by
-    O^T, so they solve Lr w = e_i.  _block_minimizers factors each block by
-    banded Cholesky, solves and refines it, and frees its factor before the
-    next block is gathered; a block that no column reaches is not factored.
+    O = [U_1 ... U_K], and the block solves U_k^T B_k y = I as its own
+    KKT system.  The membrane columns are mapped back by O^T, so they solve
+    Lr w = e_i.  _block_minimizers factors each block by banded Cholesky,
+    solves it, refines it once, and frees its factor before the next block
+    is gathered; a block that no column reaches is not factored, so every
+    block solved has at least one column.
     """
     g, r = Gwg.shape[1], Lr.shape[0]
     scale = np.linalg.norm(Lr, axis=1).max(initial=0.0)
@@ -581,11 +585,11 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     refined and freed one block at a time, with Lr's coordinates split by
     parity; the blocks' band order is found once per call, by one
     _node_order of their shared orbit graph.  The membrane columns go
-    through each block's r_k x r_k Schur complement, which is formed; it is
-    ill-conditioned on the finest grids, and the two refinement steps
-    against the block's KKT matrix restore what its solve loses (on
-    eggbox-hybrid@16 the second takes the KKT stationarity residual from
-    6e-10 to 5e-13).  The levels are the singular values of A times
+    through each block's r_k x r_k Schur complement as R^T R, R from a thin
+    QR of the factor's triangular solve of the block's membrane rows; it is
+    never formed, so its conditioning is not squared, and one refinement
+    step against the block's KKT matrix takes the membrane minimizers to
+    their rounding floor.  The levels are the singular values of A times
     the minimizers, never square roots of their Gram form.  The
     near-vanishing ridge (EPS_REL) leaves the residuals essentially
     unbiased, and the minimizers along the directions under the cap are the

@@ -6,11 +6,13 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as la
+from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from corruga import solver
+from corruga.analysis import _analysis_system
 from corruga.chart import BUILTIN_NAMES, builtin_chart, chart_from_config
 from corruga.grid import (_FIRST, _stencil, build_grid, display_cover,
                           display_lattice, display_positions)
@@ -149,9 +151,10 @@ def _spy_factors(monkeypatch):
     _block_minimizers was given, "bands" a copy of the band that
     la.cholesky_banded factored, "alive" how many factors were alive right
     after it was made (weakref.finalize on the factor array itself), and
-    "solves" the column count of each la.cho_solve_banded call with it."""
+    "solves" the column count of each triangular solve (lapack.dtbtrs) with
+    it.  A solve with no column is refused before LAPACK sees it."""
     block_minimizers = solver._block_minimizers
-    cholesky, cho_solve = la.cholesky_banded, la.cho_solve_banded
+    cholesky, dtbtrs = la.cholesky_banded, lapack.dtbtrs
     rec = {"blocks": [], "bands": [], "alive": [], "solves": []}
     live, latest = [0], [lambda: None]
 
@@ -172,14 +175,15 @@ def _spy_factors(monkeypatch):
         latest[0] = weakref.ref(factor)
         return factor
 
-    def spy_solve(cb_and_lower, b, *args, **kwargs):
-        assert cb_and_lower[0] is latest[0]()
+    def spy_solve(ab, b, *args, **kwargs):
+        assert ab is latest[0]()
+        assert b.shape[1] > 0
         rec["solves"][-1].append(b.shape[1])
-        return cho_solve(cb_and_lower, b, *args, **kwargs)
+        return dtbtrs(ab, b, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_block_minimizers", spy_block)
     monkeypatch.setattr(la, "cholesky_banded", spy_cholesky)
-    monkeypatch.setattr(la, "cho_solve_banded", spy_solve)
+    monkeypatch.setattr(lapack, "dtbtrs", spy_solve)
     return rec
 
 
@@ -434,16 +438,61 @@ def test_each_block_factor_is_freed_before_the_next(name, monkeypatch):
 def test_block_solves_take_only_their_columns(monkeypatch):
     # eggbox@32: of the 6 growth and 3 membrane columns, each growth column
     # reaches the 2 blocks of its parity under the mirror of its own axis
-    # and each membrane coordinate 1 block, so a round solves 15
-    # block-columns, not 4 x 9
+    # and each membrane coordinate 1 block, so a pass solves 15
+    # block-columns, not 4 x 9.  A pass is a forward and a back solve with
+    # the block's factor: one for the solution, one for its refinement step
     system = assemble_system(build_grid(builtin_chart("eggbox"), 32))
     rec = _spy_factors(monkeypatch)
     strain_forms(system, membrane_row_map(system.grid))
     solves = rec["solves"]
     assert len(solves) == 4
     for cols in solves:
-        assert len(cols) == 3 and len(set(cols)) == 1
+        assert len(cols) == 4 and len(set(cols)) == 1
     assert sum(cols[0] for cols in solves) == 15
+
+
+@pytest.mark.parametrize("name", ["eggbox", "miura", "plane", "corrugation"])
+def test_no_triangular_solve_takes_an_empty_right_hand_side(name,
+                                                            monkeypatch):
+    # dtbtrs on an (n, 0) right-hand side corrupts the heap (scipy 1.17.1):
+    # the spy refuses such a call before LAPACK sees it.  Blocks with growth
+    # columns and no membrane coordinate, or the reverse, solve only what
+    # they have
+    system = assemble_system(build_grid(builtin_chart(name), 16))
+    rec = _spy_factors(monkeypatch)
+    strain_forms(system, membrane_row_map(system.grid))
+    assert len(rec["solves"]) == BLOCKS[name]
+    assert all(len(cols) == 4 for cols in rec["solves"])
+
+
+def test_block_without_growth_or_membrane_columns_solves(monkeypatch):
+    # g = 0 with r = 2, and r = 0 with g = 1, called directly on a small band
+    n = 6
+    K = sp.diags([-1.0, 3.0, -1.0], [-1, 0, 1], shape=(n, n), format="csc")
+    rows = np.vstack([np.arange(1.0, n + 1), np.ones(n)])
+    rec = _spy_factors(monkeypatch)
+    for b, C, shapes in ((np.zeros((n, 0)), rows, ((n, 0), (n, 2))),
+                         (np.ones((n, 1)), np.zeros((0, n)), ((n, 1), (n, 0)))):
+        out = solver._block_minimizers(K, b, C)
+        assert tuple(a.shape for a in out) == shapes
+        assert all(np.isfinite(a).all() for a in out)
+        assert_allclose(C @ out[1], np.eye(C.shape[0]), rtol=0, atol=1e-14)
+    assert rec["solves"] == [[2] * 4, [1] * 4]
+
+
+@pytest.mark.parametrize("e, holds", [(1e-9, False), (1e-6, True)])
+def test_membrane_rows_near_dependence_bracket_the_rcond_guard(e, holds):
+    # K = 2I and C = [[1, 0, 0], [1, e, 0]]: R of the thin QR of L^-1 C^T has
+    # rcond about e / 2, against the guard's sqrt(machine eps) = 1.5e-8
+    K = sp.csc_matrix(2.0 * np.eye(3))
+    C = np.array([[1.0, 0.0, 0.0], [1.0, e, 0.0]])
+    if not holds:
+        with pytest.raises(SolverError, match="rcond"):
+            solver._block_minimizers(K, np.ones((3, 1)), C)
+        return
+    X, Y = solver._block_minimizers(K, np.ones((3, 1)), C)
+    assert_allclose(X, 0.5 * np.ones((3, 1)), rtol=0, atol=1e-15)
+    assert_allclose(C @ Y, np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_indefinite_block_is_refused():
@@ -500,12 +549,16 @@ def test_mirror_that_does_not_split_membrane_rows_is_refused(name,
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane", "eggbox-hybrid",
-                                  "mirrorless"])
+                                  "translation", "corrugation", "mirrorless"])
 def test_ridge_minimizers_match_dense_kkt(name, monkeypatch):
     # the factored, refined solves against dense ones, H = A_w^T A_w + eps I:
     # growth minimizers are -H^-1 A_w^T A_g with w free of the membrane
-    # constraint, membrane ones solve [[H, Lr^T], [Lr, 0]] with growth 0
-    system = assemble_system(build_grid(_chart(name), 16))
+    # constraint, membrane ones solve [[H, Lr^T], [Lr, 0]] with growth 0.
+    # Corrugation runs on the reduced-direction system an analysis solves
+    if name == "corrugation":
+        system, _ = _analysis_system(_chart(name), [16, 16])
+    else:
+        system = assemble_system(build_grid(_chart(name), 16))
     calls = []
     ridge = solver._ridge_minimizers
 
