@@ -302,9 +302,10 @@ class QuadraticSpace:
     floor: np.ndarray        # (m,) regularization bias bound per level
 
 
-def _mirror_signs(grid: PeriodicGrid, direction: int):
-    """The diagonal of M for the node reversal k -> n-1-k of one axis, or
-    None when that reversal is not a mirror of the grid.
+def _mirror(grid: PeriodicGrid, direction: int):
+    """The node reversal k -> n-1-k of one axis as a signed permutation
+    (perm, sign) of the unknowns, (P w)[z] = sign[z] w[perm[z]], or None
+    when that reversal is not a mirror of the grid.
 
     The reversal is the mirror about the axis' first breakpoint when
     u[k] + u[n-1-k] = 2 u[0] + T; it maps arcs onto arcs.  A node it fixed
@@ -312,7 +313,9 @@ def _mirror_signs(grid: PeriodicGrid, direction: int):
     never has (each profile has an even number of breakpoints), so an odd
     node count is refused.  A mirror sigma of xi1 maps the partials by
     x1(sigma xi) = -M x1(xi) and x2(sigma xi) = M x2(xi), one of xi2 the
-    other way round; only a diagonal M of signs is taken.
+    other way round; only a diagonal M of signs is taken, and component c
+    of every node is signed by M[c] (w is a pseudovector).  P keeps each
+    unknown's component and is an involution.
     """
     a = grid.axis(direction)
     if a.closed or a.n % 2 or not np.allclose(
@@ -330,7 +333,9 @@ def _mirror_signs(grid: PeriodicGrid, direction: int):
         if not fits:
             return None
         signs.append(fits[0])
-    return np.array(signs)
+    image = np.flip(np.arange(grid.nnodes).reshape(grid.shape), direction)
+    return ((3 * image.reshape(-1, 1) + np.arange(3)).ravel(),
+            np.tile(signs, grid.nnodes))
 
 
 def _commutes(H, perm: np.ndarray, sign: np.ndarray) -> bool:
@@ -375,66 +380,58 @@ def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray):
     """The blocks H_k = Q_k^T H Q_k of the grid's mirror symmetries, laid
     out as bands.
 
-    Each axis whose node reversal is a mirror (_mirror_signs) acts on w as
-    a signed permutation P: node k's unknowns go to node n-1-k, component c
-    times M[c] (w is a pseudovector, and -P commutes with H whenever P
-    does).  The mirrors kept are those with P^T H P = H (_commutes) under
-    which the membrane rows Lr split (_splits); any other is dropped.  This
-    is decided before the first block is yielded.  The m mirrors kept
-    generate a group of 2^m commuting involutions, and each parity class
-    (one sign per mirror) spans the fields that every kept mirror maps to
-    that sign times themselves.  Its orthonormal basis Q_k has one column
-    per orbit of an unknown: the orbit's 2^m unknowns with signs t = +-1,
-    over 2^(m/2), its representative (the image in the first half of each
-    mirrored axis) with t = +1.  The Q_k together are orthogonal and H maps
-    each one's span into itself, so H^-1 = sum_k Q_k H_k^-1 Q_k^T; the
-    ranges of the Lr Q_k are orthogonal and together span Lr's r
-    coordinates.  With no mirror there is one block, Q a permutation and
-    H_k = Q^T H Q.
+    Each axis whose node reversal is a mirror gives a signed permutation P
+    of the unknowns (_mirror; -P commutes with H whenever P does).  The
+    mirrors kept are those with P^T H P = H (_commutes) under which the
+    membrane rows Lr split (_splits); any other is dropped.  This is
+    decided before the first block is yielded.  The m mirrors kept generate
+    a group of 2^m commuting involutions, and each parity class (one sign
+    per mirror) spans the fields that every kept mirror maps to that sign
+    times themselves.  Its orthonormal basis Q_k has one column per orbit
+    of an unknown: the orbit's 2^m unknowns with signs t = +-1, over
+    2^(m/2), its representative, the orbit's least index, with t = +1.  An
+    unknown z is far for a mirror when its image perm[z] < z; each far
+    step multiplies t by the class's sign for that mirror and by sign[z].
+    The Q_k together are orthogonal and H maps each one's span into
+    itself, so H^-1 = sum_k Q_k H_k^-1 Q_k^T; the ranges of the Lr Q_k are
+    orthogonal and together span Lr's r coordinates.  With no mirror there
+    is one block, Q a permutation and H_k = Q^T H Q.
 
     Every block has the pattern of one node-orbit graph, so that graph is
     ordered once, by _node_order on the orbits of H's entries in the
     representative rows, and orbit q's unknowns are every block's columns
-    3 pos[q] + (0, 1, 2), pos[q] the orbit's place in that order.  Yields
-    one (Q_k, H_k) per class, each gathered only when it is asked for and
+    3 pos[q] + (0, 1, 2), pos[q] the orbit's place in that order; node
+    orbits are numbered in the order of their representatives.  Yields one
+    (Q_k, H_k) per class, each gathered only when it is asked for and
     already in band order.  H_k is CSC and exactly symmetric, gathered from
     H's representative rows, H_k[x, y] = sum over z in y's orbit of
     t(z) H[x, z], and symmetrized.
     """
-    n1, n2 = grid.shape
-    i, j, c = (x.ravel() for x in np.indices((n1, n2, 3)))
-    low, half, mirrors = [i, j], [n1, n2], []
-    own = np.ones(c.size, dtype=bool)      # z is its orbit's representative
-    for d, k in enumerate((i, j)):
-        m = _mirror_signs(grid, d)
-        if m is None:
-            continue
-        image = grid.shape[d] - 1 - k
-        node = image * n2 + j if d == 0 else i * n2 + image
-        if (_commutes(H, 3 * node + c, m[c])
-                and _splits(Lr, 3 * node + c, m[c])):
-            mirrors.append((k > image, m[c]))
-            own &= k < image
-            low[d] = np.minimum(k, image)
-            half[d] //= 2
-    orbit = low[0] * half[1] + low[1]             # z's node orbit
-    nk = 3 * half[0] * half[1]
+    z = np.arange(H.shape[0])
+    rep, mirrors = z, []
+    for d in (0, 1):
+        m = _mirror(grid, d)
+        if m is not None and _commutes(H, *m) and _splits(Lr, *m):
+            mirrors.append((m[0] < z, m[1]))
+            rep = np.minimum(rep, rep[m[0]])
+    _, orbit = np.unique(rep // 3, return_inverse=True)    # z's node orbit
+    nk = 3 * (orbit.max() + 1)
     # H's entries in representative rows, and their graph of node orbits
-    e = own[H.indices]
+    e = (rep == z)[H.indices]
     rows, vals = H.indices[e], H.data[e]
-    cols = np.repeat(np.arange(c.size), np.diff(H.indptr))[e]
+    cols = np.repeat(z, np.diff(H.indptr))[e]
     N = sp.csr_matrix((np.ones_like(vals), (orbit[rows], orbit[cols])),
                       shape=(nk // 3, nk // 3))
-    col = 3 * np.argsort(_node_order(N))[orbit] + c   # column of z's orbit
+    col = 3 * np.argsort(_node_order(N))[orbit] + z % 3  # column of z's orbit
     rows = col[rows]
 
     for parity in np.ndindex((2,) * len(mirrors)):
-        t = np.ones(c.size)
-        for (far, m), a in zip(mirrors, parity):
-            t[far] *= (-1) ** a * m[far]
+        t = np.ones(z.size)
+        for (far, sign), a in zip(mirrors, parity):
+            t[far] *= (-1) ** a * sign[far]
         K = sp.csc_matrix((vals * t[cols], (rows, col[cols])), shape=(nk, nk))
-        Q = sp.csc_matrix((t / np.sqrt(2.0 ** len(mirrors)),
-                           (np.arange(c.size), col)), shape=(c.size, nk))
+        Q = sp.csc_matrix((t / np.sqrt(2.0 ** len(mirrors)), (z, col)),
+                          shape=(z.size, nk))
         yield Q, ((K + K.T) * 0.5).tocsc()
 
 

@@ -120,10 +120,10 @@ def test_threshold_policy_rejects_tau_outside_unit_interval(tau):
         parse_threshold(str(tau))
 
 
-# symmetry blocks per builtin at 16: a mirror per broken axis whose node
+# symmetry blocks per chart at 16: a mirror per broken axis whose node
 # reversal maps the surface onto itself
 BLOCKS = {"plane": 1, "corrugation": 2, "eggbox": 4, "eggbox-hybrid": 2,
-          "miura": 2, "translation": 2}
+          "miura": 2, "translation": 2, "mirrorless": 1}
 
 
 # a sinusoid has no breakpoint and this piecewise-quadratic profile's node
@@ -260,6 +260,11 @@ def test_lu_keeps_each_nodes_unknowns_together(name, monkeypatch):
         assert all(len(o) == BLOCKS[name] for o in orbits)
         assert sorted(v for o in orbits[::3] for v in o) == list(
             range(system.grid.nnodes))
+        # each column's least unknown is its orbit's representative, +1
+        Q = Q.tocsc(copy=True)
+        Q.sort_indices()
+        assert_array_equal(Q.data[Q.indptr[:-1]],
+                           1.0 / np.sqrt(BLOCKS[name]))
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
@@ -306,6 +311,21 @@ def test_node_order_fill_on_eggbox(monkeypatch):
         for band in rec["bands"]:
             assert band.shape[0] - 1 <= 1.02 * width
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("mirrorless",))
+def test_mirror_is_a_signed_involution_that_keeps_components(name):
+    # P P = I with signs that square to 1, and each unknown's image is the
+    # same component of another node: what _commutes and the blocks assume
+    grid = build_grid(_chart(name), 16)
+    z = np.arange(3 * grid.nnodes)
+    mirrors = [m for m in (solver._mirror(grid, d) for d in (0, 1))
+               if m is not None]
+    for perm, sign in mirrors:
+        assert_array_equal(perm[perm], z)
+        assert_array_equal(sign * sign[perm], 1.0)
+        assert_array_equal(perm % 3, z % 3)
+    assert len(mirrors) == BLOCKS[name].bit_length() - 1
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -395,16 +415,13 @@ def test_commutes_reads_the_two_gather_gap(name, monkeypatch):
     H = _rotation_block(system)
     E = sp.random(H.shape[0], H.shape[0], density=1e-3, random_state=3,
                   format="csc")
-    n1, n2 = grid.shape
-    i, j, c = (x.ravel() for x in np.indices((n1, n2, 3)))
     mirrors = 0
     for d in (0, 1):
-        m = solver._mirror_signs(grid, d)
+        m = solver._mirror(grid, d)
         if m is None:
             continue
         mirrors += 1
-        image = (n1 - 1 - i) * n2 + j if d == 0 else i * n2 + n2 - 1 - j
-        perm, sign = 3 * image + c, m[c]
+        perm, sign = m
         for M, holds in ((H, True), ((H + E + E.T).tocsc(), False)):
             assert solver._commutes(M, perm, sign) == holds
             gap = _commutes_two_gathers(M, perm, sign) / abs(M).max()
