@@ -34,13 +34,16 @@ strain coordinates; those minimizers are also the representative fields,
 and dimension counts are taken on their strain images.  The growth
 coordinates are data: each growth minimizer fixes them and solves for the
 rotation samples alone.  The symmetric positive definite rotation-sample
-block H = A_w^T A_w + eps I is split by the grid's mirror symmetries into
-decoupled blocks, one per parity class (one block, H itself, when the grid
-has no mirror), and the membrane strain coordinates are split with it.
-Every block has the pattern of one graph, that of the node orbits, so the
-layout is decided once per analysis: that graph is put in reverse
-Cuthill-McKee order, and each block is gathered straight into it (each
-orbit's 3 unknowns together), a narrow band.  The whole solve then runs
+block H = A_w^T A_w + eps I is split by the grid's mirror symmetries, each
+a signed permutation of the unknowns, into decoupled blocks, one per parity
+class (one block, H itself, when the grid has no mirror).  The membrane
+strain coordinates are split with it: each block's share of the membrane
+map's range is that block's own coordinates, and together they are the
+membrane space's basis.  Every block has the pattern of one graph, that of
+the node orbits (each represented by its least index), so the layout is
+decided once per analysis: that graph is put in reverse Cuthill-McKee
+order, and each block is gathered straight into it (each orbit's 3
+unknowns together), a narrow band.  The whole solve then runs
 one block at a time: LAPACK's banded Cholesky factors the band as it
 comes; only the growth columns and membrane coordinates of its parity are
 solved, by triangular solves with that factor, the membrane constraints
@@ -75,9 +78,9 @@ SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
 
 # strain_forms constants; the ridge is relative to sigma_max^2
 EPS_REL = 1e-13          # ridge of the one KKT system
-RANK_RTOL = 1e-10        # rows of the membrane map below this are dropped
+RANK_RTOL = 1e-10        # membrane map rank, of its max row norm
 MIRROR_RTOL = 1e-13      # relative gap up to which u, x1, x2, H mirror
-SPLIT_RTOL = 1e-13       # membrane rank and parity split, of max row norm
+SPLIT_RTOL = 1e-13       # orthogonality of the membrane parity split
 PROJ_RTOL = 1e-12        # a growth column's share that a block solves
 
 
@@ -292,7 +295,8 @@ class QuadraticSpace:
     bias: sqrt(eps) times the norm of its minimizer.  It is per level, since
     the minimizers of non-achievable directions wander into the strain-free
     continuum and grow with resolution; strains.cut reads only those under
-    the cap.
+    the cap.  ``basis`` has orthonormal columns; the membrane space's is
+    the parity-split basis of strain_forms.
     """
 
     levels: np.ndarray       # (m,) singular values of A @ minimizers
@@ -354,36 +358,37 @@ def _commutes(H, perm: np.ndarray, sign: np.ndarray) -> bool:
 
 def _parity_range(B: np.ndarray, scale: float) -> np.ndarray:
     """Orthonormal basis of B's range: its left singular vectors whose
-    singular values exceed SPLIT_RTOL * scale."""
+    singular values exceed RANK_RTOL * scale, the one rank rule of the
+    membrane rows."""
     U, s, _ = la.svd(B, full_matrices=False)
-    return U[:, s > SPLIT_RTOL * scale]
+    return U[:, s > RANK_RTOL * scale]
 
 
-def _splits(Lr: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> bool:
+def _splits(L: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> bool:
     """Whether the signed permutation P (as in _commutes) splits the rows
-    of Lr: the ranges of Lr (I + P) and Lr (I - P), taken by _parity_range
-    relative to Lr's largest row norm, are orthogonal to SPLIT_RTOL and
-    together span all r coordinates.
+    of L: the ranges of L (I + P) and L (I - P), taken by _parity_range
+    relative to twice L's largest row norm, are orthogonal to SPLIT_RTOL
+    and their ranks add up to L's.
 
-    (Lr P)[:, j] is sign[j] Lr[:, perm[j]].
+    (L P)[:, j] is sign[j] L[:, perm[j]].
     """
-    scale = np.linalg.norm(Lr, axis=1).max(initial=0.0)
-    mirrored = Lr[:, perm] * sign
-    O = np.hstack([_parity_range(Lr + mirrored, 2.0 * scale),
-                   _parity_range(Lr - mirrored, 2.0 * scale)])
-    return (O.shape[1] == Lr.shape[0]
+    scale = np.linalg.norm(L, axis=1).max(initial=0.0)
+    mirrored = L[:, perm] * sign
+    O = np.hstack([_parity_range(L + mirrored, 2.0 * scale),
+                   _parity_range(L - mirrored, 2.0 * scale)])
+    return (O.shape[1] == _parity_range(L, scale).shape[1]
             and abs(O.T @ O - np.eye(O.shape[1])).max(initial=0.0)
             <= SPLIT_RTOL)
 
 
-def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray):
+def _symmetry_blocks(H, grid: PeriodicGrid, L: np.ndarray):
     """The blocks H_k = Q_k^T H Q_k of the grid's mirror symmetries, laid
     out as bands.
 
     Each axis whose node reversal is a mirror gives a signed permutation P
     of the unknowns (_mirror; -P commutes with H whenever P does).  The
     mirrors kept are those with P^T H P = H (_commutes) under which the
-    membrane rows Lr split (_splits); any other is dropped.  This is
+    membrane rows L split (_splits); any other is dropped.  This is
     decided before the first block is yielded.  The m mirrors kept generate
     a group of 2^m commuting involutions, and each parity class (one sign
     per mirror) spans the fields that every kept mirror maps to that sign
@@ -393,8 +398,8 @@ def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray):
     unknown z is far for a mirror when its image perm[z] < z; each far
     step multiplies t by the class's sign for that mirror and by sign[z].
     The Q_k together are orthogonal and H maps each one's span into
-    itself, so H^-1 = sum_k Q_k H_k^-1 Q_k^T; the ranges of the Lr Q_k are
-    orthogonal and together span Lr's r coordinates.  With no mirror there
+    itself, so H^-1 = sum_k Q_k H_k^-1 Q_k^T; the ranges of the L Q_k are
+    orthogonal and together span L's range.  With no mirror there
     is one block, Q a permutation and H_k = Q^T H Q.
 
     Every block has the pattern of one node-orbit graph, so that graph is
@@ -411,7 +416,7 @@ def _symmetry_blocks(H, grid: PeriodicGrid, Lr: np.ndarray):
     rep, mirrors = z, []
     for d in (0, 1):
         m = _mirror(grid, d)
-        if m is not None and _commutes(H, *m) and _splits(Lr, *m):
+        if m is not None and _commutes(H, *m) and _splits(L, *m):
             mirrors.append((m[0] < z, m[1]))
             rep = np.minimum(rep, rep[m[0]])
     _, orbit = np.unique(rep // 3, return_inverse=True)    # z's node orbit
@@ -523,46 +528,48 @@ def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
     return W[:, :g], W[:, g:]
 
 
-def _ridge_minimizers(H, Gwg: np.ndarray, Lr: np.ndarray,
-                      grid: PeriodicGrid) -> np.ndarray:
+def _ridge_minimizers(H, Gwg: np.ndarray, L: np.ndarray,
+                      grid: PeriodicGrid):
     """Ridge minimizers over the rotation samples w, H = A_w^T A_w + eps I.
 
-    Column j < g (g = Gwg.shape[1]) pins growth coordinate j to 1: it
-    minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2 with w free, so
-    w = -H^-1 Gwg e_j, Gwg = A_w^T A_g.  Column g + i keeps the growth at 0
-    and solves Lr w = e_i, the KKT system [[H, Lr^T], [Lr, 0]].  Returns the
-    w part of all g + r minimizers as columns.
+    Returns (W, O).  Column j < g (g = Gwg.shape[1]) of W pins growth
+    coordinate j to 1: it minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2
+    with w free, so w = -H^-1 Gwg e_j, Gwg = A_w^T A_g.  Its other r
+    columns keep the growth at 0 and solve O^T L w = e_i, the KKT system
+    [[H, L^T O], [O^T L, 0]], where O (m, r) is an orthonormal basis of the
+    range of the row map L, split by parity.
 
     The solve runs one symmetry block of ``grid`` at a time
-    (_symmetry_blocks, with the mirrors that split Lr's rows), since H is
+    (_symmetry_blocks, with the mirrors that split L's rows), since H is
     block diagonal in the Q_k basis and nothing couples the blocks; each
     block comes already in band order, so it is factored as it is.  Block
     k solves H_k X = -Q_k^T Gwg for the growth columns whose projection on
-    it exceeds PROJ_RTOL of their norm.  Its membrane coordinates are
-    parity adapted: U_k, the left singular vectors of B_k = Lr Q_k above
-    SPLIT_RTOL of Lr's largest row norm, form together an orthogonal
-    O = [U_1 ... U_K], and the block solves U_k^T B_k y = I as its own
-    KKT system.  The membrane columns are mapped back by O^T, so they solve
-    Lr w = e_i.  _block_minimizers factors each block by banded Cholesky,
-    solves it, refines it once, and frees its factor before the next block
-    is gathered; a block that no column reaches is not factored, so every
-    block solved has at least one column.
+    it exceeds PROJ_RTOL of their norm.  Its membrane coordinates are its
+    parity's: U_k, the range of B_k = L Q_k by _parity_range relative to
+    L's largest row norm, and the block solves U_k^T B_k y = I as its own
+    KKT system.  The ranges of the B_k are orthogonal, so O = [U_1 ... U_K]
+    and block k's membrane columns Q_k y solve the rows of O^T L that are
+    U_k's and vanish on the others.  _block_minimizers factors each block
+    by banded Cholesky, solves it, refines it once, and frees its factor
+    before the next block is gathered; a block that no column reaches is
+    not factored, so every block solved has at least one column.
     """
-    g, r = Gwg.shape[1], Lr.shape[0]
-    scale = np.linalg.norm(Lr, axis=1).max(initial=0.0)
+    g = Gwg.shape[1]
+    scale = np.linalg.norm(L, axis=1).max(initial=0.0)
     col = np.linalg.norm(Gwg, axis=0)
-    W = np.zeros((H.shape[0], g + r))
-    for Q, K in _symmetry_blocks(H, grid, Lr):
+    W, Ys, Us = np.zeros((H.shape[0], g)), [], []
+    for Q, K in _symmetry_blocks(H, grid, L):
         b = -(Q.T @ Gwg)
         grow = np.linalg.norm(b, axis=0) > PROJ_RTOL * col
-        B = (Q.T @ Lr.T).T
+        B = (Q.T @ L.T).T
         U = _parity_range(B, scale)
         if not grow.any() and not U.size:
             continue
         X, Y = _block_minimizers(K, b[:, grow], U.T @ B)
-        W[:, :g][:, grow] += Q @ X
-        W[:, g:] += Q @ (Y @ U.T)
-    return W
+        W[:, grow] += Q @ X
+        Ys.append(Q @ Y)
+        Us.append(U)
+    return np.hstack([W] + Ys), np.hstack([np.zeros((L.shape[0], 0))] + Us)
 
 
 def strain_forms(system: ConstraintSystem, L: np.ndarray):
@@ -570,41 +577,37 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
 
     Returns (growth, membrane) QuadraticSpaces: the forms over the 6 growth
     coordinates and over the image coordinates of a linear map L (m, 3n) on
-    w, the latter with fields kept strictly periodic.  Rank-deficient rows
-    of L are projected out first; ``basis`` maps the surviving r coordinates
-    back (r = 0 gives an empty membrane space).
+    w, the latter with fields kept strictly periodic.  The membrane space's
+    ``basis`` O is the orthonormal basis of L's range that
+    _ridge_minimizers splits by parity; its r <= m columns are the
+    coordinates O^T L w (r = 0 gives an empty membrane space).
 
     The 6 growth coordinates are data, not unknowns: growth minimizer j
     fixes them to e_j and minimizes over w alone, with no membrane
-    constraint; membrane minimizer i keeps them at 0 and solves Lr w = e_i.
-    _ridge_minimizers gets both from one banded Cholesky factor per
-    symmetry block of the rotation block H = A_w^T A_w + eps I, solved,
-    refined and freed one block at a time, with Lr's coordinates split by
-    parity; the blocks' band order is found once per call, by one
-    _node_order of their shared orbit graph.  The membrane columns go
-    through each block's r_k x r_k Schur complement as R^T R, R from a thin
-    QR of the factor's triangular solve of the block's membrane rows; it is
-    never formed, so its conditioning is not squared, and one refinement
-    step against the block's KKT matrix takes the membrane minimizers to
-    their rounding floor.  The levels are the singular values of A times
-    the minimizers, never square roots of their Gram form.  The
-    near-vanishing ridge (EPS_REL) leaves the residuals essentially
-    unbiased, and the minimizers along the directions under the cap are the
-    representative fields.
+    constraint; membrane minimizer i keeps them at 0 and solves
+    O^T L w = e_i.  _ridge_minimizers gets both from one banded Cholesky
+    factor per symmetry block of the rotation block H = A_w^T A_w + eps I,
+    solved, refined and freed one block at a time; the blocks' band order
+    is found once per call, by one _node_order of their shared orbit graph.
+    The membrane columns go through each block's r_k x r_k Schur complement
+    as R^T R, R from a thin QR of the factor's triangular solve of the
+    block's membrane rows; it is never formed, so its conditioning is not
+    squared, and one refinement step against the block's KKT matrix takes
+    the membrane minimizers to their rounding floor.  The levels are the
+    singular values of A times the minimizers, never square roots of their
+    Gram form.  The near-vanishing ridge (EPS_REL) leaves the residuals
+    essentially unbiased, and the minimizers along the directions under the
+    cap are the representative fields.
     """
     A = system.matrix.tocsr()
     ws = system.w_size
     L = np.atleast_2d(np.asarray(L, dtype=float))
     if L.shape[1] != ws:
         raise ValueError("row map width must be 3 * nnodes")
-    U, sv, _ = la.svd(L, full_matrices=False)
-    r = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    Ur = U[:, :r]
     eps = EPS_REL * system.sigma_max() ** 2
     Aw = A[:, :ws]
     H = (Aw.T @ Aw + eps * sp.identity(ws)).tocsc()
-    W = _ridge_minimizers(H, (Aw.T @ A[:, ws:]).toarray(), Ur.T @ L,
-                          system.grid)
+    W, O = _ridge_minimizers(H, (Aw.T @ A[:, ws:]).toarray(), L, system.grid)
 
     def space(Ys, basis):
         _, s, Vt = la.svd(A @ Ys, full_matrices=False)
@@ -614,7 +617,7 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
                               minimizers=Ys, basis=basis, floor=floor)
 
     return (space(np.vstack([W[:, :6], np.eye(6)]), np.eye(6)),
-            space(np.vstack([W[:, 6:], np.zeros((6, r))]), Ur))
+            space(np.vstack([W[:, 6:], np.zeros((6, O.shape[1]))]), O))
 
 
 # -- deflection recovery ---------------------------------------------------

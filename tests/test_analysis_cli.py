@@ -279,8 +279,8 @@ def test_cli_analysis_value_error_exits_1(tmp_path, capsys):
 
 
 def test_cli_ill_conditioned_schur_complement_exits_1(tmp_path, capsys):
-    # so steep a lateral fold leaves the r x r Schur complement
-    # Lr H^-1 Lr^T of _ridge_minimizers with no precision; its guarded
+    # so steep a lateral fold leaves a symmetry block's r_k x r_k Schur
+    # complement in _ridge_minimizers with no precision; its guarded
     # solve refuses, where a report would break the rank bound
     cfg = _write_json(tmp_path / "steep-miura.json",
                       '{"family": "miura-like", "profiles": ['

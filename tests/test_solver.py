@@ -217,19 +217,19 @@ def test_effective_spaces_factors_once(name, monkeypatch):
 
 
 def _block_factorizations(system, monkeypatch):
-    """(H, Lr, the _spy_factors record) from strain_forms."""
+    """(H, L, the _spy_factors record) from strain_forms."""
     calls = []
     ridge = solver._ridge_minimizers
 
-    def spy_ridge(H, Gwg, Lr, grid):
-        calls.append((H, Lr))
-        return ridge(H, Gwg, Lr, grid)
+    def spy_ridge(H, Gwg, L, grid):
+        calls.append((H, L))
+        return ridge(H, Gwg, L, grid)
 
     monkeypatch.setattr(solver, "_ridge_minimizers", spy_ridge)
     rec = _spy_factors(monkeypatch)
     strain_forms(system, membrane_row_map(system.grid))
-    (H, Lr), = calls
-    return H, Lr, rec
+    (H, L), = calls
+    return H, L, rec
 
 
 def _assert_permuted(Q, B, H):
@@ -246,8 +246,8 @@ def test_lu_keeps_each_nodes_unknowns_together(name, monkeypatch):
     # it, already in band order: the band it factors is exactly tril(H_k),
     # and H_k's columns 3q..3q+2 are components 0, 1, 2 of one node orbit
     system = assemble_system(build_grid(builtin_chart(name), 16))
-    H, Lr, rec = _block_factorizations(system, monkeypatch)
-    blocks = list(solver._symmetry_blocks(H, system.grid, Lr))
+    H, L, rec = _block_factorizations(system, monkeypatch)
+    blocks = list(solver._symmetry_blocks(H, system.grid, L))
     assert len(rec["bands"]) == len(blocks) == BLOCKS[name]
     for (Q, B), K, band in zip(blocks, rec["blocks"], rec["bands"]):
         assert abs(K - B).max() == 0.0
@@ -333,7 +333,7 @@ def test_symmetry_blocks_per_builtin(name):
     system = assemble_system(build_grid(builtin_chart(name), 16))
     blocks = list(solver._symmetry_blocks(_rotation_block(system),
                                           system.grid,
-                                          _membrane_rows(system)))
+                                          membrane_row_map(system.grid)))
     assert len(blocks) == BLOCKS[name]
 
 
@@ -343,8 +343,8 @@ def test_symmetry_blocks_split_h_orthogonally(name):
     # itself: the cross blocks are rounding
     system = assemble_system(build_grid(builtin_chart(name), 16))
     H = _rotation_block(system)
-    Qs = [Q for Q, _ in solver._symmetry_blocks(H, system.grid,
-                                                _membrane_rows(system))]
+    Qs = [Q for Q, _ in solver._symmetry_blocks(
+        H, system.grid, membrane_row_map(system.grid))]
     eye = sum(Q @ Q.T for Q in Qs) - sp.identity(system.w_size)
     assert abs(eye).max() <= 1e-15
     for a, Qa in enumerate(Qs):
@@ -357,8 +357,8 @@ def test_chart_without_mirrors_factors_once_in_node_order(monkeypatch):
     # H's graph of nodes (i ~ j when H[3i:3i+3, 3j:3j+3] is nonzero), each
     # node's 3 unknowns together and in component order
     system = assemble_system(build_grid(_chart("mirrorless"), 16))
-    H, Lr, rec = _block_factorizations(system, monkeypatch)
-    (Q, B), = solver._symmetry_blocks(H, system.grid, Lr)
+    H, L, rec = _block_factorizations(system, monkeypatch)
+    (Q, B), = solver._symmetry_blocks(H, system.grid, L)
     _assert_permuted(Q, B, H)
     n = system.grid.nnodes
     N = sp.csc_matrix((np.ones(H.nnz), H.indices // 3, H.indptr[::3].copy()),
@@ -388,7 +388,7 @@ def test_broken_symmetry_is_refused(name, direction, kept):
         row += 3 * len(grid.axis1.pairs) * grid.shape[1]
     A.data[A.indptr[row]:A.indptr[row + 1]] *= 1.5
     H = _rotation_block(replace(system, matrix=A))
-    blocks = list(solver._symmetry_blocks(H, grid, _membrane_rows(system)))
+    blocks = list(solver._symmetry_blocks(H, grid, membrane_row_map(grid)))
     assert len(blocks) == kept
     if kept == 1:
         (Q, B), = blocks
@@ -431,15 +431,6 @@ def test_commutes_reads_the_two_gather_gap(name, monkeypatch):
                 assert solver._commutes(M, perm, sign) == expect
             monkeypatch.undo()
     assert mirrors == BLOCKS[name].bit_length() - 1
-
-
-def _membrane_rows(system, L=None):
-    """Lr as strain_forms passes it to _ridge_minimizers, from the membrane
-    row map L (membrane_row_map by default)."""
-    if L is None:
-        L = membrane_row_map(system.grid)
-    U, sv, _ = la.svd(L, full_matrices=False)
-    return U[:, :int(np.sum(sv > solver.RANK_RTOL * sv[0]))].T @ L
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura"])
@@ -524,18 +515,18 @@ def test_indefinite_block_is_refused():
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "eggbox-hybrid"])
 def test_membrane_coordinates_split_by_parity(name):
-    # U_k spans the range of Lr Q_k; the U_k are orthonormal, their ranks
-    # add up to r, and O = [U_1 ... U_K] is orthogonal
+    # U_k spans the range of L Q_k; the U_k are orthonormal, their ranks
+    # add up to r, the rank of L, and O = [U_1 ... U_K] is orthogonal
     system = assemble_system(build_grid(builtin_chart(name), 16))
-    H, Lr = _rotation_block(system), _membrane_rows(system)
-    scale = np.linalg.norm(Lr, axis=1).max()
-    Us = [solver._parity_range((Q.T @ Lr.T).T, scale)
-          for Q, _ in solver._symmetry_blocks(H, system.grid, Lr)]
+    H, L = _rotation_block(system), membrane_row_map(system.grid)
+    scale = np.linalg.norm(L, axis=1).max()
+    Us = [solver._parity_range((Q.T @ L.T).T, scale)
+          for Q, _ in solver._symmetry_blocks(H, system.grid, L)]
     assert len(Us) == BLOCKS[name]
     for U in Us:
         assert_allclose(U.T @ U, np.eye(U.shape[1]), rtol=0, atol=1e-14)
     O = np.hstack(Us)
-    assert O.shape == (Lr.shape[0],) * 2
+    assert O.shape == (L.shape[0], np.linalg.matrix_rank(L)) == (3, 3)
     assert_allclose(O.T @ O, np.eye(O.shape[1]), rtol=0, atol=1e-14)
 
 
@@ -548,12 +539,13 @@ def test_mirror_that_does_not_split_membrane_rows_is_refused(name,
     system = assemble_system(build_grid(builtin_chart(name), 16))
     L = membrane_row_map(system.grid)
     L[:, 3 * 40:3 * 41] *= 1.5
-    H, Lr = _rotation_block(system), _membrane_rows(system, L)
+    H = _rotation_block(system)
     assert len(list(solver._symmetry_blocks(
-        H, system.grid, _membrane_rows(system)))) == BLOCKS[name]
-    (Q, B), = solver._symmetry_blocks(H, system.grid, Lr)
+        H, system.grid, membrane_row_map(system.grid)))) == BLOCKS[name]
+    (Q, B), = solver._symmetry_blocks(H, system.grid, L)
     _assert_permuted(Q, B, H)
-    # the membrane minimizers still solve Lr w = e_i; a lone rescaled node
+    # the membrane minimizers still solve O^T L w = e_i, O the returned
+    # basis; a lone rescaled node
     # lets near-strain-free fields reach one row, so the Schur complement
     # holds less precision than on the surface itself (1e-9 to 3e-8 here,
     # in one block or in the mirror blocks), where a kept mirror would
@@ -561,8 +553,9 @@ def test_mirror_that_does_not_split_membrane_rows_is_refused(name,
     rec = _spy_factors(monkeypatch)
     _, membrane = strain_forms(system, L)
     assert len(rec["bands"]) == 1 and rec["alive"] == [1]
-    Wm = membrane.minimizers[:system.w_size]
-    assert_allclose(Lr @ Wm, np.eye(Lr.shape[0]), rtol=0, atol=1e-6)
+    O, Wm = membrane.basis, membrane.minimizers[:system.w_size]
+    assert O.shape == (3, 3)
+    assert_allclose(O.T @ L @ Wm, np.eye(3), rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane", "eggbox-hybrid",
@@ -570,7 +563,8 @@ def test_mirror_that_does_not_split_membrane_rows_is_refused(name,
 def test_ridge_minimizers_match_dense_kkt(name, monkeypatch):
     # the factored, refined solves against dense ones, H = A_w^T A_w + eps I:
     # growth minimizers are -H^-1 A_w^T A_g with w free of the membrane
-    # constraint, membrane ones solve [[H, Lr^T], [Lr, 0]] with growth 0.
+    # constraint, membrane ones solve [[H, Lr^T], [Lr, 0]] with growth 0,
+    # Lr = O^T L with O the membrane space's basis, as returned.
     # Corrugation runs on the reduced-direction system an analysis solves
     if name == "corrugation":
         system, _ = _analysis_system(_chart(name), [16, 16])
@@ -579,14 +573,15 @@ def test_ridge_minimizers_match_dense_kkt(name, monkeypatch):
     calls = []
     ridge = solver._ridge_minimizers
 
-    def spy(H, Gwg, Lr, grid):
-        W = ridge(H, Gwg, Lr, grid)
-        calls.append((H, Gwg, Lr))
-        return W
+    def spy(H, Gwg, L, grid):
+        W, O = ridge(H, Gwg, L, grid)
+        calls.append((H, Gwg, O, O.T @ L))
+        return W, O
 
     monkeypatch.setattr(solver, "_ridge_minimizers", spy)
     growth, membrane = strain_forms(system, membrane_row_map(system.grid))
-    (H, Gwg, Lr), = calls
+    (H, Gwg, O, Lr), = calls
+    assert membrane.basis is O
     ws, r = H.shape[0], Lr.shape[0]
     H = H.toarray()
     K = np.block([[H, Lr.T], [Lr, np.zeros((r, r))]])
