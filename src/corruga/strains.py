@@ -214,12 +214,17 @@ def parse_threshold(value) -> float | None:
 def cut(rel, h: float, floor, tau: float | None = None) -> SpectralCut:
     """Cut sorted-ascending sigma/sigma_max levels into achievable or not.
 
-    The cap is ``tau`` when the caller fixed one, which is never ambiguous,
-    else CAP_SCALE * h, which is ambiguous when the gap across it is under
-    GAP_MIN.  ``floor`` bounds the regularization bias of the levels, one
-    value for all or one per level, and is taken as at least FLOOR_MIN; the
+    The cap is CAP_SCALE * h, or ``tau`` when the caller fixed one.  The
+    gap is the first level above the cap (the cap itself when every level
+    is under it) over the last level under it, or over the cap when none
+    is.  ``floor`` bounds the regularization bias of the levels, one value
+    for all or one per level, and is taken as at least FLOOR_MIN; the
     gap's denominator is never taken below the largest floor of the levels
-    under the cap, and the count does not depend on it.
+    under the cap, and the count does not depend on it.  An automatic cut
+    is ambiguous when its gap is under GAP_MIN.  A fixed cut is ambiguous
+    when its gap is under 1: the first level above it sits below the
+    largest floor of the levels kept, so it cuts among levels that the
+    regularization cannot tell apart.
     """
     rel = np.asarray(rel, dtype=float)
     floor = np.broadcast_to(np.maximum(floor, FLOOR_MIN), rel.shape)
@@ -230,7 +235,8 @@ def cut(rel, h: float, floor, tau: float | None = None) -> SpectralCut:
     else:
         top = rel[k] if k < rel.size else cap
         gap = float(top / max(rel[k - 1], floor[:k].max()))
-    return SpectralCut(k, float(cap), gap, tau is None and gap < GAP_MIN)
+    return SpectralCut(k, float(cap), gap,
+                       gap < (GAP_MIN if tau is None else 1.0))
 
 
 # -- strain spaces ----------------------------------------------------------

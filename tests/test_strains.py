@@ -9,7 +9,7 @@ from corruga.chart import PeriodGeometry, builtin_chart, period_geometry
 from corruga.grid import build_grid
 from corruga.oracle import analytic_mode, sample_rotation
 from corruga.solver import RotationMode
-from corruga.strains import (chi_from_growth, classify_mode,
+from corruga.strains import (CAP_SCALE, chi_from_growth, classify_mode, cut,
                              effective_membrane_strain, growth_share,
                              mode_scale, orthogonality_residual,
                              orthogonality_residual_rel, poisson_ratios,
@@ -173,3 +173,31 @@ def test_membrane_representative_matches_catalogue(analysis_bundle, name,
     assert_allclose(ref, np.diag([1.0, sign]) / np.sqrt(3.0), atol=1e-12)
     (E,) = [m["E"] for m in report["modes"] if m["id"].startswith("membrane")]
     assert np.linalg.norm(E - ref) <= 1e-4 * np.linalg.norm(ref)
+
+
+LEVELS = np.array([1e-8, 1e-7, 1e-5, 1e-4])
+
+
+@pytest.mark.parametrize("tau, count, top", [(5e-9, 0, 1e-8),
+                                             (1e-6, 2, 1e-5),
+                                             (1e-3, 4, 1e-3)])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_fixed_cut_is_ambiguous_when_its_gap_is_under_one(tau, count, top,
+                                                          factor):
+    # every level's floor just under or just over top, the first level above
+    # the fixed cut (the cut itself when all are kept): the gap is top over
+    # the largest floor of the levels kept, and a cut among levels under
+    # their own floor (gap under 1) is ambiguous.  With none kept no floor
+    # is read, and the gap is the lowest level over the cut
+    floor = np.full(LEVELS.size, factor * top)
+    got = cut(LEVELS, 1.0, floor, tau)
+    assert got.count == count
+    if count == 0:
+        assert_allclose(got.gap, LEVELS[0] / tau, rtol=1e-15)
+        assert not got.ambiguous
+    else:
+        assert_allclose(got.gap, 1.0 / factor, rtol=1e-15)
+        assert got.ambiguous == (factor > 1.0)
+    # the automatic cut at the same cap still asks for a gap of GAP_MIN
+    auto = cut(LEVELS, tau / CAP_SCALE, floor)
+    assert auto.count == count and auto.ambiguous
