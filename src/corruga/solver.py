@@ -563,13 +563,13 @@ def _ridge_minimizers(H, Gwg: np.ndarray, L: np.ndarray,
         grow = np.linalg.norm(b, axis=0) > PROJ_RTOL * col
         B = (Q.T @ L.T).T
         U = _parity_range(B, scale)
+        Us.append(U)
         if not grow.any() and not U.size:
             continue
         X, Y = _block_minimizers(K, b[:, grow], U.T @ B)
         W[:, grow] += Q @ X
         Ys.append(Q @ Y)
-        Us.append(U)
-    return np.hstack([W] + Ys), np.hstack([np.zeros((L.shape[0], 0))] + Us)
+    return np.hstack([W] + Ys), np.hstack(Us)
 
 
 def strain_forms(system: ConstraintSystem, L: np.ndarray):
