@@ -68,42 +68,41 @@ class SpaceCurve:
     def __post_init__(self):
         if self.axis not in (0, 1):
             raise ValueError("curve axis must be 0 or 1")
-        periods = {p.period for p in (self.lateral, self.vertical) if p is not None}
+        periods = {p.period for p, _ in self.parts}
         if len(periods) > 1:
             raise ValueError("lateral and vertical profiles must share a period")
 
     @property
-    def period(self) -> float:
-        p = self.lateral or self.vertical
-        return p.period
+    def parts(self) -> tuple[tuple[Profile, int], ...]:
+        """(profile, component) of each profile the curve carries: lateral
+        drives component 1 - axis, vertical component 2."""
+        return tuple((p, k) for p, k in ((self.lateral, 1 - self.axis),
+                                         (self.vertical, 2)) if p is not None)
 
-    def point(self, t):
+    @property
+    def period(self) -> float:
+        return self.parts[0][0].period
+
+    def _sample(self, t, derivative: bool, side=1):
+        """c(t), or c'(t) when ``derivative``, with ``side`` as for
+        Profile.slope."""
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (3,))
-        out[..., self.axis] = t
-        if self.lateral is not None:
-            out[..., 1 - self.axis] = self.lateral.value(t)
-        if self.vertical is not None:
-            out[..., 2] = self.vertical.value(t)
+        out[..., self.axis] = 1.0 if derivative else t
+        for p, k in self.parts:
+            out[..., k] = p.slope(t, side) if derivative else p.value(t)
         return out
+
+    def point(self, t):
+        return self._sample(t, False)
 
     def tangent(self, t, side=1):
         """c'(t); ``side`` is as for Profile.slope."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (3,))
-        out[..., self.axis] = 1.0
-        if self.lateral is not None:
-            out[..., 1 - self.axis] = self.lateral.slope(t, side)
-        if self.vertical is not None:
-            out[..., 2] = self.vertical.slope(t, side)
-        return out
+        return self._sample(t, True, side)
 
     def _breakpoints(self, attr: str) -> tuple[float, ...]:
-        vals = set()
-        for p in (self.lateral, self.vertical):
-            if p is not None:
-                vals.update(getattr(p, attr))
-        return tuple(sorted(vals))
+        return tuple(sorted({b for p, _ in self.parts
+                             for b in getattr(p, attr)}))
 
     def panel_breakpoints(self) -> tuple[float, ...]:
         return self._breakpoints("panel_breakpoints")
@@ -229,7 +228,7 @@ def _validate_chart(chart: SurfaceChart) -> None:
                 or not all(isinstance(c, SpaceCurve) for c in chart.profiles)):
             raise ValueError("translation-surface needs two SpaceCurve values")
         a, b = chart.profiles
-        if any(c.lateral is None and c.vertical is None for c in (a, b)):
+        if not (a.parts and b.parts):
             raise ValueError("a translation curve needs at least one profile")
         if (a.axis, b.axis) != (0, 1):
             raise ValueError("translation curves must have axes (0, 1)")

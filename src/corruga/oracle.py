@@ -35,7 +35,7 @@ from .chart import (TAU, SHEARED_DOUBLE_CORRUGATION, SpaceCurve,
 from .grid import PeriodicGrid, cell_average
 from .profiles import Profile
 from .solver import RotationMode
-from .strains import chi_from_growth, stretch_from_rates
+from .strains import chi_from_growth, growth_pairing, stretch_from_rates
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,8 @@ def _curve_mean(curve: SpaceCurve, period: float) -> np.ndarray:
     """Mean of c over [0, period]; a straight line has no period of its own."""
     out = np.zeros(3)
     out[curve.axis] = 0.5 * period
-    for p, k in ((curve.lateral, 1 - curve.axis), (curve.vertical, 2)):
-        if p is not None:
-            out[k] = p.value_mean()
+    for p, k in curve.parts:
+        out[k] = p.value_mean()
     return out
 
 
@@ -411,21 +410,18 @@ def scaling_limit_check(amode: AnalyticMode,
                         eps_list=(0.25, 0.125, 0.0625, 0.03125)) -> np.ndarray:
     """Error of eps^2 xdot(xi/eps) against its quadratic limit, per eps.
 
-    The limit is q(xi) = 1/2 xi_mu xi_nu W_nu x p_mu.  The error is the max
+    The limit is q(xi) = 1/2 xi_m xi_n Q_mn with Q = growth_pairing, the
+    sym(W_n x p_m) whose normal component is chi.  The error is the max
     over the fixed SCALING_PROBES; modes without growth have q = 0.
     """
-    geom = period_geometry(amode.chart)
-    q11 = np.cross(amode.W1, geom.p1)
-    q12 = np.cross(amode.W2, geom.p1) + np.cross(amode.W1, geom.p2)
-    q22 = np.cross(amode.W2, geom.p2)
+    Q = growth_pairing(amode.W1, amode.W2, period_geometry(amode.chart))
     x1, x2 = SCALING_PROBES[:, 0], SCALING_PROBES[:, 1]
-    limit = 0.5 * (x1[:, None] ** 2 * q11 + (x1 * x2)[:, None] * q12
-                   + x2[:, None] ** 2 * q22)
-    out = []
-    for eps in eps_list:
-        vals = eps * eps * amode.deflection(x1 / eps, x2 / eps)
-        out.append(float(np.max(np.linalg.norm(vals - limit, axis=-1))))
-    return np.array(out)
+    limit = 0.5 * (x1[:, None] ** 2 * Q[0, 0]
+                   + (x1 * x2)[:, None] * 2 * Q[0, 1]
+                   + x2[:, None] ** 2 * Q[1, 1])
+    diffs = [eps * eps * amode.deflection(x1 / eps, x2 / eps) - limit
+             for eps in eps_list]
+    return np.array([np.max(np.linalg.norm(d, axis=-1)) for d in diffs])
 
 
 def fitted_rate(eps_list, errors) -> float:

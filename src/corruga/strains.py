@@ -5,6 +5,9 @@ E_mn = sym <p_m, pdot_n> with pdot_n the period mean of w x x_n.  A field
 with growth bends: chi_mn = sym <W_n x p_m, n> with W_a the growth per unit
 parameter.  Spans of achievable E and chi obey dim{E} + dim{chi} <= 3, with
 each achievable pair satisfying E11 chi22 - 2 E12 chi12 + E22 chi11 = 0.
+Both tensors are one symmetric pairing over the lattice indices, _pairing,
+which also builds membrane_row_map and growth_pairing (the oracle's scaling
+limit reads the latter), so E and chi share one index convention.
 
 effective_spaces finds the spans by minimizing the constraint residual
 subject to hitting prescribed growth / strain coordinates, which needs no
@@ -97,44 +100,50 @@ def effective_membrane_strain(mode: RotationMode,
                               grid.geometry)
 
 
+def _pairing(f) -> np.ndarray:
+    """The symmetric pairing over the lattice indices m, n = 0, 1:
+    [[f(0, 0), (f(0, 1) + f(1, 0)) / 2], [the same, f(1, 1)]], for scalar,
+    vector or array values of f."""
+    off = 0.5 * (f(0, 1) + f(1, 0))
+    return np.array([[f(0, 0), off], [off, f(1, 1)]])
+
+
 def stretch_from_rates(pdot1, pdot2, geometry: PeriodGeometry) -> np.ndarray:
     """E from the period-mean rates pdot_n of the lattice tangents:
     E_mn = sym <p_m, pdot_n>."""
-    p1, p2 = geometry.p1, geometry.p2
-    E = np.empty((2, 2))
-    E[0, 0] = p1 @ pdot1
-    E[1, 1] = p2 @ pdot2
-    E[0, 1] = E[1, 0] = 0.5 * (p1 @ pdot2 + p2 @ pdot1)
-    return E
+    p, pdot = (geometry.p1, geometry.p2), (pdot1, pdot2)
+    return _pairing(lambda m, n: p[m] @ pdot[n])
+
+
+def growth_pairing(W1, W2, geometry: PeriodGeometry) -> np.ndarray:
+    """sym (W_n x p_m) over m, n, shape (2, 2, 3), from the growth W_n per
+    unit parameter: chi is its normal component."""
+    p, W = (geometry.p1, geometry.p2), (W1, W2)
+    return _pairing(lambda m, n: np.cross(W[n], p[m]))
 
 
 def chi_from_growth(W1, W2, geometry: PeriodGeometry) -> np.ndarray:
     """chi from per-unit growth vectors: chi_mn = sym <W_n x p_m, n>."""
-    p1, p2, n = geometry.p1, geometry.p2, geometry.n
-    if np.linalg.norm(n) < 1e-12:
+    if np.linalg.norm(geometry.n) < 1e-12:
         raise ValueError("degenerate period geometry (p1 parallel to p2)")
-    chi = np.empty((2, 2))
-    chi[0, 0] = np.cross(W1, p1) @ n
-    chi[1, 1] = np.cross(W2, p2) @ n
-    chi[0, 1] = chi[1, 0] = 0.5 * (np.cross(W2, p1) + np.cross(W1, p2)) @ n
-    return chi
+    # np.dot takes each entry's 1-D dot with n; a stacked matmul sums in
+    # another order
+    return np.dot(growth_pairing(W1, W2, geometry), geometry.n)
 
 
 def membrane_row_map(grid: PeriodicGrid) -> np.ndarray:
     """Linear map w samples -> (E11, sqrt2 E12, E22), dense (3, 3n).
 
-    Row k uses the scalar triple <p, w x x> = w . (x cross p) under the
-    quadrature weights, so L @ w equals vec_sym(E(w)) exactly.
+    Row k uses the scalar triple <p, w x x> = w . (x cross p): the pairing
+    of x_n x p_m at each node under the quadrature weights, so L @ w equals
+    vec_sym(E(w)) to rounding (E averages the rates before it pairs).
     """
-    n = grid.nnodes
-    geom = grid.geometry
-    c = (grid.weights / grid.cell_area).reshape(n, 1)
-    x1 = grid.x1.reshape(n, 3)
-    x2 = grid.x2.reshape(n, 3)
-    r11 = c * np.cross(x1, geom.p1)
-    r22 = c * np.cross(x2, geom.p2)
-    r12 = 0.5 * _SQRT2 * c * (np.cross(x2, geom.p1) + np.cross(x1, geom.p2))
-    return np.stack([r11.reshape(-1), r12.reshape(-1), r22.reshape(-1)])
+    c = (grid.weights / grid.cell_area).reshape(-1, 1)
+    p = grid.geometry.p1, grid.geometry.p2
+    x = grid.x1.reshape(-1, 3), grid.x2.reshape(-1, 3)
+    R = _pairing(lambda m, n: np.cross(x[n], p[m]))
+    return np.stack([c * R[0, 0], _SQRT2 * c * R[0, 1],
+                     c * R[1, 1]]).reshape(3, -1)
 
 
 # -- the orthogonality identity -------------------------------------------
