@@ -6,13 +6,14 @@ from conftest import reparametrization_check
 from numpy.testing import assert_allclose
 
 from corruga.chart import (SHEARED_DOUBLE_CORRUGATION, SIMPLE_CORRUGATION,
-                           TAU, SurfaceChart)
+                           TAU, SpaceCurve, SurfaceChart, builtin_chart)
 from corruga.grid import build_grid, cell_average
-from corruga.oracle import (MODE_IDS, TrigField, analytic_mode, fitted_rate,
-                            make_trig_field, sample_rotation,
+from corruga.oracle import (MODE_IDS, TrigField, _curve_swirl, analytic_mode,
+                            fitted_rate, make_trig_field, sample_rotation,
                             scaling_limit_check, symmetry_lemma_check)
-from corruga.profiles import PIECEWISE_QUADRATIC, SINUSOIDAL, make_profile
-from corruga.solver import assemble_system
+from corruga.profiles import (PIECEWISE_LINEAR, PIECEWISE_QUADRATIC,
+                              SINUSOIDAL, make_profile)
+from corruga.solver import assemble_system, mode_from_vector, strain_forms
 
 
 def test_catalogue_reference_tensors():
@@ -213,3 +214,65 @@ def test_symmetry_lemma_matches_cross_product_reference():
         scale = max(abs(ref_lhs), abs(ref_rhs), a.rms() * b.rms())
         assert abs(lhs - ref_lhs) <= 1e-13 * scale
         assert abs(rhs - ref_rhs) <= 1e-13 * scale
+
+
+def _eggbox8():
+    return build_grid(builtin_chart("eggbox"), 8)
+
+
+def _zero_mode():
+    system = assemble_system(_eggbox8())
+    return mode_from_vector(system, np.zeros(system.nunknowns))
+
+
+def _nan_average():
+    grid = _eggbox8()
+    return cell_average(np.full(grid.shape, np.nan), grid)
+
+
+_SMOOTH = SurfaceChart(SIMPLE_CORRUGATION, (TAU, TAU),
+                       (make_profile(SINUSOIDAL, 1.0, TAU),))
+_TWO_COMPONENTS = SpaceCurve(0, lateral=make_profile(PIECEWISE_QUADRATIC, 0.5),
+                             vertical=make_profile(PIECEWISE_LINEAR, 1.0))
+
+# each documented ValueError: (the call, a pattern of its message)
+REFUSALS = {
+    "cell-average-shape": (
+        lambda: cell_average(np.ones((3, 3)), _eggbox8()),
+        r"field shape \(3, 3\) does not match grid"),
+    "cell-average-non-finite": (
+        _nan_average, "field contains non-finite values"),
+    "mode-from-zero-vector": (
+        _zero_mode, "zero mode vector"),
+    "row-map-width": (
+        lambda: strain_forms(assemble_system(_eggbox8()), np.ones((3, 5))),
+        r"row map width must be 3 \* nnodes"),
+    "unknown-mode": (
+        lambda: analytic_mode("no-such-mode"),
+        "unknown analytic mode 'no-such-mode'"),
+    "mode-on-other-family": (
+        lambda: analytic_mode("eggbox-membrane", builtin_chart("miura")),
+        "needs a 'double-corrugation' chart, got 'miura-like'"),
+    "sample-on-other-grid": (
+        lambda: sample_rotation(analytic_mode("miura-membrane"), _eggbox8()),
+        "grid was built for a different chart"),
+    "lemma-on-creased-chart": (
+        lambda: symmetry_lemma_check(builtin_chart("eggbox"),
+                                     make_trig_field(1), make_trig_field(2),
+                                     _eggbox8()),
+        "needs a smooth chart"),
+    "lemma-on-other-grid": (
+        lambda: symmetry_lemma_check(_SMOOTH, make_trig_field(1),
+                                     make_trig_field(2), _eggbox8()),
+        "grid was built for a different chart"),
+    "swirl-of-two-components": (
+        lambda: _curve_swirl(_TWO_COMPONENTS, 1.0),
+        "single profile component"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_documented_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -74,14 +74,34 @@ def _dense_spectrum(system, vectors=True):
     return (rel, Vt[order].T) if vectors else rel
 
 
+def _exact_kernel(system):
+    """The right singular vectors V_k of A with sigma <= 1e-6 sigma_max, as
+    columns, and a bound on the largest such sigma over sigma_max.
+
+    G = A^T A is formed densely and its eigenpairs under 1e-11 lambda_max
+    come from LAPACK.  Each must sit under 1e-13 lambda_max, so rounding in
+    G cannot move one across sigma = 1e-6 sigma_max (lambda = 1e-12
+    lambda_max) and k is exact.  G cannot resolve sigma below about 1e-8
+    sigma_max, so the bound is ||A V_k||_2 >= sigma_k (Courant-Fischer),
+    with A applied directly.
+    """
+    A = system.matrix
+    G = (A.T @ A).toarray()
+    n = G.shape[0]
+    lmax = la.eigh(G, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0]
+    lam, V = la.eigh(G, subset_by_value=[-np.inf, 1e-11 * lmax])
+    assert np.all(lam <= 1e-13 * lmax), lam / lmax
+    return V, la.norm(A @ V, 2) / np.sqrt(lmax)
+
+
 def test_plane_exact_kernel_is_six_dimensional():
     # the operator kernel proper: 3 constants + 3 growth modes, all at
     # machine-precision sigma; everything else sits orders above 1e-6
     system = assemble_system(build_grid(builtin_chart("plane"), 32))
-    rel, V = _dense_spectrum(system)
-    k = int(np.sum(rel <= 1e-6))
+    V, bound = _exact_kernel(system)
+    k = V.shape[1]
     assert k == 6
-    assert rel[k - 1] <= 1e-9
+    assert bound <= 1e-9
     # the kernel carries exactly three independent growth directions
     svals = np.linalg.svd(V[system.w_size:, :k], compute_uv=False)
     assert np.sum(svals > 1e-8 * svals[0]) == 3
@@ -91,10 +111,10 @@ def test_eggbox_exact_kernel_contains_catalogue_and_folds():
     # 3 constants + 1 membrane + 2 bending, plus exact per-panel fold
     # mechanisms admitted by the crease conditions; all at machine sigma
     system = assemble_system(build_grid(builtin_chart("eggbox"), 32))
-    rel = _dense_spectrum(system, vectors=False)
-    k = int(np.sum(rel <= 1e-6))
+    V, bound = _exact_kernel(system)
+    k = V.shape[1]
     assert k >= 6
-    assert rel[k - 1] <= 1e-9
+    assert bound <= 1e-9
 
 
 def test_plane_near_kernel_is_a_continuum_slice():

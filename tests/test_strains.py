@@ -5,13 +5,15 @@ import pytest
 from conftest import adjugate_residual
 from numpy.testing import assert_allclose
 
-from corruga.chart import PeriodGeometry, builtin_chart, period_geometry
+from corruga.chart import (BUILTIN_NAMES, PeriodGeometry, builtin_chart,
+                           period_geometry)
 from corruga.grid import build_grid
 from corruga.oracle import analytic_mode, sample_rotation
 from corruga.solver import RotationMode
 from corruga.strains import (CAP_SCALE, chi_from_growth, classify_mode, cut,
                              effective_membrane_strain, growth_share,
-                             mode_scale, orthogonality_residual,
+                             membrane_row_map, mode_scale,
+                             orthogonality_residual,
                              orthogonality_residual_rel, poisson_ratios,
                              unvec_sym, vec_sym)
 
@@ -125,6 +127,22 @@ def test_sampled_catalogue_strains_match_predictions():
             want = am.chi
         assert_allclose(got, want, atol=5e-3 * max(1.0, np.abs(want).max()),
                         err_msg=mid)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_membrane_row_map_gives_vec_sym_of_E(name):
+    # L pairs at each node and then averages; effective_membrane_strain
+    # averages the rates first and then pairs them
+    grid = build_grid(builtin_chart(name), 16)
+    L = membrane_row_map(grid)
+    w = np.random.default_rng(5).normal(size=grid.shape + (3,))
+    mode = RotationMode(w=w, W1=np.zeros(3), W2=np.zeros(3), sigma=0.0)
+    assert_allclose(L @ w.reshape(-1),
+                    vec_sym(effective_membrane_strain(mode, grid)), rtol=0,
+                    atol=1e-13 * np.abs(L).max() * np.abs(w).max())
+    if name == "plane":
+        # e1 x e1 = 0 and (e2 x e1 + e1 x e2) / 2 = 0
+        assert not np.any(L)
 
 
 def test_classify_mode_labels():
