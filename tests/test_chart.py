@@ -189,5 +189,96 @@ def test_config_roundtrip(name):
 
 
 def test_unknown_builtin_rejected():
-    with pytest.raises((KeyError, ValueError)):
+    with pytest.raises(ValueError) as err:
         builtin_chart("moebius")
+    assert all(name in str(err.value) for name in BUILTIN_NAMES)
+
+
+def _pl(period=TAU):
+    return make_profile("piecewise-linear", 1.0, period)
+
+
+def _pq(period=TAU):
+    return make_profile("piecewise-quadratic", 1.0, period)
+
+
+def _curves(*axes):
+    return tuple(SpaceCurve(a, vertical=_pl()) for a in axes)
+
+
+# each case builds a chart that must be refused, with the message it gives
+# (None: any ValueError)
+CHART_REFUSALS = {
+    "unknown-family": (
+        lambda: SurfaceChart("moebius-strip", (TAU, TAU)),
+        "unknown family 'moebius-strip'"),
+    "plane-with-profile": (
+        lambda: SurfaceChart("plane", (TAU, TAU), (_pl(),)), None),
+    "corrugation-two-profiles": (
+        lambda: SurfaceChart("simple-corrugation", (TAU, TAU), (_pl(), _pl())),
+        None),
+    "double-corrugation-one-profile": (
+        lambda: SurfaceChart("double-corrugation", (TAU, TAU), (_pl(),)),
+        None),
+    "double-corrugation-curves": (
+        lambda: SurfaceChart("double-corrugation", (TAU, TAU), _curves(0, 1)),
+        None),
+    "translation-profiles": (
+        lambda: SurfaceChart("translation-surface", (TAU, TAU), (_pl(), _pl())),
+        None),
+    "corrugation-period-T1": (
+        lambda: SurfaceChart("simple-corrugation", (2 * TAU, TAU), (_pl(),)),
+        None),
+    "double-corrugation-period-T2": (
+        lambda: SurfaceChart("double-corrugation", (TAU, 2 * TAU),
+                             (_pl(), _pl())),
+        r"profile periods must equal \(T1, T2\)"),
+    "miura-period-T1": (
+        lambda: SurfaceChart("miura-like", (2 * TAU, TAU), (_pl(), _pl())),
+        r"profile periods must equal \(T1, T2\)"),
+    "translation-period-T2": (
+        lambda: SurfaceChart("translation-surface", (TAU, 2 * TAU),
+                             _curves(0, 1)),
+        None),
+    "translation-swapped-axes": (
+        lambda: SurfaceChart("translation-surface", (TAU, TAU), _curves(1, 0)),
+        r"translation curves must have axes \(0, 1\)"),
+    "translation-profile-less-curve": (
+        lambda: SurfaceChart("translation-surface", (TAU, TAU),
+                             (SpaceCurve(0, vertical=_pl()), SpaceCurve(1))),
+        "a translation curve needs at least one profile"),
+    "miura-quadratic-second-profile": (
+        lambda: SurfaceChart("miura-like", (TAU, TAU), (_pl(), _pq())),
+        "miura-like needs a piecewise-linear second profile"),
+    "sheared-half-gamma": (
+        lambda: SurfaceChart("sheared-double-corrugation", (TAU, TAU),
+                             (_pl(), _pq()), gamma=0.5),
+        r"gamma\*T1 must be an integer multiple of T2"),
+    "gamma-on-double-corrugation": (
+        lambda: SurfaceChart("double-corrugation", (TAU, TAU), (_pl(), _pq()),
+                             gamma=1.0),
+        "gamma applies to the sheared family only"),
+    "zero-period": (
+        lambda: SurfaceChart("plane", (0.0, TAU)),
+        "periods must be finite positive numbers"),
+    "nan-gamma": (
+        lambda: SurfaceChart("plane", (TAU, TAU), gamma=math.nan),
+        "gamma must be a finite number"),
+    "translation-parallel-tangents": (
+        # tangents (1, +-1, 0) and (+-1, 1, 0): parallel where the signs agree
+        lambda: SurfaceChart("translation-surface", (TAU, TAU),
+                             (SpaceCurve(0, lateral=_pl()),
+                              SpaceCurve(1, lateral=_pl()))),
+        "curve tangents become parallel"),
+    "unknown-builtin": (
+        lambda: builtin_chart("moebius"),
+        "unknown builtin surface 'moebius'; choose from plane, corrugation, "
+        "eggbox, eggbox-hybrid, miura, translation"),
+}
+
+
+@pytest.mark.parametrize("case", CHART_REFUSALS)
+def test_chart_refusals(case):
+    build, message = CHART_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        build()
