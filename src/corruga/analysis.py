@@ -53,7 +53,7 @@ def _analysis_system(chart: SurfaceChart, requested):
     requested grid's sigma_max: its levels relative to sigma_max, and with
     them the cut, are the requested grid's.
     """
-    flat = [c.lateral is None and c.vertical is None for c in chart.curves]
+    flat = [not c.parts for c in chart.curves]
     reduced = [min(n, MIN_RESOLUTION) if f else n
                for n, f in zip(requested, flat)]
     full = build_grid(chart, requested)

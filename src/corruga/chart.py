@@ -4,20 +4,26 @@ A chart maps parameters (xi1, xi2) to a position in R^3 and is periodic
 modulo a linear part: x(xi + T_a e_a) = x(xi) + T_a p_a with constant
 lattice tangents p_a.  Every family is a pair of space curves under the
 lattice shear eta = xi2 + gamma*xi1, x = alpha(xi1) + beta(eta), with
-gamma = 0 outside the sheared family.  ``SurfaceChart.curves`` gives the
-pair (a missing component is zero):
+gamma = 0 outside the sheared family.  One row of ``_FAMILY_TABLE`` per
+family gives how many entries ``profiles`` holds, their type, and the pair
+``SurfaceChart.curves`` builds from them (a missing component is zero):
 
-* ``plane``: alpha = (t, 0, 0), beta = (0, t, 0)
-* ``simple-corrugation``: alpha = (t, 0, f(t)), beta = (0, t, 0)
-* ``double-corrugation`` and ``sheared-double-corrugation``:
-  alpha = (t, 0, f(t)), beta = (0, t, g(t))
-* ``miura-like``: alpha = (t, f(t), 0), beta = (0, t, g(t))
-* ``translation-surface``: alpha, beta given as curves built from profiles
+* ``plane``: no entries; alpha = (t, 0, 0), beta = (0, t, 0)
+* ``simple-corrugation``: f; alpha = (t, 0, f(t)), beta = (0, t, 0)
+* ``double-corrugation`` and ``sheared-double-corrugation`` (one row):
+  f, g; alpha = (t, 0, f(t)), beta = (0, t, g(t))
+* ``miura-like``: f, g; alpha = (t, f(t), 0), beta = (0, t, g(t))
+* ``translation-surface``: the two curves alpha, beta themselves
 
-Positions and one-sided partials all come from that pair.  The sheared
+Positions and one-sided partials all come from that pair, and so do the
+checks every family shares: the curves lie along axes (0, 1), and each
+curve that carries profiles has the period of its axis.  The sheared
 family is for analytic use only: its panel joints are oblique in parameter
 space, which the structured grid does not support, so it reports no
 breakpoints and is not grid-compatible.
+
+``builtin_chart`` builds the named examples of ``_BUILTINS``, whose keys
+are ``BUILTIN_NAMES``.
 
 Tangent discontinuities (creases) happen exactly on the parameter lines
 passing through piecewise-linear profile breakpoints; piecewise-quadratic
@@ -32,8 +38,8 @@ import math
 
 import numpy as np
 
-from .profiles import (PIECEWISE_LINEAR, Profile, as_float, make_profile,
-                       profile_from_config, required)
+from .profiles import (PIECEWISE_LINEAR, PIECEWISE_QUADRATIC, Profile,
+                       as_float, make_profile, profile_from_config, required)
 
 PLANE = "plane"
 SIMPLE_CORRUGATION = "simple-corrugation"
@@ -41,9 +47,6 @@ DOUBLE_CORRUGATION = "double-corrugation"
 TRANSLATION_SURFACE = "translation-surface"
 MIURA_LIKE = "miura-like"
 SHEARED_DOUBLE_CORRUGATION = "sheared-double-corrugation"
-
-FAMILIES = (PLANE, SIMPLE_CORRUGATION, DOUBLE_CORRUGATION,
-            TRANSLATION_SURFACE, MIURA_LIKE, SHEARED_DOUBLE_CORRUGATION)
 
 TAU = 2.0 * np.pi
 
@@ -135,6 +138,20 @@ class PeriodGeometry:
         return PeriodGeometry(p1, p2, cross / area)
 
 
+# family -> (entry count, entry type, the (alpha, beta) pair from the entries)
+_FAMILY_TABLE = {
+    PLANE: (0, Profile, lambda: (SpaceCurve(0), SpaceCurve(1))),
+    SIMPLE_CORRUGATION: (1, Profile,
+                         lambda f: (SpaceCurve(0, vertical=f), SpaceCurve(1))),
+    DOUBLE_CORRUGATION: (2, Profile, lambda f, g: (SpaceCurve(0, vertical=f),
+                                                   SpaceCurve(1, vertical=g))),
+    MIURA_LIKE: (2, Profile, lambda f, g: (SpaceCurve(0, lateral=f),
+                                           SpaceCurve(1, vertical=g))),
+    TRANSLATION_SURFACE: (2, SpaceCurve, lambda a, b: (a, b)),
+}
+_FAMILY_TABLE[SHEARED_DOUBLE_CORRUGATION] = _FAMILY_TABLE[DOUBLE_CORRUGATION]
+
+
 @dataclass(frozen=True)
 class SurfaceChart:
     family: str
@@ -157,17 +174,7 @@ class SurfaceChart:
     @property
     def curves(self) -> tuple[SpaceCurve, SpaceCurve]:
         """The (alpha, beta) pair with x = alpha(xi1) + beta(xi2 + gamma*xi1)."""
-        fam = self.family
-        if fam == TRANSLATION_SURFACE:
-            return self.profiles
-        if fam == PLANE:
-            return SpaceCurve(0), SpaceCurve(1)
-        if fam == SIMPLE_CORRUGATION:
-            return SpaceCurve(0, vertical=self.f), SpaceCurve(1)
-        if fam == MIURA_LIKE:
-            return SpaceCurve(0, lateral=self.f), SpaceCurve(1, vertical=self.g)
-        # double corrugation, sheared or not
-        return SpaceCurve(0, vertical=self.f), SpaceCurve(1, vertical=self.g)
+        return _FAMILY_TABLE[self.family][2](*self.profiles)
 
     @property
     def grid_compatible(self) -> bool:
@@ -190,7 +197,7 @@ class SurfaceChart:
 
 def _validate_chart(chart: SurfaceChart) -> None:
     fam = chart.family
-    if fam not in FAMILIES:
+    if fam not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {fam!r}")
     t1, t2 = chart.period
     if not (math.isfinite(t1) and math.isfinite(t2)) or t1 <= 0 or t2 <= 0:
@@ -198,46 +205,31 @@ def _validate_chart(chart: SurfaceChart) -> None:
                          f"{chart.period}")
     if not math.isfinite(chart.gamma):
         raise ValueError(f"gamma must be a finite number, got {chart.gamma}")
-
-    def _expect_profiles(k):
-        if len(chart.profiles) != k or not all(isinstance(p, Profile) for p in chart.profiles):
-            raise ValueError(f"family {fam!r} needs {k} profile(s)")
-
-    if fam == PLANE:
-        if chart.profiles:
-            raise ValueError("plane takes no profiles")
-    elif fam == SIMPLE_CORRUGATION:
-        _expect_profiles(1)
-        if chart.f.period != t1:
-            raise ValueError("profile period must equal T1")
-    elif fam in (DOUBLE_CORRUGATION, MIURA_LIKE, SHEARED_DOUBLE_CORRUGATION):
-        _expect_profiles(2)
-        if chart.f.period != t1 or chart.g.period != t2:
-            raise ValueError("profile periods must equal (T1, T2)")
-        if fam == MIURA_LIKE and chart.g.kind != PIECEWISE_LINEAR:
-            # every linear piece then has slope +-amplitude != 0, which keeps
-            # the lateral profile's slope bounded away from zero
-            raise ValueError("miura-like needs a piecewise-linear second profile")
-        if fam == SHEARED_DOUBLE_CORRUGATION:
-            # x must stay T1-periodic in xi1: g(.+gamma*T1) = g(.)
-            k = chart.gamma * t1 / t2
-            if abs(k - round(k)) > 1e-9:
-                raise ValueError("gamma*T1 must be an integer multiple of T2")
-    elif fam == TRANSLATION_SURFACE:
-        if (len(chart.profiles) != 2
-                or not all(isinstance(c, SpaceCurve) for c in chart.profiles)):
-            raise ValueError("translation-surface needs two SpaceCurve values")
-        a, b = chart.profiles
-        if not (a.parts and b.parts):
-            raise ValueError("a translation curve needs at least one profile")
-        if (a.axis, b.axis) != (0, 1):
-            raise ValueError("translation curves must have axes (0, 1)")
-        if a.period != t1 or b.period != t2:
-            raise ValueError("curve periods must equal (T1, T2)")
-        _check_translation_partials(chart)
-
     if fam != SHEARED_DOUBLE_CORRUGATION and chart.gamma != 0.0:
         raise ValueError("gamma applies to the sheared family only")
+    count, entry, _ = _FAMILY_TABLE[fam]
+    if (len(chart.profiles) != count
+            or not all(isinstance(p, entry) for p in chart.profiles)):
+        raise ValueError(f"family {fam!r} needs {count} {entry.__name__} "
+                         "value(s)")
+    curves = chart.curves
+    if fam == TRANSLATION_SURFACE and not all(c.parts for c in curves):
+        raise ValueError("a translation curve needs at least one profile")
+    if tuple(c.axis for c in curves) != (0, 1):
+        raise ValueError("translation curves must have axes (0, 1)")
+    if any(c.parts and c.period != t for c, t in zip(curves, chart.period)):
+        raise ValueError("profile periods must equal (T1, T2)")
+    if fam == MIURA_LIKE and chart.g.kind != PIECEWISE_LINEAR:
+        # every linear piece then has slope +-amplitude != 0, which keeps
+        # the lateral profile's slope bounded away from zero
+        raise ValueError("miura-like needs a piecewise-linear second profile")
+    if fam == SHEARED_DOUBLE_CORRUGATION:
+        # x must stay T1-periodic in xi1: g(.+gamma*T1) = g(.)
+        k = chart.gamma * t1 / t2
+        if abs(k - round(k)) > 1e-9:
+            raise ValueError("gamma*T1 must be an integer multiple of T2")
+    if fam == TRANSLATION_SURFACE:
+        _check_translation_partials(chart)
 
 
 def _check_translation_partials(chart: SurfaceChart) -> None:
@@ -310,34 +302,37 @@ def period_geometry(chart: SurfaceChart) -> PeriodGeometry:
 
 # -- construction and serialization -------------------------------------
 
-def _sgn_profile(period: float = TAU) -> Profile:
-    return make_profile(PIECEWISE_LINEAR, 1.0, period)
+def _pl() -> Profile:
+    return make_profile(PIECEWISE_LINEAR, 1.0, TAU)
+
+
+def _pq() -> Profile:
+    return make_profile(PIECEWISE_QUADRATIC, 1.0, TAU)
+
+
+_BUILTINS = {
+    "plane": lambda: SurfaceChart(PLANE, (TAU, TAU)),
+    "corrugation": lambda: SurfaceChart(SIMPLE_CORRUGATION, (TAU, TAU),
+                                        (_pl(),)),
+    "eggbox": lambda: SurfaceChart(DOUBLE_CORRUGATION, (TAU, TAU),
+                                   (_pl(), _pl())),
+    "eggbox-hybrid": lambda: SurfaceChart(DOUBLE_CORRUGATION, (TAU, TAU),
+                                          (_pq(), _pl())),
+    "miura": lambda: SurfaceChart(MIURA_LIKE, (TAU, TAU), (_pl(), _pl())),
+    "translation": lambda: SurfaceChart(
+        TRANSLATION_SURFACE, (TAU, TAU),
+        (SpaceCurve(0, vertical=_pl()), SpaceCurve(1, vertical=_pq()))),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_chart(name: str) -> SurfaceChart:
     """Named example surfaces with default periods and unit amplitudes."""
-    if name == "plane":
-        return SurfaceChart(PLANE, (TAU, TAU))
-    if name == "corrugation":
-        return SurfaceChart(SIMPLE_CORRUGATION, (TAU, TAU), (_sgn_profile(),))
-    if name == "eggbox":
-        return SurfaceChart(DOUBLE_CORRUGATION, (TAU, TAU),
-                            (_sgn_profile(), _sgn_profile()))
-    if name == "eggbox-hybrid":
-        f = make_profile("piecewise-quadratic", 1.0, TAU)
-        return SurfaceChart(DOUBLE_CORRUGATION, (TAU, TAU), (f, _sgn_profile()))
-    if name == "miura":
-        return SurfaceChart(MIURA_LIKE, (TAU, TAU),
-                            (_sgn_profile(), _sgn_profile()))
-    if name == "translation":
-        alpha = SpaceCurve(0, vertical=_sgn_profile())
-        beta = SpaceCurve(1, vertical=make_profile("piecewise-quadratic", 1.0, TAU))
-        return SurfaceChart(TRANSLATION_SURFACE, (TAU, TAU), (alpha, beta))
-    raise ValueError(f"unknown builtin surface {name!r}; choose from "
-                     "plane, corrugation, eggbox, eggbox-hybrid, miura, translation")
-
-BUILTIN_NAMES = ("plane", "corrugation", "eggbox", "eggbox-hybrid",
-                 "miura", "translation")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin surface {name!r}; choose from "
+                         f"{', '.join(BUILTIN_NAMES)}")
+    return _BUILTINS[name]()
 
 
 def chart_to_config(chart: SurfaceChart) -> dict:

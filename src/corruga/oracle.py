@@ -152,7 +152,7 @@ def _sminus(p: Profile | None, t):
 
 def _curve_swirl(curve: SpaceCurve, t):
     """Exact integral of c x c' from 0 to t for a single-component curve."""
-    if curve.lateral is not None and curve.vertical is not None:
+    if len(curve.parts) > 1:
         raise ValueError("twist deflection in closed form needs curves with "
                          "a single profile component")
     sv = _sminus(curve.vertical, t)

@@ -194,12 +194,12 @@ def test_unknown_builtin_rejected():
     assert all(name in str(err.value) for name in BUILTIN_NAMES)
 
 
-def _pl(period=TAU):
-    return make_profile("piecewise-linear", 1.0, period)
+def _pl():
+    return make_profile("piecewise-linear", 1.0, TAU)
 
 
-def _pq(period=TAU):
-    return make_profile("piecewise-quadratic", 1.0, period)
+def _pq():
+    return make_profile("piecewise-quadratic", 1.0, TAU)
 
 
 def _curves(*axes):
@@ -207,28 +207,28 @@ def _curves(*axes):
 
 
 # each case builds a chart that must be refused, with the message it gives
-# (None: any ValueError)
 CHART_REFUSALS = {
     "unknown-family": (
         lambda: SurfaceChart("moebius-strip", (TAU, TAU)),
         "unknown family 'moebius-strip'"),
     "plane-with-profile": (
-        lambda: SurfaceChart("plane", (TAU, TAU), (_pl(),)), None),
+        lambda: SurfaceChart("plane", (TAU, TAU), (_pl(),)),
+        r"family 'plane' needs 0 Profile value\(s\)"),
     "corrugation-two-profiles": (
         lambda: SurfaceChart("simple-corrugation", (TAU, TAU), (_pl(), _pl())),
-        None),
+        r"family 'simple-corrugation' needs 1 Profile value\(s\)"),
     "double-corrugation-one-profile": (
         lambda: SurfaceChart("double-corrugation", (TAU, TAU), (_pl(),)),
-        None),
+        r"family 'double-corrugation' needs 2 Profile value\(s\)"),
     "double-corrugation-curves": (
         lambda: SurfaceChart("double-corrugation", (TAU, TAU), _curves(0, 1)),
-        None),
+        r"family 'double-corrugation' needs 2 Profile value\(s\)"),
     "translation-profiles": (
         lambda: SurfaceChart("translation-surface", (TAU, TAU), (_pl(), _pl())),
-        None),
+        r"family 'translation-surface' needs 2 SpaceCurve value\(s\)"),
     "corrugation-period-T1": (
         lambda: SurfaceChart("simple-corrugation", (2 * TAU, TAU), (_pl(),)),
-        None),
+        r"profile periods must equal \(T1, T2\)"),
     "double-corrugation-period-T2": (
         lambda: SurfaceChart("double-corrugation", (TAU, 2 * TAU),
                              (_pl(), _pl())),
@@ -239,7 +239,7 @@ CHART_REFUSALS = {
     "translation-period-T2": (
         lambda: SurfaceChart("translation-surface", (TAU, 2 * TAU),
                              _curves(0, 1)),
-        None),
+        r"profile periods must equal \(T1, T2\)"),
     "translation-swapped-axes": (
         lambda: SurfaceChart("translation-surface", (TAU, TAU), _curves(1, 0)),
         r"translation curves must have axes \(0, 1\)"),

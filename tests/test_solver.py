@@ -676,7 +676,12 @@ def test_sigma_max_retries_arpack_once(large_system, monkeypatch):
         return svds(*args, **kwargs)
 
     monkeypatch.setattr(spla, "svds", flaky)
-    expect = la.svdvals(large_system.matrix.toarray())[0]
+    # sigma_max is the root of the largest eigenvalue of A^T A
+    A = large_system.matrix
+    G = (A.T @ A).toarray()
+    n = G.shape[0]
+    expect = np.sqrt(la.eigh(G, eigvals_only=True,
+                             subset_by_index=[n - 1, n - 1])[0])
     assert_allclose(large_system.sigma_max(), expect, rtol=1e-8)
     assert len(calls) == 2
     assert calls[1]["maxiter"] and calls[1]["ncv"]
