@@ -23,7 +23,10 @@ space, which the structured grid does not support, so it reports no
 breakpoints and is not grid-compatible.
 
 ``builtin_chart`` builds the named examples of ``_BUILTINS``, whose keys
-are ``BUILTIN_NAMES``.
+are ``BUILTIN_NAMES``.  ``chart_from_config`` refuses an unknown family
+first, then reads each ``profiles`` entry with the reader of its row's
+entry type (``_READERS``); in every entry, a missing or null optional key
+takes its default.
 
 Tangent discontinuities (creases) happen exactly on the parameter lines
 passing through piecewise-linear profile breakpoints; piecewise-quadratic
@@ -39,7 +42,8 @@ import math
 import numpy as np
 
 from .profiles import (PIECEWISE_LINEAR, PIECEWISE_QUADRATIC, Profile,
-                       as_float, make_profile, profile_from_config, required)
+                       as_float, make_profile, optional, profile_from_config,
+                       required)
 
 PLANE = "plane"
 SIMPLE_CORRUGATION = "simple-corrugation"
@@ -59,8 +63,9 @@ class SpaceCurve:
     """A periodic-modulo-linear space curve driving a translation surface.
 
     c(t) = t*e_axis + lateral(t)*e_other + vertical(t)*e_3, where e_other
-    is the remaining in-plane direction.  Either component profile may be
-    absent; with neither, c is the straight line along e_axis.  The mean
+    is the remaining in-plane direction, and ``axis`` is the int 0 or 1.
+    Either component profile may be absent; with neither, c is the
+    straight line along e_axis.  The mean
     tangent is exactly e_axis since profiles have zero-mean slopes.
     """
 
@@ -69,8 +74,9 @@ class SpaceCurve:
     vertical: Profile | None = None
 
     def __post_init__(self):
-        if self.axis not in (0, 1):
-            raise ValueError("curve axis must be 0 or 1")
+        if type(self.axis) is not int or self.axis not in (0, 1):
+            raise ValueError(f"curve axis must be the int 0 or 1, got "
+                             f"{self.axis!r}")
         periods = {p.period for p, _ in self.parts}
         if len(periods) > 1:
             raise ValueError("lateral and vertical profiles must share a period")
@@ -152,6 +158,14 @@ _FAMILY_TABLE = {
 _FAMILY_TABLE[SHEARED_DOUBLE_CORRUGATION] = _FAMILY_TABLE[DOUBLE_CORRUGATION]
 
 
+def _row(family):
+    """The family's row of ``_FAMILY_TABLE``; any other value, hashable or
+    not, is an unknown family."""
+    if family not in tuple(_FAMILY_TABLE):
+        raise ValueError(f"unknown family {family!r}")
+    return _FAMILY_TABLE[family]
+
+
 @dataclass(frozen=True)
 class SurfaceChart:
     family: str
@@ -197,8 +211,7 @@ class SurfaceChart:
 
 def _validate_chart(chart: SurfaceChart) -> None:
     fam = chart.family
-    if fam not in _FAMILY_TABLE:
-        raise ValueError(f"unknown family {fam!r}")
+    count, entry, _ = _row(fam)
     t1, t2 = chart.period
     if not (math.isfinite(t1) and math.isfinite(t2)) or t1 <= 0 or t2 <= 0:
         raise ValueError(f"periods must be finite positive numbers, got "
@@ -207,7 +220,6 @@ def _validate_chart(chart: SurfaceChart) -> None:
         raise ValueError(f"gamma must be a finite number, got {chart.gamma}")
     if fam != SHEARED_DOUBLE_CORRUGATION and chart.gamma != 0.0:
         raise ValueError("gamma applies to the sheared family only")
-    count, entry, _ = _FAMILY_TABLE[fam]
     if (len(chart.profiles) != count
             or not all(isinstance(p, entry) for p in chart.profiles)):
         raise ValueError(f"family {fam!r} needs {count} {entry.__name__} "
@@ -233,21 +245,17 @@ def _validate_chart(chart: SurfaceChart) -> None:
 
 
 def _check_translation_partials(chart: SurfaceChart) -> None:
-    """Reject curve pairs whose tangents become parallel somewhere."""
-    a, b = chart.profiles
-    t1 = np.linspace(0.0, chart.period[0], TRANSLATION_CHECK_SAMPLES)
-    t2 = np.linspace(0.0, chart.period[1], TRANSLATION_CHECK_SAMPLES)
-    worst = np.inf
-    for s1 in (1, -1):
-        ta = a.tangent(t1, s1)
-        for s2 in (1, -1):
-            tb = b.tangent(t2, s2)
-            cross = np.cross(ta[:, None, :], tb[None, :, :])
-            norms = np.linalg.norm(cross, axis=-1)
-            scale = (np.linalg.norm(ta, axis=-1)[:, None]
-                     * np.linalg.norm(tb, axis=-1)[None, :])
-            worst = min(worst, float(np.min(norms / scale)))
-    if worst < 1e-8:
+    """Reject curve pairs whose tangents become parallel somewhere: both
+    sides of each curve's tangent at its samples, one table of all pairs."""
+    def sides(curve: SpaceCurve, period: float) -> np.ndarray:
+        t = np.linspace(0.0, period, TRANSLATION_CHECK_SAMPLES)
+        return np.concatenate([curve.tangent(t, 1), curve.tangent(t, -1)])
+
+    ta, tb = map(sides, chart.profiles, chart.period)
+    norms = np.linalg.norm(np.cross(ta[:, None, :], tb[None, :, :]), axis=-1)
+    scale = (np.linalg.norm(ta, axis=-1)[:, None]
+             * np.linalg.norm(tb, axis=-1)[None, :])
+    if np.min(norms / scale) < 1e-8:
         raise ValueError("degenerate translation surface: curve tangents "
                          "become parallel")
 
@@ -344,32 +352,40 @@ def chart_to_config(chart: SurfaceChart) -> dict:
     return cfg
 
 
+def _curve_from_config(cfg: dict, period: float, place: int) -> SpaceCurve:
+    """A curve entry; its axis defaults to its place in the pair, and its
+    profiles' period to ``period``."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a curve entry must be an object, got {cfg!r}")
+    lateral, vertical = (None if cfg.get(key) is None
+                         else profile_from_config(cfg[key], period)
+                         for key in ("lateral", "vertical"))
+    return SpaceCurve(optional(cfg, "axis", place), lateral, vertical)
+
+
+# a family-table entry type -> the reader of one ``profiles`` entry, given
+# the entry, the period of its place and that place
+_READERS = {
+    Profile: lambda cfg, period, place: profile_from_config(cfg, period),
+    SpaceCurve: _curve_from_config}
+
+
 def chart_from_config(cfg: dict) -> SurfaceChart:
     if not isinstance(cfg, dict):
         raise ValueError(f"a surface config must be an object, got {cfg!r}")
     fam = required(cfg, "family", "the surface config")
-    period = cfg.get("period", [TAU, TAU])
+    read = _READERS[_row(fam)[1]]
+    period = optional(cfg, "period", [TAU, TAU])
     if not isinstance(period, (list, tuple)) or len(period) != 2:
         raise ValueError(f"period must be two numbers, got {period!r}")
     t1, t2 = (as_float(t, "period") for t in period)
-    raw = cfg.get("profiles", [])
+    raw = optional(cfg, "profiles", [])
     if not isinstance(raw, list):
         raise ValueError(f"profiles must be a list, got {raw!r}")
-    if fam == TRANSLATION_SURFACE:
-        curves = []
-        for i, c in enumerate(raw):
-            if not isinstance(c, dict):
-                raise ValueError(f"a curve entry must be an object, got {c!r}")
-            default = t1 if i == 0 else t2
-            lat = profile_from_config(c["lateral"], default) if c.get("lateral") else None
-            ver = profile_from_config(c["vertical"], default) if c.get("vertical") else None
-            curves.append(SpaceCurve(c.get("axis", i), lat, ver))
-        profiles = tuple(curves)
-    else:
-        profiles = tuple(profile_from_config(p, t1 if i == 0 else t2)
-                         for i, p in enumerate(raw))
-    return SurfaceChart(fam, (t1, t2), profiles,
-                        as_float(cfg.get("gamma", 0.0), "gamma"))
+    return SurfaceChart(fam, (t1, t2),
+                        tuple(read(p, t1 if i == 0 else t2, i)
+                              for i, p in enumerate(raw)),
+                        as_float(optional(cfg, "gamma", 0.0), "gamma"))
 
 
 def load_chart(path) -> SurfaceChart:

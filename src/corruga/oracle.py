@@ -142,27 +142,24 @@ def _miura_membrane(chart):
     return rot, defl, np.zeros(3), np.zeros(3), E, np.zeros((2, 2))
 
 
-def _sminus(p: Profile | None, t):
-    """Exact integral of (p - s p') from 0 to t; zero for a missing profile."""
-    if p is None:
-        return np.zeros_like(np.asarray(t, dtype=float))
+def _sminus(p: Profile, t):
+    """Exact integral of (p - s p') from 0 to t."""
     t = np.asarray(t, dtype=float)
     return 2.0 * p.value_integral(t) - t * p.value(t)
 
 
 def _curve_swirl(curve: SpaceCurve, t):
-    """Exact integral of c x c' from 0 to t for a single-component curve."""
+    """Exact integral of c x c' from 0 to t for a single-component curve:
+    its one part (p, k) has c x c' = (s p' - p) e_axis x e_k, which
+    integrates to -sminus(p, t) e_axis x e_k; a straight line has none."""
     if len(curve.parts) > 1:
         raise ValueError("twist deflection in closed form needs curves with "
                          "a single profile component")
-    sv = _sminus(curve.vertical, t)
-    sl = _sminus(curve.lateral, t)
-    zero = np.zeros_like(sv)
-    if curve.axis == 0:
-        comps = [zero, sv, -sl]
-    else:
-        comps = [-sv, zero, sl]
-    return np.stack(comps, axis=-1)
+    out = np.zeros(np.shape(t) + (3,))
+    for p, k in curve.parts:
+        e = np.eye(3)
+        out -= _sminus(p, t)[..., None] * np.cross(e[curve.axis], e[k])
+    return out
 
 
 def _curve_mean(curve: SpaceCurve, period: float) -> np.ndarray:

@@ -22,6 +22,7 @@ reference values for the grid machinery.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 import math
 
@@ -230,9 +231,8 @@ class Profile:
 
     @property
     def panel_breakpoints(self) -> tuple[float, ...]:
-        """Breakpoints that must lie on grid lines (smoothness ends there)."""
-        if self.kind == SINUSOIDAL:
-            return ()
+        """Breakpoints that must lie on grid lines (smoothness ends there);
+        a sinusoid has none."""
         return self.breakpoints
 
     def to_config(self) -> dict:
@@ -241,11 +241,17 @@ class Profile:
 
 
 def as_float(value, name: str) -> float:
-    """float(value), with a value of the wrong type a ValueError as well."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """float(value), with a bool or a value of the wrong type a ValueError
+    as well."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def optional(cfg: dict, key: str, default=None):
+    """cfg[key], with a missing or null key ``default``."""
+    return default if cfg.get(key) is None else cfg[key]
 
 
 def required(cfg: dict, key: str, what: str):
@@ -279,18 +285,18 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
         raise ValueError(f"period must be a finite positive number, got "
                          f"{period}")
 
-    if kind == SINUSOIDAL:
-        if breakpoints:
-            raise ValueError("sinusoidal profiles take no breakpoints")
-        return _checked(Profile(kind, amplitude, period))
-
     if breakpoints is None:
-        breakpoints = (period / 4.0, 3.0 * period / 4.0)
+        breakpoints = (() if kind == SINUSOIDAL
+                       else (period / 4.0, 3.0 * period / 4.0))
     try:
-        bp = tuple(float(b) for b in breakpoints)
+        bp = tuple(as_float(b, "a breakpoint") for b in breakpoints)
     except TypeError:
         raise ValueError(f"breakpoints must be a list of numbers, got "
                          f"{breakpoints!r}") from None
+    if kind == SINUSOIDAL:
+        if bp:
+            raise ValueError("sinusoidal profiles take no breakpoints")
+        return _checked(Profile(kind, amplitude, period))
     if len(bp) == 0:
         raise ValueError(f"{kind} profiles need breakpoints")
     if len(bp) % 2 != 0:
@@ -324,12 +330,12 @@ def _checked(profile: Profile) -> Profile:
     return profile
 
 
-def profile_from_config(cfg: dict, default_period: float | None = None) -> Profile:
+def profile_from_config(cfg: dict, default_period=2.0 * math.pi) -> Profile:
+    """A profile entry; a missing or null ``period`` is ``default_period``
+    and a missing or null ``breakpoints`` the default layout."""
     if not isinstance(cfg, dict):
         raise ValueError(f"a profile entry must be an object, got {cfg!r}")
-    period = cfg.get("period", default_period)
-    if period is None:
-        period = 2.0 * math.pi
     return make_profile(required(cfg, "kind", "a profile entry"),
-                        required(cfg, "amplitude", "a profile entry"), period,
-                        cfg.get("breakpoints") or None)
+                        required(cfg, "amplitude", "a profile entry"),
+                        optional(cfg, "period", default_period),
+                        cfg.get("breakpoints"))

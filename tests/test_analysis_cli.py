@@ -381,6 +381,48 @@ def test_cli_rejects_malformed_config_types(tmp_path, capsys, config):
     assert not out.exists()
 
 
+_PL = '{"kind": "piecewise-linear", "amplitude": 1.0}'
+
+
+def _curves(first, second=f'{{"axis": 1, "vertical": {_PL}}}'):
+    return ('{"family": "translation-surface", "profiles": '
+            f'[{first}, {second}]}}')
+
+
+@pytest.mark.parametrize("config, field", [
+    (_curves(f'{{"axis": 0.0, "vertical": {_PL}}}'), "curve axis"),
+    (_curves(f'{{"axis": false, "vertical": {_PL}}}'), "curve axis"),
+    (_curves(f'{{"axis": 0, "lateral": {{}}, "vertical": {_PL}}}'), "'kind'"),
+    ('{"family": "simple-corrugation", "profiles": [{"kind": '
+     '"piecewise-linear", "amplitude": 1.0, "breakpoints": []}]}',
+     "need breakpoints"),
+    ('{"family": "simple-corrugation", "profiles": '
+     '[{"kind": "piecewise-linear", "amplitude": true}]}', "amplitude"),
+    ('{"family": "simple-corrugation", "period": [true, 6.283185307179586], '
+     f'"profiles": [{_PL}]}}', "period"),
+    (_curves('[0]'), "curve entry"),
+    ('{"family": "moebius", "profiles": [5]}', "unknown family 'moebius'"),
+    ('{"family": ["plane"]}', "unknown family ['plane']"),
+    (f'{{"family": "double-corrugation", "profiles": [{_PL}, {_PL}, {_PL}]}}',
+     "needs 2 Profile value(s)"),
+], ids=["axis-float", "axis-bool", "lateral-empty", "breakpoints-empty",
+        "amplitude-bool", "period-bool", "curve-not-object", "family-unknown",
+        "family-unhashable", "three-profiles"])
+def test_cli_refuses_malformed_config_entries(tmp_path, capsys, config,
+                                              field):
+    # each is refused by the reader of its entry or by the chart, before
+    # any analysis; none may surface as a traceback
+    cfg = _write_json(tmp_path / "bad.json", config)
+    out = tmp_path / "run"
+    code = cli.main(["analyze", "--surface", cfg, "--resolution", "8",
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corruga: bad surface config:") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, message", [
     ('{}', "the surface config has no 'family' key"),
     ('{"family": "simple-corrugation", "profiles": [{"amplitude": 1}]}',

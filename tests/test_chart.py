@@ -1,5 +1,6 @@
 """Chart evaluation, one-sided partials, and period geometry."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from corruga.chart import (BUILTIN_NAMES, TAU, SpaceCurve, SurfaceChart,
                            builtin_chart, chart_from_config, chart_partials,
                            chart_to_config, evaluate_chart, period_geometry)
+from corruga.oracle import canonical_chart
 from corruga.profiles import make_profile
 
 
@@ -177,15 +179,52 @@ def test_period_geometry_unit_normal(name):
     assert abs(np.dot(np.cross(geom.p1, geom.p2), geom.n)) > 1e-8
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+_ROUNDTRIP_CHARTS = {
+    "translation-lateral": _lateral_translation,
+    "sinusoidal": lambda: SurfaceChart(
+        "double-corrugation", (5.0, 7.0),
+        (make_profile("sinusoidal", 0.4, 5.0),
+         make_profile("sinusoidal", 1.3, 7.0))),
+    "custom-layout": lambda: SurfaceChart(
+        "miura-like", (6.0, 4.0),
+        (make_profile("piecewise-quadratic", 0.6, 6.0, (1.0, 3.0, 4.0, 5.0)),
+         make_profile("piecewise-linear", 0.9, 4.0, (0.5, 2.5)))),
+    "sheared": lambda: canonical_chart("sheared-membrane"),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(_ROUNDTRIP_CHARTS))
 def test_config_roundtrip(name):
-    chart = builtin_chart(name)
-    clone = chart_from_config(chart_to_config(chart))
-    xi = np.array([0.4, 1.9])
-    assert_allclose(evaluate_chart(clone, *xi), evaluate_chart(chart, *xi),
-                    atol=1e-15)
-    assert clone.family == chart.family
-    assert clone.period == chart.period
+    chart = (_ROUNDTRIP_CHARTS[name]() if name in _ROUNDTRIP_CHARTS
+             else builtin_chart(name))
+    cfg = chart_to_config(chart)
+    assert chart_from_config(cfg) == chart
+    # and through the JSON text of a config file, where a sinusoid's empty
+    # breakpoint list is written as []
+    text = json.dumps(cfg)
+    assert chart_from_config(json.loads(text)) == chart
+    if name == "sinusoidal":
+        assert text.count('"breakpoints": []') == 2
+
+
+def test_config_null_keys_take_their_defaults():
+    # a missing or null optional key reads the same at every level: chart,
+    # curve entry and profile entry
+    pl = {"kind": "piecewise-linear", "amplitude": 1.0}
+    bare = {"family": "translation-surface",
+            "profiles": [{"vertical": pl}, {"lateral": pl}]}
+    nulls = {"family": "translation-surface", "period": None, "gamma": None,
+             "profiles": [{"axis": None, "lateral": None,
+                           "vertical": dict(pl, period=None,
+                                            breakpoints=None)},
+                          {"axis": None, "vertical": None, "lateral": pl}]}
+    chart = chart_from_config(bare)
+    assert chart_from_config(nulls) == chart
+    assert chart == SurfaceChart(
+        "translation-surface", (TAU, TAU),
+        (SpaceCurve(0, vertical=_pl()), SpaceCurve(1, lateral=_pl())))
+    assert chart_from_config({"family": "plane", "profiles": None}) == \
+        builtin_chart("plane")
 
 
 def test_unknown_builtin_rejected():

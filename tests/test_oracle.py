@@ -12,7 +12,7 @@ from corruga.oracle import (MODE_IDS, TrigField, _curve_swirl, analytic_mode,
                             fitted_rate, make_trig_field, sample_rotation,
                             scaling_limit_check, symmetry_lemma_check)
 from corruga.profiles import (PIECEWISE_LINEAR, PIECEWISE_QUADRATIC,
-                              SINUSOIDAL, make_profile)
+                              PROFILE_KINDS, SINUSOIDAL, make_profile)
 from corruga.solver import assemble_system, mode_from_vector, strain_forms
 
 
@@ -98,6 +98,27 @@ def test_scaling_limit_rate_for_growth_modes():
         errs = scaling_limit_check(analytic_mode(mid), eps_list=eps)
         assert all(b < a for a, b in zip(errs, errs[1:])), mid
         assert fitted_rate(eps, errs) >= 0.9, mid
+
+
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+@pytest.mark.parametrize("slot", ["lateral", "vertical"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_curve_swirl_matches_quadrature(axis, slot, kind):
+    # the integral of c x c' from 0 to t by the trapezoid rule, piece by
+    # piece between breakpoints, each piece's last sample its left limit
+    period = 5.0
+    p = make_profile(kind, 0.8, period)
+    curve = SpaceCurve(axis, **{slot: p})
+    for t in (1.3, 0.5 * period + 0.4, period, 1.7 * period):
+        knots = sorted({0.0, t} | {b + k * period for b in p.breakpoints
+                                   for k in (0, 1) if 0.0 < b + k * period < t})
+        want = np.zeros(3)
+        for a, b in zip(knots[:-1], knots[1:]):
+            s = np.linspace(a, b, int(2000 * (b - a)) + 2)
+            side = np.where(np.arange(s.size) == s.size - 1, -1, 1)
+            want += np.trapezoid(np.cross(curve.point(s),
+                                          curve.tangent(s, side)), s, axis=0)
+        assert_allclose(_curve_swirl(curve, t), want, rtol=0, atol=2e-6)
 
 
 def test_fitted_rate_recovers_exponent():
