@@ -156,8 +156,8 @@ def _curve_swirl(curve: SpaceCurve, t):
         raise ValueError("twist deflection in closed form needs curves with "
                          "a single profile component")
     out = np.zeros(np.shape(t) + (3,))
+    e = np.eye(3)
     for p, k in curve.parts:
-        e = np.eye(3)
         out -= _sminus(p, t)[..., None] * np.cross(e[curve.axis], e[k])
     return out
 
