@@ -16,6 +16,10 @@ argument.
 Set CORRUGA_THREADS before importing to cap the BLAS and NumExpr thread
 pools; it only takes effect if numpy is not yet loaded.  The console entry
 point imports this package first, so the variable caps the CLI as well.
+Importing the package first also sets OPENBLAS_THREAD_TIMEOUT to 4 unless
+it is set already, so idle OpenBLAS workers go to sleep at once instead of
+spinning for about 0.1 s after each BLAS call; this too applies only when
+numpy and scipy have not yet loaded their OpenBLAS.
 """
 
 import os as _os
@@ -25,6 +29,8 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
+# 2**4 cycles, OpenBLAS's smallest accepted idle wait before a worker sleeps
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .profiles import Profile, make_profile, profile_from_config
 from .chart import (SurfaceChart, SpaceCurve, PeriodGeometry, builtin_chart,

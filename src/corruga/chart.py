@@ -54,8 +54,10 @@ SHEARED_DOUBLE_CORRUGATION = "sheared-double-corrugation"
 
 TAU = 2.0 * np.pi
 
-# samples per period at which translation curve tangents are checked
+# samples per period at which translation curve tangents are checked, and
+# the rows of the first curve's tangents in one block of that check
 TRANSLATION_CHECK_SAMPLES = 257
+TRANSLATION_CHECK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -245,19 +247,31 @@ def _validate_chart(chart: SurfaceChart) -> None:
 
 
 def _check_translation_partials(chart: SurfaceChart) -> None:
-    """Reject curve pairs whose tangents become parallel somewhere: both
-    sides of each curve's tangent at its samples, one table of all pairs."""
-    def sides(curve: SpaceCurve, period: float) -> np.ndarray:
-        t = np.linspace(0.0, period, TRANSLATION_CHECK_SAMPLES)
-        return np.concatenate([curve.tangent(t, 1), curve.tangent(t, -1)])
-
-    ta, tb = map(sides, chart.profiles, chart.period)
-    norms = np.linalg.norm(np.cross(ta[:, None, :], tb[None, :, :]), axis=-1)
-    scale = (np.linalg.norm(ta, axis=-1)[:, None]
-             * np.linalg.norm(tb, axis=-1)[None, :])
-    if np.min(norms / scale) < 1e-8:
+    """Reject curve pairs whose tangents become parallel somewhere."""
+    ta, tb = map(_tangent_samples, chart.profiles, chart.period)
+    if _min_tangent_sine(ta, tb) < 1e-8:
         raise ValueError("degenerate translation surface: curve tangents "
                          "become parallel")
+
+
+def _tangent_samples(curve: SpaceCurve, period: float) -> np.ndarray:
+    """Both sides of the curve's tangent at its check samples."""
+    t = np.linspace(0.0, period, TRANSLATION_CHECK_SAMPLES)
+    return np.concatenate([curve.tangent(t, 1), curve.tangent(t, -1)])
+
+
+def _min_tangent_sine(ta: np.ndarray, tb: np.ndarray) -> float:
+    """min |a x b| / (|a||b|) over all pairs of rows, one block of
+    TRANSLATION_CHECK_ROWS rows of ``ta`` at a time, so no full pair table
+    is held."""
+    nb = np.linalg.norm(tb, axis=-1)
+    worst = np.inf
+    for i in range(0, len(ta), TRANSLATION_CHECK_ROWS):
+        a = ta[i:i + TRANSLATION_CHECK_ROWS]
+        cross = np.linalg.norm(np.cross(a[:, None, :], tb[None, :, :]), axis=-1)
+        worst = min(worst, np.min(cross / (np.linalg.norm(a, axis=-1)[:, None]
+                                           * nb[None, :])))
+    return worst
 
 
 # -- evaluation ---------------------------------------------------------

@@ -241,9 +241,9 @@ class Profile:
 
 
 def as_float(value, name: str) -> float:
-    """float(value), with a bool or a value of the wrong type a ValueError
-    as well."""
-    if not isinstance(value, bool):
+    """float(value), with a bool, a string or a value of the wrong type a
+    ValueError as well."""
+    if not isinstance(value, (bool, str)):
         with contextlib.suppress(TypeError):
             return float(value)
     raise ValueError(f"{name} must be a number, got {value!r}")
@@ -271,8 +271,9 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
     the profile closes up over a period.  The default breakpoint layout
     (pi/2, 3*pi/2) with the default period 2*pi gives f' = sgn(cos x) for
     the piecewise-linear kind and the unit triangle wave with mean square
-    1/3 for the piecewise-quadratic kind.  An amplitude so large that the
-    exact integrals overflow is refused.
+    1/3 for the piecewise-quadratic kind.  ``breakpoints`` is a list or
+    tuple of numbers, or None for that layout.  An amplitude so large that
+    the exact integrals overflow is refused.
     """
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}")
@@ -288,11 +289,10 @@ def make_profile(kind: str, amplitude: float, period: float = 2.0 * math.pi,
     if breakpoints is None:
         breakpoints = (() if kind == SINUSOIDAL
                        else (period / 4.0, 3.0 * period / 4.0))
-    try:
-        bp = tuple(as_float(b, "a breakpoint") for b in breakpoints)
-    except TypeError:
+    if not isinstance(breakpoints, (list, tuple)):
         raise ValueError(f"breakpoints must be a list of numbers, got "
-                         f"{breakpoints!r}") from None
+                         f"{breakpoints!r}")
+    bp = tuple(as_float(b, "a breakpoint") for b in breakpoints)
     if kind == SINUSOIDAL:
         if bp:
             raise ValueError("sinusoidal profiles take no breakpoints")

@@ -405,9 +405,24 @@ def _curves(first, second=f'{{"axis": 1, "vertical": {_PL}}}'):
     ('{"family": ["plane"]}', "unknown family ['plane']"),
     (f'{{"family": "double-corrugation", "profiles": [{_PL}, {_PL}, {_PL}]}}',
      "needs 2 Profile value(s)"),
+    ('{"family": "simple-corrugation", "profiles": '
+     '[{"kind": "piecewise-linear", "amplitude": "1.5"}]}', "amplitude"),
+    ('{"family": "simple-corrugation", "period": ["6.283185307179586", '
+     f'6.283185307179586], "profiles": [{_PL}]}}', "period"),
+    ('{"family": "simple-corrugation", "profiles": [{"kind": '
+     '"piecewise-linear", "amplitude": 1.0, "breakpoints": "13"}]}',
+     "breakpoints must be a list"),
+    ('{"family": "simple-corrugation", "profiles": [{"kind": '
+     '"piecewise-linear", "amplitude": 1.0, "breakpoints": {}}]}',
+     "breakpoints must be a list"),
+    ('{"family": "simple-corrugation", "profiles": [{"kind": '
+     '"piecewise-linear", "amplitude": 1.0, "breakpoints": ["1", "3"]}]}',
+     "a breakpoint must be a number"),
 ], ids=["axis-float", "axis-bool", "lateral-empty", "breakpoints-empty",
         "amplitude-bool", "period-bool", "curve-not-object", "family-unknown",
-        "family-unhashable", "three-profiles"])
+        "family-unhashable", "three-profiles", "amplitude-string",
+        "period-string", "breakpoints-string", "breakpoints-object",
+        "breakpoint-strings"])
 def test_cli_refuses_malformed_config_entries(tmp_path, capsys, config,
                                               field):
     # each is refused by the reader of its entry or by the chart, before

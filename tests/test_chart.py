@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from corruga.chart import (BUILTIN_NAMES, TAU, SpaceCurve, SurfaceChart,
+                           _min_tangent_sine, _tangent_samples,
                            builtin_chart, chart_from_config, chart_partials,
                            chart_to_config, evaluate_chart, period_geometry)
 from corruga.oracle import canonical_chart
@@ -321,3 +322,25 @@ def test_chart_refusals(case):
     build, message = CHART_REFUSALS[case]
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("case", ["builtin", "nearly-parallel"])
+def test_blocked_tangent_check_equals_one_table(case):
+    # the parallel-tangent check takes its minimum over row blocks of the
+    # pair table; it must be bit-equal to the minimum of the whole table
+    if case == "builtin":
+        chart = builtin_chart("translation")
+    else:
+        # lateral slopes +-1 and +-1.001: tangents (1, 1, 0) and
+        # (1.001, 1, 0) meet at a sine of about 5e-4
+        chart = SurfaceChart("translation-surface", (TAU, TAU),
+                             (SpaceCurve(0, lateral=_pl()),
+                              SpaceCurve(1, lateral=make_profile(
+                                  "piecewise-linear", 1.001, TAU))))
+    ta, tb = map(_tangent_samples, chart.profiles, chart.period)
+    table = (np.linalg.norm(np.cross(ta[:, None, :], tb[None, :, :]), axis=-1)
+             / (np.linalg.norm(ta, axis=-1)[:, None]
+                * np.linalg.norm(tb, axis=-1)[None, :]))
+    assert _min_tangent_sine(ta, tb) == np.min(table)
+    if case == "nearly-parallel":
+        assert 1e-8 < np.min(table) < 1e-3
