@@ -253,7 +253,7 @@ def verify_examples(resolution: int = 32):
 def verify_lemma(samples: int = 128, npairs: int = 20, seed: int = 2024):
     """Symmetry of the defect operator against random smooth field pairs."""
     from .chart import SIMPLE_CORRUGATION, TAU, SurfaceChart
-    from .oracle import make_trig_field, symmetry_lemma_check
+    from .oracle import lemma_scratch, make_trig_field, symmetry_lemma_check
     from .profiles import SINUSOIDAL, make_profile
 
     if npairs < 1:
@@ -266,10 +266,11 @@ def verify_lemma(samples: int = 128, npairs: int = 20, seed: int = 2024):
     oks: list[bool] = []
     rng = np.random.default_rng(seed)
     worst = 0.0
+    scratch = lemma_scratch(grid)   # every pair reuses the same planes
     for _ in range(npairs):
         omega = make_trig_field(rng.integers(1 << 31))
         w = make_trig_field(rng.integers(1 << 31))
-        lhs, rhs = symmetry_lemma_check(chart, omega, w, grid)
+        lhs, rhs = symmetry_lemma_check(chart, omega, w, grid, scratch)
         scale = max(abs(lhs), abs(rhs), omega.rms() * w.rms())
         worst = max(worst, abs(lhs - rhs) / scale)
     _check(lines, oks, "max |<omega, D w> - <w, D omega>| / scale <= 1e-6",

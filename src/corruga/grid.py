@@ -17,6 +17,9 @@ second order: first derivatives centered inside an arc, one-sided
 interior windows only.  For fields that grow by a constant G per period
 (cover fields v + m*G), the stencil of the cover field is M @ v + wrap * G,
 where wrap row-sums the coefficients against the period counts.
+PeriodicGrid.stencil_entries lifts a rule onto the flattened nodes by index
+arithmetic, as (row, col, value) triplets; the operators are built from
+them, and so is the solver's constraint matrix.
 
 Quadrature is per-arc trapezoid, so breakpoint instances contribute half
 weights from both sides.
@@ -46,6 +49,7 @@ _FIRST = (((-1, 1), (-0.5, 0.5)),               # centered inside an arc
 # checkerboard, which the centered first-derivative stencils cannot see at
 # all, responds at 16/h times its amplitude.
 _FOURTH = (((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),)
+_RULES = {1: _FIRST, 4: _FOURTH}   # by derivative order
 
 
 def _stencil(arc, h, m, closed: bool, rules):
@@ -214,20 +218,37 @@ class PeriodicGrid:
     def axis(self, direction: int) -> Axis:
         return self.axis1 if direction == 0 else self.axis2
 
-    def _lift(self, direction: int, rules):
-        """A stencil rule along one direction, over flattened nodes."""
+    def stencil_entries(self, direction: int, order: int = 1):
+        """A stencil rule along one direction over the flattened nodes, as
+        int32 (rows, cols) with their values and the lifted wrap: the first
+        derivative (order 1) or the fourth difference (order 4).
+
+        Row r of the 1-D stencil becomes row r*n2 + j on grid line j along
+        xi1, and row i*m + r on grid line i along xi2 (m rows per line).
+        """
         a = self.axis(direction)
-        M, wrap = _stencil(a.arc_of, a.spacing, a.wrap_m, a.closed, rules)
+        M, wrap = _stencil(a.arc_of, a.spacing, a.wrap_m, a.closed,
+                           _RULES[order])
+        m = M.shape[0]
+        r = np.repeat(np.arange(m, dtype=np.int32), np.diff(M.indptr))
+        c = M.indices.astype(np.int32)
         n1, n2 = self.shape
         if direction == 0:
-            return (sp.kron(M, sp.identity(n2, format="csr"), format="csr"),
-                    np.repeat(wrap, n2))
-        return (sp.kron(sp.identity(n1, format="csr"), M, format="csr"),
-                np.tile(wrap, n1))
+            j = np.arange(n2, dtype=np.int32)
+            return ((r[:, None] * n2 + j).ravel(), (c[:, None] * n2 + j).ravel(),
+                    np.repeat(M.data, n2), np.repeat(wrap, n2))
+        i = np.arange(n1, dtype=np.int32)[:, None]
+        return ((i * m + r).ravel(), (i * n2 + c).ravel(),
+                np.tile(M.data, n1), np.tile(wrap, n1))
+
+    def _operator(self, direction: int, order: int):
+        rows, cols, vals, wrap = self.stencil_entries(direction, order)
+        return (sp.csr_matrix((vals, (rows, cols)),
+                              shape=(wrap.size, self.nnodes)), wrap)
 
     def derivative_operator(self, direction: int):
         """(D, wrap_coef) over flattened nodes for the given direction."""
-        return self._lift(direction, _FIRST)
+        return self._operator(direction, 1)
 
     def fourth_difference_operator(self, direction: int):
         """(S, swrap) over flattened nodes; cover-field convention as for D.
@@ -235,7 +256,7 @@ class PeriodicGrid:
         S holds one row per node whose 5-point neighborhood along the given
         direction stays inside one arc; rows near arc ends are dropped.
         """
-        return self._lift(direction, _FOURTH)
+        return self._operator(direction, 4)
 
 
 def resolution_counts(resolution) -> tuple[int, int]:

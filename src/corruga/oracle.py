@@ -21,11 +21,13 @@ Catalogue ids:
 Each entry is stated once: ``corrugation-twist`` is the translation twist on
 the corrugation's curve pair, and ``sheared-membrane`` is the eggbox
 membrane pulled back by the lattice shear eta = xi2 + gamma*xi1.  The one
-table ``_CATALOGUE`` maps every id to its canonical chart and builder.
+table ``_CATALOGUE`` maps every id to its canonical chart's maker and its
+builder; each canonical chart is built on first use, once per process.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -212,19 +214,21 @@ def _sheared(build):
     return pulled
 
 
-# id -> (canonical chart, builder); a mode accepts charts of its canonical
-# chart's family
+# id -> (canonical chart's maker, builder); a mode accepts charts of its
+# canonical chart's family
 _CATALOGUE = {
-    "plane-bending": (builtin_chart("plane"), _plane_bending),
-    "corrugation-membrane": (builtin_chart("corrugation"),
+    "plane-bending": (lambda: builtin_chart("plane"), _plane_bending),
+    "corrugation-membrane": (lambda: builtin_chart("corrugation"),
                              _corrugation_membrane),
-    "corrugation-twist": (builtin_chart("corrugation"), _translation_twist),
-    "eggbox-membrane": (builtin_chart("eggbox"), _eggbox_membrane),
-    "miura-membrane": (builtin_chart("miura"), _miura_membrane),
-    "translation-twist": (builtin_chart("translation"), _translation_twist),
-    "sheared-membrane": (SurfaceChart(SHEARED_DOUBLE_CORRUGATION, (TAU, TAU),
-                                      builtin_chart("eggbox").profiles,
-                                      gamma=1.0),
+    "corrugation-twist": (lambda: builtin_chart("corrugation"),
+                          _translation_twist),
+    "eggbox-membrane": (lambda: builtin_chart("eggbox"), _eggbox_membrane),
+    "miura-membrane": (lambda: builtin_chart("miura"), _miura_membrane),
+    "translation-twist": (lambda: builtin_chart("translation"),
+                          _translation_twist),
+    "sheared-membrane": (lambda: SurfaceChart(
+                             SHEARED_DOUBLE_CORRUGATION, (TAU, TAU),
+                             builtin_chart("eggbox").profiles, gamma=1.0),
                          _sheared(_eggbox_membrane)),
 }
 
@@ -238,14 +242,17 @@ def _entry(mode_id: str):
     return _CATALOGUE[mode_id]
 
 
+@cache
 def canonical_chart(mode_id: str) -> SurfaceChart:
-    """The default chart each catalogue entry is stated on."""
-    return _entry(mode_id)[0]
+    """The default chart each catalogue entry is stated on, built when it
+    is first asked for and kept for the process."""
+    return _entry(mode_id)[0]()
 
 
 def analytic_mode(mode_id: str, chart: SurfaceChart | None = None) -> AnalyticMode:
     """Build a catalogue entry on ``chart`` (default: its canonical chart)."""
-    canonical, build = _entry(mode_id)
+    build = _entry(mode_id)[1]
+    canonical = canonical_chart(mode_id)
     if chart is None:
         chart = canonical
     if chart.family != canonical.family:
@@ -325,10 +332,10 @@ class TrigField:
         out = (E2[..., None, :] @ T)[..., 0, :].real
         return out[..., :3], out[..., 3:6], out[..., 6:]
 
-    def planes(self, xi1, xi2) -> np.ndarray:
+    def planes(self, xi1, xi2, out=None) -> np.ndarray:
         """The value and both partials on the tensor grid xi1 x xi2 of two
         1-D axes, as component planes of shape (9, n1, n2): rows 0-2 hold
-        v, 3-5 v_1 and 6-8 v_2.
+        v, 3-5 v_1 and 6-8 v_2.  They are written into ``out`` when given.
 
         E1 contracts C first, M = E1 @ C, and Re(M E2^T) is one real
         product of [Re M, -Im M] with [Re E2, Im E2]^T.
@@ -339,7 +346,9 @@ class TrigField:
         M = (E1 @ C.reshape(u1, -1)).reshape(n1, u2, 9).transpose(2, 0, 1)
         M = np.concatenate([M.real, -M.imag], axis=2).reshape(9 * n1, 2 * u2)
         E = np.concatenate([E2.real, E2.imag], axis=1)
-        return (M @ E.T).reshape(9, n1, n2)
+        out = np.empty((9, n1, n2)) if out is None else out
+        np.matmul(M, E.T, out=out.reshape(9 * n1, n2))
+        return out
 
     def rms(self) -> float:
         # mean square over the cell is exactly half the coefficient energy
@@ -366,34 +375,52 @@ def make_trig_field(seed: int) -> TrigField:
                      sin_c=sin_c)
 
 
-def _det(a, b, c):
-    """det(a, b, c) = <a, b x c> over (3, ...) component planes."""
-    return (a[0] * (b[1] * c[2] - b[2] * c[1])
-            + a[1] * (b[2] * c[0] - b[0] * c[2])
-            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+def _det(a, b, c, out, tmp):
+    """out = det(a, b, c) = <a, b x c> over (3, ...) component planes, as
+    a0 (b1 c2 - b2 c1) + a1 (b2 c0 - b0 c2) + a2 (b0 c1 - b1 c0); ``tmp``
+    holds two scratch planes."""
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(b[j], c[k], out=tmp[0])
+        np.subtract(tmp[0], np.multiply(b[k], c[j], out=tmp[1]), out=tmp[0])
+        if i == 0:
+            np.multiply(a[i], tmp[0], out=out)
+        else:
+            out += np.multiply(a[i], tmp[0], out=tmp[0])
+    return out
+
+
+def lemma_scratch(grid: PeriodicGrid) -> np.ndarray:
+    """Scratch planes for symmetry_lemma_check on ``grid``; one array
+    serves every pair checked on that grid."""
+    return np.empty((22,) + grid.shape)
 
 
 def symmetry_lemma_check(chart: SurfaceChart, omega: TrigField, w: TrigField,
-                         grid: PeriodicGrid) -> tuple[float, float]:
+                         grid: PeriodicGrid,
+                         scratch: np.ndarray | None = None) -> tuple[float, float]:
     """Both sides of the pairing identity mean<omega, D w> = mean<w, D omega>.
 
     D v = v_2 x x_1 - v_1 x x_2 with analytic field partials, so
     <u, D v> = det(u, v_2, x_1) - det(u, v_1, x_2); only the cell average
     uses grid quadrature.  Needs a smooth chart so that every smooth
-    periodic field is admissible.
+    periodic field is admissible.  ``scratch`` (from lemma_scratch) holds
+    the field planes and the determinants; a fresh one is used without it.
     """
     if chart.panel_breakpoints(0) or chart.panel_breakpoints(1):
         raise ValueError("the pairing identity check needs a smooth chart")
     if grid.chart != chart:
         raise ValueError("grid was built for a different chart")
     x1, x2 = np.moveaxis(grid.x1, -1, 0), np.moveaxis(grid.x2, -1, 0)
+    buf = lemma_scratch(grid) if scratch is None else scratch
+    dets, tmp = buf[18:20], buf[20:]
 
     def pair(u, v):
-        return float(cell_average(_det(u[:3], v[6:], x1)
-                                  - _det(u[:3], v[3:6], x2), grid))
+        _det(u[:3], v[6:], x1, dets[0], tmp)
+        _det(u[:3], v[3:6], x2, dets[1], tmp)
+        return float(cell_average(np.subtract(*dets, out=dets[0]), grid))
 
-    po = omega.planes(grid.axis1.xi, grid.axis2.xi)
-    pw = w.planes(grid.axis1.xi, grid.axis2.xi)
+    po = omega.planes(grid.axis1.xi, grid.axis2.xi, out=buf[:9])
+    pw = w.planes(grid.axis1.xi, grid.axis2.xi, out=buf[9:18])
     return pair(po, pw), pair(pw, po)
 
 

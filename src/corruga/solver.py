@@ -26,6 +26,15 @@ Row families, all scaled like first derivatives (O(1/h) entries):
                         form mode of the built-in families) and O(h^3)-small
                         on smooth fields.
 
+assemble_system writes every row family's (row, col, value) triplets
+straight from the grid's partials and stencil entries (int32 indices, and
+only the 6 off-diagonal entries of each cross-product block) and
+compresses them into CSR once.  Each value comes from the same
+floating-point operations as the block formula C(x1)(D2 x I3) -
+C(x2)(D1 x I3): one product, negated or not, and one difference where the
+two derivative stencils meet at a node, so the matrix is that formula's
+bit for bit.
+
 The null set of these systems is large: besides the handful of modes with
 nonzero effective strains it holds rigid rotations and a swarm of strain-free
 oscillatory fields, so no basis of it is ever formed.  strain_forms instead
@@ -89,30 +98,27 @@ class SolverError(RuntimeError):
     result to report."""
 
 
-def cross_blocks(vs: np.ndarray) -> np.ndarray:
-    """Per-row matrices C with C @ a = a x v (post-cross by v)."""
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    B = np.zeros(vs.shape[:-1] + (3, 3))
-    B[..., 0, 1] = vs[..., 2]
-    B[..., 0, 2] = -vs[..., 1]
-    B[..., 1, 0] = -vs[..., 2]
-    B[..., 1, 2] = vs[..., 0]
-    B[..., 2, 0] = vs[..., 1]
-    B[..., 2, 1] = -vs[..., 0]
-    return B
+# the six off-diagonal entries C[r, a] = sign * v[k] of the cross block C(v),
+# C @ u = u x v, one column per entry
+_CROSS_ROW = np.array([0, 0, 1, 1, 2, 2], dtype=np.int32)
+_CROSS_COL = np.array([1, 2, 0, 2, 0, 1], dtype=np.int32)
+_CROSS_K = np.array([2, 1, 2, 0, 1, 0])
+_CROSS_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+_EYE = np.arange(3, dtype=np.int32)
 
 
-def _block_diag(blocks: np.ndarray) -> sp.bsr_matrix:
-    n = blocks.shape[0]
-    return sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)),
-                         shape=(3 * n, 3 * n))
+def _cross_entries(brows, bcols, vs, coef):
+    """Triplets of the 3x3 blocks coef[e] * C(vs[e]) at block (brows[e],
+    bcols[e]); each value is sign * (v[k] * coef[e])."""
+    vals = (vs * coef[:, None])[:, _CROSS_K] * _CROSS_SIGN
+    return ((3 * brows[:, None] + _CROSS_ROW).ravel(),
+            (3 * bcols[:, None] + _CROSS_COL).ravel(), vals.ravel())
 
 
-def _column_block(blocks: np.ndarray) -> sp.bsr_matrix:
-    """Stack n 3x3 blocks into a (3n, 3) column."""
-    n = blocks.shape[0]
-    return sp.bsr_matrix((blocks, np.zeros(n, dtype=int), np.arange(n + 1)),
-                         shape=(3 * n, 3))
+def _identity_entries(brows, bcols, vals):
+    """Triplets of the 3x3 blocks vals[e] * I at block (brows[e], bcols[e])."""
+    return ((3 * brows[:, None] + _EYE).ravel(),
+            (3 * bcols[:, None] + _EYE).ravel(), np.repeat(vals, 3))
 
 
 @dataclass
@@ -168,74 +174,75 @@ def _largest_singular_value(A: sp.spmatrix) -> float:
 
 
 def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
-    """Build the full constraint matrix for one period of the chart."""
+    """Build the full constraint matrix for one period of the chart.
+
+    Every row family writes its (row, col, value) triplets from the grid's
+    partials and stencil entries, with int32 indices; the CSR matrix is
+    built once from them.  The unknowns' block column of node k holds
+    columns 3k..3k+2, and What1, What2 are block columns n and n + 1.
+    """
     n1, n2 = grid.shape
     n = grid.nnodes
     x1 = grid.x1.reshape(n, 3)
     x2 = grid.x2.reshape(n, 3)
     scale = max(np.abs(x1).max(), np.abs(x2).max())
 
-    C1 = _block_diag(cross_blocks(x1))
-    C2 = _block_diag(cross_blocks(x2))
-    D1, wc1 = grid.derivative_operator(0)
-    D2, wc2 = grid.derivative_operator(1)
-    I3 = sp.identity(3, format="csr")
-    Aw = (C1 @ sp.kron(D2, I3, format="csr")
-          - C2 @ sp.kron(D1, I3, format="csr")).tocsr()
-
+    # interior rows C(x1) D2 w - C(x2) D1 w: where D1 and D2 meet at a node
+    # the CSR build sums the two products
+    i1, k1, d1, wc1 = grid.stencil_entries(0)
+    i2, k2, d2, wc2 = grid.stencil_entries(1)
+    parts = [_cross_entries(i2, k2, x1[i2], d2),
+             _cross_entries(i1, k1, x2[i1], -d1)]
     # growth columns: only nodes whose stencils span the seam are nonzero
-    B1 = _column_block(-wc1[:, None, None] * cross_blocks(x2))
-    B2 = _column_block(wc2[:, None, None] * cross_blocks(x1))
-    parts = [sp.hstack([Aw, B1, B2], format="csr")]
+    for wc, v, sign, col in ((wc1, x2, -1.0, n), (wc2, x1, 1.0, n + 1)):
+        seam = np.flatnonzero(wc).astype(np.int32)
+        parts.append(_cross_entries(seam, np.full(seam.size, col, np.int32),
+                                    v[seam], sign * wc[seam]))
     rows = {ROW_PDE: 3 * n}
+    brow = n   # next block row
 
     # jump rows at duplicated breakpoints, one pair at a time; a pair's
     # cross nodes run along the other direction, whose tangent is the crease
-    node = np.arange(n).reshape(n1, n2)
-    blocks: list[np.ndarray] = []
-    bcols: list[np.ndarray] = []
+    node = np.arange(n, dtype=np.int32).reshape(n1, n2)
     for direction, along in ((0, grid.x2), (1, grid.x1)):
         for pair in grid.axis(direction).pairs:
             kp = np.take(node, pair.plus, axis=direction)
             km = np.take(node, pair.minus, axis=direction)
-            inv_h = 1.0 / pair.spacing
+            b = np.arange(brow, brow + kp.size, dtype=np.int32)
+            inv_h = np.full(kp.size, 1.0 / pair.spacing)
             if pair.is_crease:
                 tangents = np.take(along, pair.plus, axis=direction)
                 if np.any(np.linalg.norm(tangents, axis=1) <= 1e-12 * scale):
                     raise ValueError(
                         f"degenerate crease tangent at breakpoint "
                         f"{pair.value} (direction {direction})")
-                R = cross_blocks(tangents) * inv_h
+                parts += [_cross_entries(b, kp, tangents, inv_h),
+                          _cross_entries(b, km, tangents, -inv_h)]
                 tag = ROW_CREASE
             else:
-                R = np.broadcast_to(np.eye(3) * inv_h, (kp.size, 3, 3))
+                parts += [_identity_entries(b, kp, inv_h),
+                          _identity_entries(b, km, -inv_h)]
                 tag = ROW_CONTINUITY
             rows[tag] = rows.get(tag, 0) + 3 * kp.size
-            blocks.append(np.stack([R, -R], axis=1).reshape(-1, 3, 3))
-            bcols.append(np.stack([kp, km], axis=1).ravel())
-
-    if bcols:
-        nb = sum(c.size for c in bcols) // 2
-        P = sp.bsr_matrix((np.concatenate(blocks), np.concatenate(bcols),
-                           2 * np.arange(nb + 1)), shape=(3 * nb, 3 * n))
-        parts.append(sp.hstack([P, sp.csr_matrix((3 * nb, 6))], format="csr"))
+            brow += kp.size
 
     # checkerboard control, applied to the cover field w + m * What
+    weight = OSC_SCALE * scale
     for direction in (0, 1):
-        S, sw = grid.fourth_difference_operator(direction)
-        m = S.shape[0]
-        if m == 0:
+        r, k, s, sw = grid.stencil_entries(direction, 4)
+        if sw.size == 0:
             continue
-        Sw = sp.kron(S, I3, format="csr") * (OSC_SCALE * scale)
-        gcol = _column_block((OSC_SCALE * scale * sw)[:, None, None]
-                             * np.eye(3))
-        zcol = sp.csr_matrix((3 * m, 3))
-        cols = [Sw, gcol, zcol] if direction == 0 else [Sw, zcol, gcol]
-        parts.append(sp.hstack(cols, format="csr"))
-        rows[ROW_OSCILLATION] = rows.get(ROW_OSCILLATION, 0) + 3 * m
+        seam = np.flatnonzero(sw).astype(np.int32)
+        parts += [_identity_entries(brow + r, k, s * weight),
+                  _identity_entries(brow + seam,
+                                    np.full(seam.size, n + direction, np.int32),
+                                    weight * sw[seam])]
+        rows[ROW_OSCILLATION] = rows.get(ROW_OSCILLATION, 0) + 3 * sw.size
+        brow += sw.size
 
-    # the 3x3 blocks store the zeros of cross_blocks and of the tangents
-    A = sp.vstack(parts, format="csr")
+    # the cross blocks' entries are zero wherever a partial's is
+    rr, cc, vv = (np.concatenate(t) for t in zip(*parts))
+    A = sp.csr_matrix((vv, (rr, cc)), shape=(3 * brow, 3 * n + 6))
     A.eliminate_zeros()
     return ConstraintSystem(matrix=A, grid=grid, rows=rows)
 

@@ -63,3 +63,55 @@ def test_summary_counts_failures_and_missing_results():
     # a pair with one side missing is left out of the metrics
     assert "wall_s" not in s["v"]
     assert s["v"]["change"]["all_correct"] is False
+
+
+def _single(side, case, wall, cpu, rss, exit=0):
+    return {"side": side, "case": case, "exit": exit, "wall_s": wall,
+            "cpu_s": cpu, "peak_rss_mib": rss, "stderr_tail": []}
+
+
+def test_summary_of_single_runs():
+    runs = [_single("parent", "eggbox@128", 3.0, 4.0, 200.0),
+            _single("change", "eggbox@128", 2.0, 3.0, 190.0),
+            _single("change", "miura@256", 40.0, 50.0, 2900.0),
+            _single("parent", "miura@256", 50.0, 60.0, 3000.0),
+            _single("parent", "eggbox@128", 5.0, 6.0, 210.0),
+            _single("change", "eggbox@128", 4.0, 5.0, 200.0, exit=1)]
+    s = _load().summarize_single(runs)
+    assert list(s) == ["eggbox@128", "miura@256"]
+    egg = s["eggbox@128"]
+    # a case listed twice gives two runs a side, summarized by medians
+    assert egg["parent"] == {"runs": 2, "exits": [0, 0], "wall_s": 4.0,
+                             "cpu_s": 5.0, "peak_rss_mib": 205.0}
+    assert egg["change"]["exits"] == [0, 1] and egg["change"]["wall_s"] == 3.0
+    assert egg["wall_s_rel"] == pytest.approx(-0.25)
+    assert egg["cpu_s_rel"] == pytest.approx(-0.2)
+    assert egg["peak_rss_mib_rel"] == pytest.approx(-10 / 205)
+    assert s["miura@256"]["wall_s_rel"] == pytest.approx(-0.2)
+
+
+def test_single_run_reads_the_childs_rusage(tmp_path):
+    # a stand-in package whose CLI holds 64 MiB and exits 3: the rusage is
+    # the child's own, not the calling process's
+    pkg = tmp_path / "src" / "corruga"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "import sys\n"
+        "assert sys.argv[1:4] == ['analyze', '--surface', 'eggbox']\n"
+        "assert sys.argv[4:6] == ['--resolution', '12']\n"
+        "block = bytearray(64 << 20)\n"
+        "print('half done', file=sys.stderr)\n"
+        "sys.exit(3)\n")
+    run = _load().run_single(tmp_path, "eggbox@12")
+    assert run["exit"] == 3 and run["stderr_tail"] == ["half done"]
+    assert run["peak_rss_mib"] >= 64
+    assert run["cpu_s"] > 0 and run["wall_s"] >= run["cpu_s"] / 4
+
+
+@pytest.mark.parametrize("case", ["eggbox", "eggbox@", "@64", "a@b@c"])
+def test_single_cases_must_name_surface_and_resolution(tmp_path, case):
+    (tmp_path / "BENCHMARK.json").write_text("{}")
+    with pytest.raises(SystemExit):
+        _load().parse_args(["--parent", str(tmp_path), "--change",
+                            str(tmp_path), "--label", "x", "--single", case])

@@ -1,5 +1,9 @@
 """Closed-form mode catalogue, quadrature cross-checks, symbolic identities."""
 
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import reparametrization_check
@@ -9,11 +13,42 @@ from corruga.chart import (SHEARED_DOUBLE_CORRUGATION, SIMPLE_CORRUGATION,
                            TAU, SpaceCurve, SurfaceChart, builtin_chart)
 from corruga.grid import build_grid, cell_average
 from corruga.oracle import (MODE_IDS, TrigField, _curve_swirl, analytic_mode,
-                            fitted_rate, make_trig_field, sample_rotation,
-                            scaling_limit_check, symmetry_lemma_check)
+                            fitted_rate, lemma_scratch, make_trig_field,
+                            sample_rotation, scaling_limit_check,
+                            symmetry_lemma_check)
 from corruga.profiles import (PIECEWISE_LINEAR, PIECEWISE_QUADRATIC,
                               PROFILE_KINDS, SINUSOIDAL, make_profile)
 from corruga.solver import assemble_system, mode_from_vector, strain_forms
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# counts the translation charts' parallel-tangent checks: after the import,
+# after the first and second requests for the canonical chart, and after
+# the mode that uses it
+CATALOGUE_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+checks = []
+def count(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "_check_translation_partials":
+        checks.append(frame.f_code.co_filename)
+sys.setprofile(count)
+import corruga
+print(len(checks))
+chart = corruga.canonical_chart("translation-twist")
+print(len(checks))
+assert corruga.canonical_chart("translation-twist") is chart
+print(len(checks))
+assert corruga.analytic_mode("translation-twist").chart is chart
+print(len(checks))
+"""
+
+
+def test_catalogue_charts_are_built_on_first_use():
+    out = subprocess.run([sys.executable, "-c", CATALOGUE_CHILD, str(SRC)],
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.split() == ["0", "1", "1", "1"]
 
 
 def test_catalogue_reference_tensors():
@@ -156,6 +191,33 @@ def test_symmetry_lemma_random_pairs():
         lhs, rhs = symmetry_lemma_check(chart, a, b, grid)
         scale = max(abs(lhs), abs(rhs), a.rms() * b.rms())
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def _lemma_reference(chart, omega, w, grid):
+    """Both pairing sides with fresh arrays for every plane and temporary."""
+    def det(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1])
+                + a[1] * (b[2] * c[0] - b[0] * c[2])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+    x1, x2 = np.moveaxis(grid.x1, -1, 0), np.moveaxis(grid.x2, -1, 0)
+    po = omega.planes(grid.axis1.xi, grid.axis2.xi)
+    pw = w.planes(grid.axis1.xi, grid.axis2.xi)
+
+    def pair(u, v):
+        return float(cell_average(det(u[:3], v[6:], x1)
+                                  - det(u[:3], v[3:6], x2), grid))
+    return pair(po, pw), pair(pw, po)
+
+
+def test_symmetry_lemma_reused_scratch_changes_no_bit():
+    grid = build_grid(_SMOOTH, 32)
+    scratch = lemma_scratch(grid)
+    for seeds in ((1, 2), (3, 4), (2, 1)):
+        a, b = map(make_trig_field, seeds)
+        got = symmetry_lemma_check(_SMOOTH, a, b, grid, scratch)
+        assert got == _lemma_reference(_SMOOTH, a, b, grid), seeds
+        assert symmetry_lemma_check(_SMOOTH, a, b, grid) == got
 
 
 def test_reparametrization_congruence():

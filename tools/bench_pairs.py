@@ -1,7 +1,7 @@
 """Run the benchmark on two source trees in alternating pairs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \
-        [--pairs 10] [--seconds 20] [--out DIR]
+        [--pairs 10] [--seconds 20] [--single SURFACE@RES ...] [--out DIR]
 
 Each tree is a checkout (for example a ``git archive`` of a commit) with
 its own ``BENCHMARK.json`` and ``perfbench/``.  For every workload in the
@@ -15,19 +15,31 @@ current directory): every run with its exit code and result line, and per
 workload and end-to-end metric the medians, inclusive quartiles, the number
 of pairs the change won, the median's relative change against the
 metric's bound, and each side's ``correct`` and ``failed`` counts.
+
+After the pairs, one ``--trace 1`` run per workload in each tree records
+the per-layer metrics under ``layers``.  ``--single`` runs ``corruga analyze
+--surface SURFACE --resolution RES`` once per case in each tree, the trees
+alternating which goes first from case to case (list a case twice to run
+it twice).  Each run's wall time, user+sys CPU time and peak RSS come from
+that child's own rusage (``os.wait4``); they go under ``single``, with
+each side's medians per case.  ``--pairs 0`` skips the pairs and the
+traced runs when ``--single`` is given.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SINGLE_METRICS = ("wall_s", "cpu_s", "peak_rss_mib")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -37,10 +49,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--label", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--single", nargs="+", default=[], metavar="SURFACE@RES")
     p.add_argument("--out", type=Path, default=Path("."))
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
+    if args.pairs < (0 if args.single else 1):
+        p.error("--pairs must be at least 1, or 0 with --single")
+    for case in args.single:
+        if case.count("@") != 1 or not all(case.split("@")):
+            p.error(f"--single: {case!r} is not SURFACE@RES")
     for side in SIDES:
         if not (getattr(args, side) / "BENCHMARK.json").is_file():
             p.error(f"--{side}: no BENCHMARK.json in {getattr(args, side)}")
@@ -48,10 +64,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def run_once(tree: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict:
+             seconds: float, trace: int = 0) -> dict:
     """One benchmark process in ``tree``: its exit code and result line."""
     argv = command + ["--workload", workload, "--seed", str(seed),
-                      "--seconds", str(seconds), "--trace", "0"]
+                      "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -60,6 +76,49 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
         result = None
     return {"exit": proc.returncode, "result": result,
             "stderr_tail": proc.stderr.strip().splitlines()[-3:]}
+
+
+def run_single(tree: Path, case: str) -> dict:
+    """One ``corruga analyze`` of SURFACE@RES with ``tree``'s package: its
+    exit code, wall time, and user+sys CPU time and peak RSS from its own
+    rusage."""
+    surface, resolution = case.split("@")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryDirectory() as out, \
+            tempfile.TemporaryFile() as err:
+        argv = [sys.executable, "-m", "corruga.cli", "analyze", "--surface",
+                surface, "--resolution", resolution, "--out", out]
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=tree, env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        tail = err.read().decode(errors="replace").strip().splitlines()[-3:]
+    return {"exit": proc.returncode, "wall_s": wall,
+            "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mib": usage.ru_maxrss / 1024.0, "stderr_tail": tail}
+
+
+def summarize_single(runs: list[dict]) -> dict:
+    """Per case: each side's run count, exit codes and medians of wall
+    time, CPU time and peak RSS, and the change's relative difference in
+    each median."""
+    out = {}
+    for case in dict.fromkeys(r["case"] for r in runs):
+        entry = {}
+        for side in SIDES:
+            mine = [r for r in runs if r["case"] == case and r["side"] == side]
+            entry[side] = {"runs": len(mine), "exits": [r["exit"] for r in mine]}
+            for metric in SINGLE_METRICS:
+                entry[side][metric] = (statistics.median(r[metric] for r in mine)
+                                       if mine else None)
+        for metric in SINGLE_METRICS:
+            p, c = entry["parent"][metric], entry["change"][metric]
+            entry[f"{metric}_rel"] = (c - p) / p if p and c is not None else None
+        out[case] = entry
+    return out
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -138,6 +197,25 @@ def main(argv=None) -> int:
                 wall = res.get("metrics", {}).get("wall_s", {}).get("value")
                 print(f"{wl['name']} pair {pair} {side}: exit {run['exit']}"
                       f", wall_s {wall}", file=sys.stderr, flush=True)
+    layers = []
+    for wl in bench["workloads"] if args.pairs else ():
+        for side in SIDES:
+            run = run_once(trees[side], bench["command"], wl["name"], 1,
+                           args.seconds, trace=1)
+            metrics = (run["result"] or {}).get("metrics", {})
+            layers.append({"side": side, "workload": wl["name"],
+                           "exit": run["exit"],
+                           "metrics": {k: v["value"] for k, v in metrics.items()}})
+            print(f"{wl['name']} --trace 1 {side}: exit {run['exit']}",
+                  file=sys.stderr, flush=True)
+    single = []
+    for k, case in enumerate(args.single):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            run = run_single(trees[side], case)
+            single.append({"side": side, "case": case} | run)
+            print(f"{case} {side}: exit {run['exit']}, wall_s "
+                  f"{run['wall_s']:.2f}, peak_rss_mib {run['peak_rss_mib']:.1f}",
+                  file=sys.stderr, flush=True)
     record = {
         "label": args.label,
         "trees": {side: tree.name for side, tree in trees.items()},
@@ -152,6 +230,18 @@ def main(argv=None) -> int:
                     " runs",
         "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs}
+    if layers:
+        record["layers"] = layers
+    if single:
+        record["single"] = {
+            "command": "python -m corruga.cli analyze --surface <s> "
+                       "--resolution <r> --out <tmp>, PYTHONPATH=<tree>/src,"
+                       " with the caller's environment",
+            "protocol": "one process at a time, each case once per tree, "
+                        "the parent first in odd cases; wall from the "
+                        "parent process's clock, CPU and peak RSS from the "
+                        "child's rusage",
+            "summary": summarize_single(single), "runs": single}
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
