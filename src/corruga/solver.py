@@ -109,10 +109,12 @@ _EYE = np.arange(3, dtype=np.int32)
 
 def _cross_entries(brows, bcols, vs, coef):
     """Triplets of the 3x3 blocks coef[e] * C(vs[e]) at block (brows[e],
-    bcols[e]); each value is sign * (v[k] * coef[e])."""
-    vals = (vs * coef[:, None])[:, _CROSS_K] * _CROSS_SIGN
-    return ((3 * brows[:, None] + _CROSS_ROW).ravel(),
-            (3 * bcols[:, None] + _CROSS_COL).ravel(), vals.ravel())
+    bcols[e]); each value is sign * (v[k] * coef[e]).  The entries that are
+    zero, wherever a component of v is, are left out."""
+    vals = ((vs * coef[:, None])[:, _CROSS_K] * _CROSS_SIGN).ravel()
+    keep = vals != 0
+    return ((3 * brows[:, None] + _CROSS_ROW).ravel()[keep],
+            (3 * bcols[:, None] + _CROSS_COL).ravel()[keep], vals[keep])
 
 
 def _identity_entries(brows, bcols, vals):
@@ -191,19 +193,17 @@ def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
     # the CSR build sums the two products
     i1, k1, d1, wc1 = grid.stencil_entries(0)
     i2, k2, d2, wc2 = grid.stencil_entries(1)
+    node = np.arange(n, dtype=np.int32).reshape(n1, n2)
     parts = [_cross_entries(i2, k2, x1[i2], d2),
-             _cross_entries(i1, k1, x2[i1], -d1)]
-    # growth columns: only nodes whose stencils span the seam are nonzero
-    for wc, v, sign, col in ((wc1, x2, -1.0, n), (wc2, x1, 1.0, n + 1)):
-        seam = np.flatnonzero(wc).astype(np.int32)
-        parts.append(_cross_entries(seam, np.full(seam.size, col, np.int32),
-                                    v[seam], sign * wc[seam]))
+             _cross_entries(i1, k1, x2[i1], -d1),
+             # growth columns, nonzero only where a stencil spans the seam
+             _cross_entries(node.ravel(), np.full(n, n, np.int32), x2, -wc1),
+             _cross_entries(node.ravel(), np.full(n, n + 1, np.int32), x1, wc2)]
     rows = {ROW_PDE: 3 * n}
     brow = n   # next block row
 
     # jump rows at duplicated breakpoints, one pair at a time; a pair's
     # cross nodes run along the other direction, whose tangent is the crease
-    node = np.arange(n, dtype=np.int32).reshape(n1, n2)
     for direction, along in ((0, grid.x2), (1, grid.x1)):
         for pair in grid.axis(direction).pairs:
             kp = np.take(node, pair.plus, axis=direction)
@@ -240,7 +240,7 @@ def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
         rows[ROW_OSCILLATION] = rows.get(ROW_OSCILLATION, 0) + 3 * sw.size
         brow += sw.size
 
-    # the cross blocks' entries are zero wherever a partial's is
+    # a sum where D1 and D2 meet can still cancel
     rr, cc, vv = (np.concatenate(t) for t in zip(*parts))
     A = sp.csr_matrix((vv, (rr, cc)), shape=(3 * brow, 3 * n + 6))
     A.eliminate_zeros()
