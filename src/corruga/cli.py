@@ -3,10 +3,11 @@
 Exit codes form a stable contract: 0 success, 1 unreadable or invalid
 surface config (also one the analysis rejects, such as a degenerate crease
 tangent), an invalid resolution, threshold or seed, an output that cannot
-be written, or a solver step that did not converge or lost all precision,
-2 verification failure, 3 ambiguous rank (no clear spectral gap, or dims
-that break the rank bound dim E + dim chi <= 3; the report is still
-written).  argparse keeps its own exit code 2 for usage errors.
+be written, or a solver step that failed (any ARPACK error among them)
+or lost all precision, 2 verification failure, 3 ambiguous rank (no clear
+spectral gap, or dims that break the rank bound dim E + dim chi <= 3; the
+report is still written).  argparse keeps its own exit code 2 for usage
+errors.
 """
 
 from __future__ import annotations

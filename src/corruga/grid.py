@@ -9,17 +9,17 @@ periodicity seam; nodes past the seam carry a period count m = 1 and have
 unwrapped coordinate u = xi + m*T.  A direction without breakpoints is one
 arc that closes on itself: its chain wraps around and has no arc ends.
 
-Every operator comes from one stencil rule (_stencil).  Node i reads cover
-index k = i + offset, stored at k mod n with period count wrap_m + k // n,
-and a row exists only where its window stays inside one arc.  Stencils are
+Every stencil comes from one rule (_stencil).  Node i reads cover index
+k = i + offset, stored at k mod n with period count wrap_m + k // n, and a
+row exists only where its window stays inside one arc.  Stencils are
 second order: first derivatives centered inside an arc, one-sided
 (-3, 4, -1)/2h at its ends; fourth differences (1, -4, 6, -4, 1)/h on
 interior windows only.  For fields that grow by a constant G per period
 (cover fields v + m*G), the stencil of the cover field is M @ v + wrap * G,
-where wrap row-sums the coefficients against the period counts.
-PeriodicGrid.stencil_entries lifts a rule onto the flattened nodes by index
-arithmetic, as (row, col, value) triplets; the operators are built from
-them, and so is the solver's constraint matrix.
+where wrap row-sums the coefficients against the period counts.  Stencils
+exist only as (row, col, value) triplets: PeriodicGrid.stencil_entries
+lifts a rule onto the flattened nodes by index arithmetic, and the
+solver's constraint matrix is built from those.
 
 Quadrature is per-arc trapezoid, so breakpoint instances contribute half
 weights from both sides.
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chart import (SurfaceChart, PeriodGeometry, chart_partials,
                     evaluate_chart, period_geometry)
@@ -53,7 +52,8 @@ _RULES = {1: _FIRST, 4: _FOURTH}   # by derivative order
 
 
 def _stencil(arc, h, m, closed: bool, rules):
-    """One stencil rule on a chain of nodes; returns (M, wrap).
+    """One stencil rule M on a chain of nodes, as the int32 (rows, cols)
+    of its entries, their values and wrap.
 
     Node i reads cover index k = i + offset, stored at k mod n with period
     count m[k mod n] + k // n.  It takes the first of ``rules`` whose window
@@ -78,13 +78,13 @@ def _stencil(arc, h, m, closed: bool, rules):
     nodes, k, vals = map(np.concatenate, (nodes, ks, vals))
     # rows are numbered over the nodes that got one, in node order
     rows = (np.cumsum(~free) - 1)[nodes]
-    shape = (n - np.count_nonzero(free), n)
     # every rule's coefficients sum to 0, so counting the periods from the
     # row's own node changes nothing but makes a window that lies wholly
     # past the seam an exact 0
     lag = m[k % n] + k // n - m[nodes]
-    wrap = np.bincount(rows, weights=vals * lag, minlength=shape[0])
-    return sp.csr_matrix((vals, (rows, k % n)), shape=shape), wrap
+    wrap = np.bincount(rows, weights=vals * lag,
+                       minlength=n - np.count_nonzero(free))
+    return rows.astype(np.int32), (k % n).astype(np.int32), vals, wrap
 
 
 @dataclass(frozen=True)
@@ -227,36 +227,16 @@ class PeriodicGrid:
         xi1, and row i*m + r on grid line i along xi2 (m rows per line).
         """
         a = self.axis(direction)
-        M, wrap = _stencil(a.arc_of, a.spacing, a.wrap_m, a.closed,
-                           _RULES[order])
-        m = M.shape[0]
-        r = np.repeat(np.arange(m, dtype=np.int32), np.diff(M.indptr))
-        c = M.indices.astype(np.int32)
+        r, c, vals, wrap = _stencil(a.arc_of, a.spacing, a.wrap_m, a.closed,
+                                    _RULES[order])
         n1, n2 = self.shape
         if direction == 0:
             j = np.arange(n2, dtype=np.int32)
             return ((r[:, None] * n2 + j).ravel(), (c[:, None] * n2 + j).ravel(),
-                    np.repeat(M.data, n2), np.repeat(wrap, n2))
+                    np.repeat(vals, n2), np.repeat(wrap, n2))
         i = np.arange(n1, dtype=np.int32)[:, None]
-        return ((i * m + r).ravel(), (i * n2 + c).ravel(),
-                np.tile(M.data, n1), np.tile(wrap, n1))
-
-    def _operator(self, direction: int, order: int):
-        rows, cols, vals, wrap = self.stencil_entries(direction, order)
-        return (sp.csr_matrix((vals, (rows, cols)),
-                              shape=(wrap.size, self.nnodes)), wrap)
-
-    def derivative_operator(self, direction: int):
-        """(D, wrap_coef) over flattened nodes for the given direction."""
-        return self._operator(direction, 1)
-
-    def fourth_difference_operator(self, direction: int):
-        """(S, swrap) over flattened nodes; cover-field convention as for D.
-
-        S holds one row per node whose 5-point neighborhood along the given
-        direction stays inside one arc; rows near arc ends are dropped.
-        """
-        return self._operator(direction, 4)
+        return ((i * wrap.size + r).ravel(), (i * n2 + c).ravel(),
+                np.tile(vals, n1), np.tile(wrap, n1))
 
 
 def resolution_counts(resolution) -> tuple[int, int]:
@@ -304,14 +284,10 @@ def build_grid(chart: SurfaceChart, resolution) -> PeriodicGrid:
 def cell_average(values, grid: PeriodicGrid):
     """Mean over the period, (1/T1 T2) * integral, by per-arc trapezoid.
 
-    ``values`` may be (n1, n2), (n1, n2, k), or flattened along the first
-    two axes.
+    ``values`` is (n1, n2) or (n1, n2, k).
     """
     v = np.asarray(values, dtype=float)
-    n1, n2 = grid.shape
-    if v.shape[0] == n1 * n2:
-        v = v.reshape((n1, n2) + v.shape[1:])
-    if v.shape[:2] != (n1, n2):
+    if v.shape[:2] != grid.shape:
         raise ValueError(f"field shape {np.shape(values)} does not match grid {grid.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("field contains non-finite values")

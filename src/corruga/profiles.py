@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyint, polyval
 
 PIECEWISE_LINEAR = "piecewise-linear"
 PIECEWISE_QUADRATIC = "piecewise-quadratic"
@@ -36,21 +37,6 @@ PROFILE_KINDS = (PIECEWISE_LINEAR, PIECEWISE_QUADRATIC, SINUSOIDAL)
 # relative tolerance used when validating that a breakpoint layout closes
 # up into a periodic profile
 _BALANCE_RTOL = 1e-12
-
-
-def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k coeffs[..., k] * t**k (low order first)."""
-    out = np.zeros_like(t, dtype=float)
-    for k in range(coeffs.shape[-1] - 1, -1, -1):
-        out = out * t + coeffs[..., k]
-    return out
-
-
-def _poly_antiderivative(coeffs: np.ndarray) -> np.ndarray:
-    k = np.arange(1, coeffs.shape[-1] + 1, dtype=float)
-    out = np.zeros(coeffs.shape[:-1] + (coeffs.shape[-1] + 1,))
-    out[..., 1:] = coeffs / k
-    return out
 
 
 def _poly_square(coeffs: np.ndarray) -> np.ndarray:
@@ -92,15 +78,15 @@ class _Piecewise:
         wraps = wraps + up - down
         idx = np.where(left, np.searchsorted(knots, r, side="left"),
                        np.searchsorted(knots, r, side="right")) - 1
-        out = _poly_eval(self.poly[idx], r - knots[idx])
+        out = polyval(r - knots[idx], self.poly.T[:, idx], tensor=False)
         # a periodic table adds nothing, not even to the sign of a zero
         return out + wraps * self.gain if self.gain else out
 
     def integral(self) -> "_Piecewise":
         """The running integral from 0, its gain the integral over a period."""
-        anti = _poly_antiderivative(self.poly)
-        at_knots = np.concatenate(
-            [[0.0], np.cumsum(_poly_eval(anti, np.diff(self.knots)))])
+        anti = polyint(self.poly, axis=1)
+        ends = polyval(np.diff(self.knots), anti.T, tensor=False)
+        at_knots = np.concatenate([[0.0], np.cumsum(ends)])
         anti[:, 0] = at_knots[:-1]
         return _Piecewise(self.knots, anti, float(at_knots[-1]))
 

@@ -35,33 +35,28 @@ C(x2)(D1 x I3): one product, negated or not, and one difference where the
 two derivative stencils meet at a node, so the matrix is that formula's
 bit for bit.
 
-The null set of these systems is large: besides the handful of modes with
-nonzero effective strains it holds rigid rotations and a swarm of strain-free
-oscillatory fields, so no basis of it is ever formed.  strain_forms instead
-takes the best residual over the 6 growth coordinates and over the membrane
-strain coordinates; those minimizers are also the representative fields,
-and dimension counts are taken on their strain images.  The growth
-coordinates are data: each growth minimizer fixes them and solves for the
-rotation samples alone.  The symmetric positive definite rotation-sample
-block H = A_w^T A_w + eps I is split by the grid's mirror symmetries, each
-a signed permutation of the unknowns, into decoupled blocks, one per parity
-class (one block, H itself, when the grid has no mirror).  The membrane
-strain coordinates are split with it: each block's share of the membrane
-map's range is that block's own coordinates, and together they are the
-membrane space's basis.  Every block has the pattern of one graph, that of
-the node orbits (each represented by its least index), so the layout is
-decided once per analysis: that graph is put in reverse Cuthill-McKee
-order, and each block is gathered straight into it (each orbit's 3
-unknowns together), a narrow band.  The whole solve then runs
-one block at a time: LAPACK's banded Cholesky factors the band as it
-comes; only the growth columns and membrane coordinates of its parity are
-solved, by triangular solves with that factor, the membrane constraints
-through a thin QR of the factor's solve of them (r_k <= 3 columns), one
-refinement step follows, and the factor is freed before the next block is
-gathered.  Those Cholesky factors, one per symmetry block, are the module's
-only factorizations: kernel_distance certifies a sampled field by its
-residual, one sparse product.  Which levels count as achievable is decided
-in strains.cut.
+The null set is large: besides the few modes with nonzero effective
+strains it holds rigid rotations and a swarm of strain-free oscillatory
+fields, so no basis of it is ever formed.  strain_forms instead takes the
+best residual over the 6 growth coordinates and over the membrane strain
+coordinates; the minimizers are the representative fields, and dims are
+counted on their strain images.  One pipeline computes them:
+
+  gather  H = A_w^T A_w + eps I splits by the grid's mirrors, each a signed
+          permutation of the unknowns, into one block per parity class (H
+          itself without a mirror), and the membrane coordinates split with
+          it.  All blocks share one node-orbit graph, put once in reverse
+          Cuthill-McKee order, and each is gathered straight into it.
+  solve   one block at a time: LAPACK's banded Cholesky (dpbtrf) factors
+          the band, and triangular solves with the factor (dtbtrs) give the
+          block's growth columns and membrane coordinates, the membrane
+          constraints through a thin QR of the factor's solve of them.
+  refine  one refinement step, after which the factor is freed before the
+          next block is gathered.
+
+Those factors are the module's only factorizations: kernel_distance
+certifies a sampled field by its residual, one sparse product.  strains.cut
+decides which levels count as achievable.
 """
 from __future__ import annotations
 
@@ -159,7 +154,8 @@ class ConstraintSystem:
 def _largest_singular_value(A: sp.spmatrix) -> float:
     """ARPACK at every size, retried once; never a dense SVD.
 
-    Raises SolverError when neither try converges.
+    Raises SolverError when neither try succeeds, whatever ARPACK error
+    each raised.
     """
     # a fixed start makes repeated calls agree to the bit; not a constant
     # one, which is orthogonal to the checkerboard top singular vector
@@ -168,11 +164,11 @@ def _largest_singular_value(A: sp.spmatrix) -> float:
         try:
             return float(spla.svds(A, k=1, v0=v0,
                                    return_singular_vectors=False, **opts)[0])
-        except spla.ArpackNoConvergence as exc:
+        except spla.ArpackError as exc:
             err = exc
     raise SolverError(
         f"sigma_max of the {A.shape[0]} x {A.shape[1]} constraint matrix: "
-        f"ARPACK did not converge ({err})") from err
+        f"ARPACK failed ({err})") from err
 
 
 def assemble_system(grid: PeriodicGrid) -> ConstraintSystem:
@@ -283,10 +279,18 @@ def kernel_distance(system: ConstraintSystem, vectors,
     Every component above the threshold adds at least threshold_rel *
     sigma_max to ||A v||, so min(1, ||A v|| / (threshold_rel * sigma_max))
     bounds that distance for any spectrum; one sparse product serves all
-    vectors, and no basis of the (large) null set is ever formed.
+    vectors, and no basis of the (large) null set is ever formed.  Raises
+    ValueError for a zero or non-finite vector, and for a threshold_rel
+    that is not a finite number in (0, 1).
     """
+    if not 0.0 < threshold_rel < 1.0:
+        raise ValueError(f"threshold_rel must be a finite number in (0, 1), "
+                         f"got {threshold_rel!r}")
     vs = np.atleast_2d(np.asarray(vectors, dtype=float))
-    vs = vs / np.linalg.norm(vs, axis=1, keepdims=True)
+    norms = np.linalg.norm(vs, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise ValueError("kernel_distance needs finite nonzero vectors")
+    vs = vs / norms
     residual = np.linalg.norm(system.matrix @ vs.T, axis=0)
     return np.minimum(1.0, residual / (threshold_rel * system.sigma_max()))
 
@@ -389,35 +393,20 @@ def _splits(L: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> bool:
 
 
 def _symmetry_blocks(H, grid: PeriodicGrid, L: np.ndarray):
-    """The blocks H_k = Q_k^T H Q_k of the grid's mirror symmetries, laid
-    out as bands.
+    """Yield (Q_k, H_k = Q_k^T H Q_k) for each parity class of the grid's
+    mirrors, each gathered only when asked for, in band order.
 
-    Each axis whose node reversal is a mirror gives a signed permutation P
-    of the unknowns (_mirror; -P commutes with H whenever P does).  The
-    mirrors kept are those with P^T H P = H (_commutes) under which the
-    membrane rows L split (_splits); any other is dropped.  This is
-    decided before the first block is yielded.  The m mirrors kept generate
-    a group of 2^m commuting involutions, and each parity class (one sign
-    per mirror) spans the fields that every kept mirror maps to that sign
-    times themselves.  Its orthonormal basis Q_k has one column per orbit
-    of an unknown: the orbit's 2^m unknowns with signs t = +-1, over
-    2^(m/2), its representative, the orbit's least index, with t = +1.  An
-    unknown z is far for a mirror when its image perm[z] < z; each far
-    step multiplies t by the class's sign for that mirror and by sign[z].
-    The Q_k together are orthogonal and H maps each one's span into
-    itself, so H^-1 = sum_k Q_k H_k^-1 Q_k^T; the ranges of the L Q_k are
-    orthogonal and together span L's range.  With no mirror there
-    is one block, Q a permutation and H_k = Q^T H Q.
-
-    Every block has the pattern of one node-orbit graph, so that graph is
-    ordered once, by _node_order on the orbits of H's entries in the
-    representative rows, and orbit q's unknowns are every block's columns
-    3 pos[q] + (0, 1, 2), pos[q] the orbit's place in that order; node
-    orbits are numbered in the order of their representatives.  Yields one
-    (Q_k, H_k) per class, each gathered only when it is asked for and
-    already in band order.  H_k is CSC and exactly symmetric, gathered from
-    H's representative rows, H_k[x, y] = sum over z in y's orbit of
-    t(z) H[x, z], and symmetrized.
+    A mirror is an axis whose node reversal (_mirror) commutes with H
+    (_commutes) and splits the rows of L (_splits), all decided before the
+    first yield; m mirrors give 2^m classes.  Q_k has one column per orbit
+    of an unknown, represented by its least index: the orbit's unknowns
+    with signs t = +-1 over 2^(m/2), where each mirror for which z is far
+    (perm[z] < z) multiplies t(z) by the class's sign and by sign[z].  The
+    Q_k are orthogonal and H maps each one's span into itself, so
+    H^-1 = sum_k Q_k H_k^-1 Q_k^T and the L Q_k have orthogonal ranges.
+    Orbit q's unknowns are columns 3 pos[q] + (0, 1, 2) of every block, pos
+    the _node_order of the orbit graph.  H_k is CSC, gathered from H's
+    representative rows and symmetrized.
     """
     z = np.arange(H.shape[0])
     rep, mirrors = z, []
@@ -464,31 +453,21 @@ def _band_limit() -> int:
 
 
 def _block_minimizers(K, b: np.ndarray, C: np.ndarray):
-    """The ridge minimizers of one symmetry block, from its own banded
-    Cholesky factor.
+    """X = K^-1 b and the Y of [[K, C^T], [C, 0]] [Y; lam] = [0; I] for one
+    symmetry block K (CSC, exactly symmetric, in band order), b its growth
+    columns and C (r_k, n_k) its membrane rows; b and C have a column
+    between them, since dtbtrs corrupts the heap on an (n, 0) right-hand
+    side (scipy 1.17.1).
 
-    K is the block (CSC, exactly symmetric, in band order), b its growth
-    right-hand sides and C (r_k, n_k) its membrane rows.  K's lower band,
-    of half-bandwidth w, is written into LAPACK's (w + 1, n_k) banded
-    storage and factored in place, K = L L^T (dpbtrf); a block that is not
-    positive definite, or whose 8 (w + 1) n_k bytes exceed _band_limit,
-    raises SolverError before anything is solved.  The factor gives
-    X = K^-1 b and the solutions Y of the KKT system
-    [[K, C^T], [C, 0]] [Y; lam] = [0; I], all by banded triangular solves
-    with L (dtbtrs): V = L^-1 [b | C^T], and with the thin QR
-    V[:, g:] = Q R the Schur complement C K^-1 C^T is R^T R, never formed,
-    so Y = L^-T Q R^-T and lam = -R^-1 R^-T (the classical QR route of
-    equality-constrained least squares, Golub & Van Loan, Matrix
-    Computations, 4th ed., 6.2).  One back solve gives X and Y together.
-    One refinement step follows (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 12), the growth columns against K
-    and the membrane ones against the KKT matrix, whose Schur solve
-    K^-1 C^T S^-1 is Y itself; the factor is freed on return.  S is as
-    ill-conditioned as R squared, so an R whose reciprocal condition number
-    (dtrcon) is under sqrt(machine eps) means an S with no precision left,
-    whose fields would break the rank bound: it raises SolverError instead.
-    A block without membrane rows skips the QR, since dtbtrs must never see
-    a right-hand side with no column.
+    With V = L^-1 [b | C^T] and the thin QR V[:, g:] = Q R, the Schur
+    complement C K^-1 C^T is R^T R, never formed, so its conditioning is
+    not squared (Golub & Van Loan, Matrix Computations, 4th ed., 6.2).  One
+    refinement step (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 12) takes X and Y to their rounding floor.  Raises
+    SolverError for a band over _band_limit, a block that is not positive
+    definite, or an R with rcond under sqrt(eps): S is as ill-conditioned
+    as R squared, so it has no precision left and its fields would break
+    the rank bound.
     """
     n = K.shape[0]
     cols = np.repeat(np.arange(n), np.diff(K.indptr))
@@ -539,27 +518,15 @@ def _ridge_minimizers(H, Gwg: np.ndarray, L: np.ndarray,
                       grid: PeriodicGrid):
     """Ridge minimizers over the rotation samples w, H = A_w^T A_w + eps I.
 
-    Returns (W, O).  Column j < g (g = Gwg.shape[1]) of W pins growth
-    coordinate j to 1: it minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2
-    with w free, so w = -H^-1 Gwg e_j, Gwg = A_w^T A_g.  Its other r
-    columns keep the growth at 0 and solve O^T L w = e_i, the KKT system
-    [[H, L^T O], [O^T L, 0]], where O (m, r) is an orthonormal basis of the
-    range of the row map L, split by parity.
-
-    The solve runs one symmetry block of ``grid`` at a time
-    (_symmetry_blocks, with the mirrors that split L's rows), since H is
-    block diagonal in the Q_k basis and nothing couples the blocks; each
-    block comes already in band order, so it is factored as it is.  Block
-    k solves H_k X = -Q_k^T Gwg for the growth columns whose projection on
-    it exceeds PROJ_RTOL of their norm.  Its membrane coordinates are its
-    parity's: U_k, the range of B_k = L Q_k by _parity_range relative to
-    L's largest row norm, and the block solves U_k^T B_k y = I as its own
-    KKT system.  The ranges of the B_k are orthogonal, so O = [U_1 ... U_K]
-    and block k's membrane columns Q_k y solve the rows of O^T L that are
-    U_k's and vanish on the others.  _block_minimizers factors each block
-    by banded Cholesky, solves it, refines it once, and frees its factor
-    before the next block is gathered; a block that no column reaches is
-    not factored, so every block solved has at least one column.
+    Returns (W, O).  Column j < g = Gwg.shape[1] of W fixes growth
+    coordinate j to 1 and minimizes ||A_w w + A_g e_j||^2 + eps ||w||^2, so
+    w = -H^-1 Gwg e_j, Gwg = A_w^T A_g; its other r columns keep the growth
+    at 0 and solve O^T L w = e_i.  O = [U_1 ... U_K] is L's range split by
+    parity, U_k that of L Q_k, so block k's membrane columns solve U_k's
+    rows of O^T L and vanish on the others.  Block k solves only the growth
+    columns whose share in it exceeds PROJ_RTOL of their norm: the rest lie
+    in it only by rounding, and solving them too made eggbox@64 8-15%
+    slower.  A block that no column reaches is not factored.
     """
     g = Gwg.shape[1]
     scale = np.linalg.norm(L, axis=1).max(initial=0.0)
@@ -583,28 +550,13 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     """Best residual over the growth and over the membrane coordinates.
 
     Returns (growth, membrane) QuadraticSpaces: the forms over the 6 growth
-    coordinates and over the image coordinates of a linear map L (m, 3n) on
-    w, the latter with fields kept strictly periodic.  The membrane space's
-    ``basis`` O is the orthonormal basis of L's range that
-    _ridge_minimizers splits by parity; its r <= m columns are the
-    coordinates O^T L w (r = 0 gives an empty membrane space).
-
-    The 6 growth coordinates are data, not unknowns: growth minimizer j
-    fixes them to e_j and minimizes over w alone, with no membrane
-    constraint; membrane minimizer i keeps them at 0 and solves
-    O^T L w = e_i.  _ridge_minimizers gets both from one banded Cholesky
-    factor per symmetry block of the rotation block H = A_w^T A_w + eps I,
-    solved, refined and freed one block at a time; the blocks' band order
-    is found once per call, by one _node_order of their shared orbit graph.
-    The membrane columns go through each block's r_k x r_k Schur complement
-    as R^T R, R from a thin QR of the factor's triangular solve of the
-    block's membrane rows; it is never formed, so its conditioning is not
-    squared, and one refinement step against the block's KKT matrix takes
-    the membrane minimizers to their rounding floor.  The levels are the
-    singular values of A times the minimizers, never square roots of their
-    Gram form.  The near-vanishing ridge (EPS_REL) leaves the residuals
-    essentially unbiased, and the minimizers along the directions under the
-    cap are the representative fields.
+    coordinates and over the coordinates O^T L w of a linear map L (m, 3n)
+    on w, with fields kept strictly periodic.  The membrane space's
+    ``basis`` is O, the parity-split basis of L's range (no column gives an
+    empty space).  The levels are the singular values of A times the
+    minimizers, never square roots of their Gram form, and the ridge
+    EPS_REL leaves them essentially unbiased.  Raises ValueError for an L
+    whose width is not 3n, and SolverError from the block solves.
     """
     A = system.matrix.tocsr()
     ws = system.w_size

@@ -2,13 +2,15 @@
 
 The heavier acceptance checks reuse the same reports, so each surface is
 solved once per resolution for the whole session.  The shear-covariance
-check of the stretch tensor lives here too: only tests call it.
+check of the stretch tensor and the CSR form of a grid's stencils live here
+too: only tests call them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from corruga.analysis import run_analysis
 from corruga.chart import PeriodGeometry, builtin_chart
@@ -29,6 +31,15 @@ def analysis_bundle(name: str, resolution: int) -> dict:
 @pytest.fixture(name="analysis_bundle")
 def analysis_bundle_fixture():
     return analysis_bundle
+
+
+def stencil_operator(grid, direction: int, order: int = 1):
+    """(M, wrap): the grid's stencil rule along one direction, the first
+    derivative (order 1) or the fourth difference (order 4), as a CSR
+    matrix over the flattened nodes built from its triplets."""
+    rows, cols, vals, wrap = grid.stencil_entries(direction, order)
+    return (sp.csr_matrix((vals, (rows, cols)),
+                          shape=(wrap.size, grid.nnodes)), wrap)
 
 
 def membrane_reps(report: dict) -> list:

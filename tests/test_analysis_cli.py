@@ -243,19 +243,22 @@ def test_cli_rejects_bad_resolution(tmp_path, capsys, value):
 
 
 def test_cli_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a non-convergence, and any other ARPACK error (-9: zero start vector)
     import scipy.sparse.linalg as spla
 
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
-                                        np.zeros((0, 0)))
+    for error in (spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                           np.zeros((0, 0))),
+                  spla.ArpackError(-9)):
+        def failing(*args, error=error, **kwargs):
+            raise error
 
-    monkeypatch.setattr(spla, "svds", no_convergence)
-    out = tmp_path / "run"
-    code = cli.main(["analyze", "--surface", "plane", "--resolution", "24",
-                     "--out", str(out)])
-    assert code == 1
-    assert "ARPACK" in capsys.readouterr().err
-    assert not out.exists()
+        monkeypatch.setattr(spla, "svds", failing)
+        out = tmp_path / type(error).__name__
+        code = cli.main(["analyze", "--surface", "plane", "--resolution",
+                         "24", "--out", str(out)])
+        assert code == 1
+        assert "ARPACK failed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _write_json(path, text):

@@ -323,6 +323,9 @@ REFUSALS = {
     "cell-average-shape": (
         lambda: cell_average(np.ones((3, 3)), _eggbox8()),
         r"field shape \(3, 3\) does not match grid"),
+    "cell-average-flattened": (
+        lambda: cell_average(np.ones((_eggbox8().nnodes, 3)), _eggbox8()),
+        r"field shape \(100, 3\) does not match grid"),
     "cell-average-non-finite": (
         _nan_average, "field contains non-finite values"),
     "mode-from-zero-vector": (

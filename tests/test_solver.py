@@ -741,6 +741,19 @@ def test_kernel_distance_separates_members_from_probes():
     assert outside >= 0.5
 
 
+@pytest.mark.parametrize("vectors, tau", [
+    ("zero-row", 1e-3), ("nan", 1e-3),
+    ("unit", 0.0), ("unit", -1.0), ("unit", 1.0), ("unit", np.nan)])
+def test_kernel_distance_refuses_what_it_cannot_bound(vectors, tau):
+    system = assemble_system(build_grid(builtin_chart("plane"), 8))
+    v = np.ones(system.nunknowns)
+    vs = {"zero-row": np.array([np.zeros_like(v), v]),
+          "nan": np.full_like(v, np.nan), "unit": v}[vectors]
+    message = "threshold_rel" if vectors == "unit" else "finite nonzero"
+    with pytest.raises(ValueError, match=message):
+        kernel_distance(system, vs, threshold_rel=tau)
+
+
 def test_kernel_distance_bounds_the_exact_distance():
     # the residual bound sits above the exact distance to the sub-threshold
     # right singular subspace, for a member, an outsider and a mixture
@@ -774,8 +787,9 @@ def display_derivative(values, grid, direction: int):
     v = np.asarray(values, dtype=float)
     axis = grid.axis(direction)
     idx, extra = display_lattice(grid)[direction::2]   # base index, extra m
-    D, _ = _stencil(axis.arc_of[idx], axis.spacing[idx],
-                    axis.wrap_m[idx] + extra, False, _FIRST)
+    r, c, vals, wrap = _stencil(axis.arc_of[idx], axis.spacing[idx],
+                                axis.wrap_m[idx] + extra, False, _FIRST)
+    D = sp.csr_matrix((vals, (r, c)), shape=(wrap.size, idx.size))
     vt = np.moveaxis(v, direction, 0)
     out = (D @ vt.reshape(vt.shape[0], -1)).reshape(vt.shape)
     return np.moveaxis(out, 0, direction)
