@@ -39,8 +39,8 @@ def _plain(obj):
 
 
 def _analysis_system(chart: SurfaceChart, requested):
-    """The constraint system an analysis solves, and the spacing it is
-    judged at, the largest of the requested grid.
+    """The constraint system an analysis solves, and the requested grid,
+    whose spacing the analysis is judged at.
 
     A direction whose curve has no profile is one closed arc along which
     the surface does not vary: the assembled operator is circulant there,
@@ -64,7 +64,7 @@ def _analysis_system(chart: SurfaceChart, requested):
         system = replace(rows, _sigma_max=system.sigma_max(),
                          matrix=np.sqrt(full.nnodes / grid.nnodes)
                          * rows.matrix)
-    return system, full.h_max
+    return system, full
 
 
 def run_analysis(chart: SurfaceChart, resolution=32,
@@ -82,10 +82,10 @@ def run_analysis(chart: SurfaceChart, resolution=32,
     tau = parse_threshold(threshold)
     requested = list(resolution_counts(resolution))
     t0 = time.perf_counter()
-    system, h = _analysis_system(chart, requested)
-    grid = system.grid
+    system, full = _analysis_system(chart, requested)
+    grid, h = system.grid, full.h_max
     t1 = time.perf_counter()
-    spaces = effective_spaces(system, h, tau)
+    spaces = effective_spaces(system, full.h_angle, tau)
     t2 = time.perf_counter()
 
     smax = system.sigma_max()

@@ -54,6 +54,10 @@ SHEARED_DOUBLE_CORRUGATION = "sheared-double-corrugation"
 
 TAU = 2.0 * np.pi
 
+# periods a chart may have: further out the grid weights, the constraint
+# entries (~ 1/h) and their squares leave the floating-point range
+PERIOD_RANGE = (1e-50, 1e50)
+
 # samples per period at which translation curve tangents are checked, and
 # the rows of the first curve's tangents in one block of that check
 TRANSLATION_CHECK_SAMPLES = 257
@@ -211,13 +215,22 @@ class SurfaceChart:
         return self.curves[direction].crease_breakpoints()
 
 
+def _check_periods(period) -> None:
+    t1, t2 = period
+    if not (math.isfinite(t1) and math.isfinite(t2)) or t1 <= 0 or t2 <= 0:
+        raise ValueError(f"periods must be finite positive numbers, got "
+                         f"{period}")
+    lo, hi = PERIOD_RANGE
+    for t in period:
+        if not lo <= t <= hi:
+            raise ValueError(f"period {t:g} is outside [{lo:g}, {hi:g}]")
+
+
 def _validate_chart(chart: SurfaceChart) -> None:
     fam = chart.family
     count, entry, _ = _row(fam)
+    _check_periods(chart.period)
     t1, t2 = chart.period
-    if not (math.isfinite(t1) and math.isfinite(t2)) or t1 <= 0 or t2 <= 0:
-        raise ValueError(f"periods must be finite positive numbers, got "
-                         f"{chart.period}")
     if not math.isfinite(chart.gamma):
         raise ValueError(f"gamma must be a finite number, got {chart.gamma}")
     if fam != SHEARED_DOUBLE_CORRUGATION and chart.gamma != 0.0:
@@ -393,6 +406,7 @@ def chart_from_config(cfg: dict) -> SurfaceChart:
     if not isinstance(period, (list, tuple)) or len(period) != 2:
         raise ValueError(f"period must be two numbers, got {period!r}")
     t1, t2 = (as_float(t, "period") for t in period)
+    _check_periods((t1, t2))     # before the profiles, which use them
     raw = optional(cfg, "profiles", [])
     if not isinstance(raw, list):
         raise ValueError(f"profiles must be a list, got {raw!r}")

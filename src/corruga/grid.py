@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import (SurfaceChart, PeriodGeometry, chart_partials,
+from .chart import (TAU, SurfaceChart, PeriodGeometry, chart_partials,
                     evaluate_chart, period_geometry)
 
 MIN_RESOLUTION = 8
@@ -210,6 +210,14 @@ class PeriodicGrid:
     @property
     def h_max(self) -> float:
         return float(max(self.axis1.spacing.max(), self.axis2.spacing.max()))
+
+    @property
+    def h_angle(self) -> float:
+        """h_max in units where each axis's period is 2*pi, which a chart's
+        length unit does not change: the spacing the automatic cut scales
+        with.  It is h_max itself at the builtins' period 2*pi."""
+        return float(max(a.spacing.max() * (TAU / a.period)
+                         for a in (self.axis1, self.axis2)))
 
     @property
     def cell_area(self) -> float:

@@ -78,7 +78,7 @@ ROW_OSCILLATION = "oscillation-control"
 
 OSC_SCALE = 0.25         # weight of the checkerboard-control rows
 
-SVDS_RETRY = {"ncv": 64, "maxiter": 2000}   # second ARPACK try, bounded
+ARPACK_RETRY = {"ncv": 64, "maxiter": 2000}  # second ARPACK try, bounded
 
 # strain_forms constants; the ridge is relative to sigma_max^2
 EPS_REL = 1e-13          # ridge of the one KKT system
@@ -151,23 +151,37 @@ class ConstraintSystem:
             np.asarray(y[self.w_size + 3:], dtype=float)
 
 
-def _largest_singular_value(A: sp.spmatrix) -> float:
-    """ARPACK at every size, retried once; never a dense SVD.
+def _largest_singular_value(A: sp.csr_matrix) -> float:
+    """sigma_max as the root of the largest eigenvalue of A^T A, from one
+    ARPACK Lanczos run on x -> A^T (A x) (A A^T when A is wide), retried
+    once; never a dense SVD.  Its Ritz residual stops at sqrt(eps): for a
+    symmetric operator the Ritz value's error is about the residual squared
+    over the spectral gap (Kato-Temple), so sigma_max^2 is already at
+    rounding.
 
     Raises SolverError when neither try succeeds, whatever ARPACK error
     each raised.
     """
+    rows, cols = A.shape
+    At = A.T                     # CSR's transpose is a CSC view, no copy
+    if rows < cols:
+        A, At = At, A
+    n = A.shape[1]
+    gram = spla.LinearOperator((n, n), matvec=lambda x: At @ (A @ x),
+                               dtype=A.dtype)
     # a fixed start makes repeated calls agree to the bit; not a constant
     # one, which is orthogonal to the checkerboard top singular vector
-    v0 = np.random.default_rng(0).standard_normal(min(A.shape))
-    for opts in ({}, SVDS_RETRY):
+    v0 = np.random.default_rng(0).standard_normal(n)
+    for opts in ({}, ARPACK_RETRY):
         try:
-            return float(spla.svds(A, k=1, v0=v0,
-                                   return_singular_vectors=False, **opts)[0])
+            top = spla.eigsh(gram, k=1, which="LA", v0=v0,
+                             tol=np.sqrt(np.finfo(float).eps),
+                             return_eigenvectors=False, **opts)[0]
+            return float(np.sqrt(top))
         except spla.ArpackError as exc:
             err = exc
     raise SolverError(
-        f"sigma_max of the {A.shape[0]} x {A.shape[1]} constraint matrix: "
+        f"sigma_max of the {rows} x {cols} constraint matrix: "
         f"ARPACK failed ({err})") from err
 
 

@@ -41,7 +41,9 @@ POISSON_TOL = 1e-9    # relative denominator under which a ratio is undefined
 # tests/test_solver.py for the calibration evidence).  The cap scales like
 # h, not h^2: per unit strain target, the residual of a discretized smooth
 # mode is sigma * ||y|| ~ h^2 * h^-1, while the non-realizable band stays
-# O(1), so a multiple of h separates the two at every resolution.
+# O(1), so a multiple of h separates the two at every resolution.  The
+# levels sigma/sigma_max do not depend on the chart's length unit, so h is
+# taken in units where one period is 2*pi, the builtins' own.
 CAP_SCALE = 0.2       # cap on sigma/sigma_max is CAP_SCALE * h
 GAP_MIN = 10.0        # spectral ratio at the cut for a decisive split
 FLOOR_MIN = 1e-15     # least regularization floor a gap is taken against
@@ -313,8 +315,9 @@ def effective_spaces(system: ConstraintSystem, h: float,
     subject to strict periodicity.  Both come from one solver.strain_forms
     call; representative modes come from its minimizers, one per basis row:
     a bending one whose chi adds nothing to the span of those before it is
-    dropped.  ``h`` is the mesh spacing the analysis is judged at and
-    ``tau`` the fixed cut, if any (see cut).
+    dropped.  ``h`` is the mesh spacing the analysis is judged at, in
+    units where one period is 2*pi (PeriodicGrid.h_angle), and ``tau`` the
+    fixed cut, if any (see cut).
     """
     grid = system.grid
     smax = system.sigma_max()

@@ -2,8 +2,9 @@
 
 The heavier acceptance checks reuse the same reports, so each surface is
 solved once per resolution for the whole session.  The shear-covariance
-check of the stretch tensor and the CSR form of a grid's stencils live here
-too: only tests call them.
+check of the stretch tensor, the CSR form of a grid's stencils and a
+builtin's config in another length unit live here too: only tests call
+them.
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ import pytest
 import scipy.sparse as sp
 
 from corruga.analysis import run_analysis
-from corruga.chart import PeriodGeometry, builtin_chart
-from corruga.profiles import Profile
+from corruga.chart import PeriodGeometry, builtin_chart, chart_to_config
+from corruga.profiles import SINUSOIDAL, Profile
 from corruga.strains import orthogonality_residual, stretch_from_rates
 
 _reports: dict = {}
@@ -31,6 +32,24 @@ def analysis_bundle(name: str, resolution: int) -> dict:
 @pytest.fixture(name="analysis_bundle")
 def analysis_bundle_fixture():
     return analysis_bundle
+
+
+def scaled_config(name: str, scale: float) -> dict:
+    """The builtin ``name``'s config with every length times ``scale``:
+    periods, breakpoints and a sinusoid's amplitude, which is a height.
+    Piecewise amplitudes are slopes and stay."""
+    cfg = chart_to_config(builtin_chart(name))
+    cfg["period"] = [t * scale for t in cfg["period"]]
+    for entry in cfg.get("profiles", []):
+        # a translation curve's entry holds its lateral and vertical profiles
+        parts = [entry] if "kind" in entry else [entry["lateral"],
+                                                 entry["vertical"]]
+        for p in filter(None, parts):
+            p["period"] *= scale
+            p["breakpoints"] = [b * scale for b in p["breakpoints"]]
+            if p["kind"] == SINUSOIDAL:
+                p["amplitude"] *= scale
+    return cfg
 
 
 def stencil_operator(grid, direction: int, order: int = 1):

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import scaled_config
 
 from corruga import cli
 from corruga.analysis import (export_modes, run_analysis, verify_lemma,
                               write_report, write_spectrum)
-from corruga.chart import BUILTIN_NAMES, builtin_chart, chart_to_config
+from corruga.chart import (BUILTIN_NAMES, PERIOD_RANGE, TAU, builtin_chart,
+                           chart_to_config)
 from corruga.strains import vec_sym
 
 REPORT_KEYS = {"E_basis", "chi_basis", "dims", "modes", "pairs", "poisson",
@@ -252,7 +254,7 @@ def test_cli_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
         def failing(*args, error=error, **kwargs):
             raise error
 
-        monkeypatch.setattr(spla, "svds", failing)
+        monkeypatch.setattr(spla, "eigsh", failing)
         out = tmp_path / type(error).__name__
         code = cli.main(["analyze", "--surface", "plane", "--resolution",
                          "24", "--out", str(out)])
@@ -264,6 +266,32 @@ def test_cli_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
 def _write_json(path, text):
     path.write_text(text)
     return str(path)
+
+
+@pytest.mark.parametrize("end, past", [(0, 0.1), (1, 10.0)],
+                         ids=["low", "high"])
+def test_cli_period_range_end(tmp_path, capfd, analysis_bundle, end, past):
+    # every builtin shape with its period at the end of the range keeps its
+    # dims and prints nothing on stderr; a period past the end is refused
+    # with one line that names it, and nothing reaches stdout (LAPACK's
+    # error lines went there at 1e-300)
+    edge = PERIOD_RANGE[end]
+    for name in BUILTIN_NAMES:
+        for period, code in ((edge, 0), (edge * past, 1)):
+            cfg = tmp_path / f"{name}-{period:g}.json"
+            cfg.write_text(json.dumps(scaled_config(name, period / TAU)))
+            out = tmp_path / f"{name}-{period:g}"
+            assert cli.main(["analyze", "--surface", str(cfg), "--resolution",
+                             "12", "--out", str(out)]) == code, (name, period)
+            stdout, stderr = capfd.readouterr()
+            if code == 0:
+                report = json.loads((out / "report.json").read_text())
+                assert report["dims"] == analysis_bundle(name, 12)["dims"]
+                assert stderr == ""
+            else:
+                assert stdout == "" and not out.exists()
+                assert stderr.count("\n") == 1
+                assert f"period {period:g}" in stderr
 
 
 def test_cli_analysis_value_error_exits_1(tmp_path, capsys):

@@ -14,11 +14,12 @@ def _load():
     return module
 
 
-def _write_run(out: Path, timings: dict, spectrum: str) -> str:
-    """A synthetic analyze output directory and the stdout naming it."""
+def _write_run(out: Path, timings: dict, spectrum: str, **fields) -> str:
+    """A synthetic analyze output directory and the stdout naming it;
+    ``fields`` are added to its report."""
     (out / "modes").mkdir(parents=True)
     report = {"dims": {"membrane": 1, "bending": 2}, "gap": float("inf"),
-              "timings": timings}
+              "timings": timings, **fields}
     (out / "report.json").write_text(json.dumps(report, indent=2))
     (out / "spectrum.csv").write_text(spectrum)
     (out / "modes.json").write_text("[]\n")
@@ -40,3 +41,37 @@ def test_one_changed_byte_of_the_spectrum_is_reported(tmp_path):
     snaps = [rp.snapshot(out, 0, _write_run(out, {"assemble": 0.1}, text))
              for out, text in ((a, "x,1\n"), (b, "x,2\n"))]
     assert rp.differing(*snaps) == ["spectrum.csv"]
+
+
+def test_a_level_moved_by_rounding_is_reported_per_field(tmp_path):
+    rp = _load()
+    header = "space,index,sigma,sigma_rel\n"
+    snaps = []
+    for out, level in ((tmp_path / "a", 0.5), (tmp_path / "b",
+                                               0.5 * (1 + 1e-15))):
+        levels = [{"space": "growth", "index": 0, "sigma_rel": 0.25},
+                  {"space": "growth", "index": 1, "sigma_rel": level}]
+        spectrum = header + "".join(f"growth,{lv['index']},1.0,"
+                                    f"{lv['sigma_rel']:.17e}\n"
+                                    for lv in levels)
+        snaps.append(rp.snapshot(out, 0, _write_run(
+            out, {"assemble": 0.1}, spectrum, sigma_spectrum_ref=levels)))
+    diff = rp.differing(*snaps)
+    assert diff == ["report.json", "spectrum.csv"]
+    lines = rp.field_lines(diff, *snaps)
+    assert [line.split(":")[0] for line in lines] == [
+        "  report.json sigma_spectrum_ref[].sigma_rel",
+        "  spectrum.csv [].sigma_rel"]
+    for part in diff:
+        (path, (absolute, relative)), = rp.moved(
+            rp._parsed(part, snaps[0][part]),
+            rp._parsed(part, snaps[1][part])).items()
+        assert 0.5e-15 <= relative <= 1.5e-15
+        assert 0.25e-15 <= absolute <= 0.75e-15
+
+
+def test_a_changed_flag_or_length_is_reported_as_changed():
+    rp = _load()
+    got = rp.moved({"dims": {"sum": 3}, "ok": True, "levels": [1.0, 2.0]},
+                   {"dims": {"sum": 3}, "ok": False, "levels": [1.0]})
+    assert got == {"ok": None, "levels": None}

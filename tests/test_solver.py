@@ -17,7 +17,7 @@ from corruga.chart import BUILTIN_NAMES, builtin_chart, chart_from_config
 from corruga.grid import (_FIRST, _stencil, build_grid, display_cover,
                           display_lattice, display_positions)
 from corruga.oracle import analytic_mode, sample_rotation
-from corruga.solver import (ROW_CREASE, ROW_PDE, SolverError,
+from corruga.solver import (ARPACK_RETRY, ROW_CREASE, ROW_PDE, SolverError,
                             assemble_system, kernel_distance,
                             recover_deflection, strain_forms)
 from corruga.strains import (cut, effective_spaces, membrane_row_map,
@@ -666,52 +666,75 @@ def large_system_fixture():
 
 
 def test_sigma_max_retries_arpack_once(large_system, monkeypatch):
-    svds = spla.svds
+    eigsh = spla.eigsh
     calls = []
 
     def flaky(*args, **kwargs):
         calls.append(kwargs)
         if len(calls) == 1:
             _no_convergence()
-        return svds(*args, **kwargs)
+        return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "svds", flaky)
-    # sigma_max is the root of the largest eigenvalue of A^T A
-    A = large_system.matrix
-    G = (A.T @ A).toarray()
-    n = G.shape[0]
-    expect = np.sqrt(la.eigh(G, eigvals_only=True,
-                             subset_by_index=[n - 1, n - 1])[0])
-    assert_allclose(large_system.sigma_max(), expect, rtol=1e-8)
-    assert len(calls) == 2
-    assert calls[1]["maxiter"] and calls[1]["ncv"]
+    monkeypatch.setattr(spla, "eigsh", flaky)
+    creased = assemble_system(build_grid(builtin_chart("eggbox"), 12))
+    for system in (large_system, creased):
+        calls.clear()
+        # sigma_max is the root of the largest eigenvalue of A^T A
+        A = system.matrix
+        G = (A.T @ A).toarray()
+        n = G.shape[0]
+        expect = np.sqrt(la.eigh(G, eigvals_only=True,
+                                 subset_by_index=[n - 1, n - 1])[0])
+        assert_allclose(system.sigma_max(), expect, rtol=4e-15)
+        assert len(calls) == 2
+        assert "ncv" not in calls[0] and "maxiter" not in calls[0]
+        assert {k: calls[1][k] for k in ARPACK_RETRY} == ARPACK_RETRY
 
 
 def test_sigma_max_is_repeatable_at_arpack_sizes(large_system, monkeypatch):
     # every ARPACK call, the retry included, starts from the same vector, so
-    # sigma_max does not move in its last bits from one call to the next
-    svds = spla.svds
+    # sigma_max does not move in its last bits from one call to the next.
+    # Every first try fails: the retry's larger ncv converges further, and
+    # its value may differ from a first try's in the last bits
+    eigsh = spla.eigsh
     starts = []
 
     def spy(*args, **kwargs):
         starts.append(np.array(kwargs["v0"]))
-        if len(starts) == 1:
+        if "ncv" not in kwargs:
             _no_convergence()
-        return svds(*args, **kwargs)
+        return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "svds", spy)
+    monkeypatch.setattr(spla, "eigsh", spy)
     values = {replace(large_system, _sigma_max=None).sigma_max()
               for _ in range(4)}
-    assert len(starts) == 5
+    assert len(starts) == 8
     assert all(np.array_equal(v, starts[0]) for v in starts)
     assert len(values) == 1
+
+
+def test_sigma_max_of_a_wide_matrix_runs_on_its_smaller_side(large_system,
+                                                           monkeypatch):
+    eigsh = spla.eigsh
+    shapes = []
+
+    def spy(op, *args, **kwargs):
+        shapes.append(op.shape)
+        return eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    A = large_system.matrix
+    tall = solver._largest_singular_value(A)
+    wide = solver._largest_singular_value(A.T.tocsr())
+    assert shapes == [(A.shape[1], A.shape[1])] * 2
+    assert_allclose(wide, tall, rtol=4e-15)
 
 
 def test_sigma_max_raises_instead_of_dense_svd(large_system, monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("dense SVD fallback")
 
-    monkeypatch.setattr(spla, "svds", _no_convergence)
+    monkeypatch.setattr(spla, "eigsh", _no_convergence)
     monkeypatch.setattr(la, "svdvals", dense)
     with pytest.raises(SolverError, match="ARPACK"):
         large_system.sigma_max()
@@ -721,7 +744,7 @@ def test_sigma_max_does_not_swallow_other_errors(large_system, monkeypatch):
     def broken(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(spla, "svds", broken)
+    monkeypatch.setattr(spla, "eigsh", broken)
     with pytest.raises(MemoryError):
         large_system.sigma_max()
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import adjugate_residual
+from conftest import adjugate_residual, scaled_config
 from numpy.testing import assert_allclose
 
+from corruga.analysis import run_analysis
 from corruga.chart import (BUILTIN_NAMES, PeriodGeometry, builtin_chart,
-                           period_geometry)
+                           chart_from_config, period_geometry)
 from corruga.grid import build_grid
 from corruga.oracle import analytic_mode, sample_rotation
 from corruga.solver import RotationMode
@@ -219,3 +220,28 @@ def test_fixed_cut_is_ambiguous_when_its_gap_is_under_one(tau, count, top,
     # the automatic cut at the same cap still asks for a gap of GAP_MIN
     auto = cut(LEVELS, tau / CAP_SCALE, floor)
     assert auto.count == count and auto.ambiguous
+
+
+def _decision(report):
+    th = report["threshold"]
+    return (report["dims"], th["ambiguous"],
+            [(th[k]["count"], th[k]["ambiguous"])
+             for k in ("E_cut", "chi_cut")])
+
+
+def _projector(basis):
+    rows = np.array([vec_sym(M) for M in basis]).reshape(-1, 3)
+    return rows.T @ rows
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_auto_cut_does_not_depend_on_the_length_unit(name):
+    # the levels sigma/sigma_max do not change with the chart's length unit,
+    # and neither may the cap they are cut at
+    ref = run_analysis(builtin_chart(name), 32)
+    for scale in (1e-8, 0.25, 4.0, 1e8):
+        got = run_analysis(chart_from_config(scaled_config(name, scale)), 32)
+        assert _decision(got) == _decision(ref), scale
+        for key in ("E_basis", "chi_basis"):
+            assert np.abs(_projector(got[key])
+                          - _projector(ref[key])).max() <= 1e-10, (scale, key)

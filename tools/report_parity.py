@@ -14,15 +14,22 @@ Per case the two runs are compared part by part: ``report.json`` without
 its ``timings``, ``spectrum.csv``, ``modes.json``, every mode OBJ, stdout
 with the output directory masked (it differs on every run), and the exit
 code.  ``verify all`` is compared by stdout and exit code.  The script
-prints one line per case, naming the parts that differ, then a count of
-the identical cases, and exits 1 on any difference.  The default cases
+prints one line per case, naming the parts that differ; when
+``report.json``, ``modes.json`` or ``spectrum.csv`` differs, one more line
+per field that moved gives its path (list indices as ``[]``) with the largest absolute
+and relative change of its numbers, or says it changed otherwise.  Then it
+prints a count of the identical cases, and exits 1 on any difference.  The
+default cases
 are the six builtins at 12, 32 and 64 under ``auto`` and ``1e-6``, and
 eggbox, miura and translation at 128 under ``auto``.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,7 +88,75 @@ def differing(a: dict, b: dict) -> list[str]:
     return [k for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
 
 
-def analyze_case(trees: dict, case: str) -> list[str]:
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parsed(part: str, content):
+    """A JSON part as its data, spectrum.csv as a list of rows."""
+    if part.endswith(".json"):
+        return json.loads(content)
+    return [{k: _number(v) for k, v in row.items()}
+            for row in csv.DictReader(io.StringIO(content.decode()))]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def moved(a, b, path: str = "", out: dict | None = None) -> dict:
+    """Each field path where ``a`` and ``b`` differ, list indices as [],
+    mapped to the largest (absolute, relative) change of its numbers, or
+    to None where anything else changed: a string, a flag, a length, a
+    key, or a number to or from inf or NaN."""
+    out = {} if out is None else out
+    change = None
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in dict.fromkeys([*a, *b]):
+            sub = f"{path}.{k}" if path else str(k)
+            if k in a and k in b:
+                moved(a[k], b[k], sub, out)
+            else:
+                out[sub] = None
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            moved(x, y, path + "[]", out)
+        return out
+    if a == b or (_is_number(a) and _is_number(b)
+                  and math.isnan(a) and math.isnan(b)):
+        return out
+    if (_is_number(a) and _is_number(b)
+            and math.isfinite(a) and math.isfinite(b)):
+        d = abs(a - b)
+        change = (d, d / max(abs(a), abs(b)))
+    if change is None or (path in out and out[path] is None):
+        out[path] = None
+    else:
+        old = out.get(path, (0.0, 0.0))
+        out[path] = (max(old[0], change[0]), max(old[1], change[1]))
+    return out
+
+
+def field_lines(diff: list[str], a: dict, b: dict) -> list[str]:
+    """One line per moved field of a differing report.json, modes.json or
+    spectrum.csv that both sides wrote."""
+    lines = []
+    for part in ("report.json", "modes.json", "spectrum.csv"):
+        if part in diff and part in a and part in b:
+            fields = moved(_parsed(part, a[part]), _parsed(part, b[part]))
+            lines += [f"  {part} {path}: " + (
+                "changed" if c is None else
+                f"largest change {c[0]:.3g} absolute, {c[1]:.3g} relative")
+                for path, c in fields.items()]
+    return lines
+
+
+def analyze_case(trees: dict, case: str) -> tuple[list[str], list[str]]:
+    """The parts that differ, and field_lines of them."""
     surface, _, threshold = case.partition(":")
     surface, resolution = surface.split("@")
     snaps = []
@@ -93,7 +168,8 @@ def analyze_case(trees: dict, case: str) -> list[str]:
                 "--threshold", threshold or "auto", "--export-obj",
                 "--out", str(out)])
             snaps.append(snapshot(out, code, stdout))
-    return differing(*snaps)
+    diff = differing(*snaps)
+    return diff, field_lines(diff, *snaps)
 
 
 def verdict(diff: list[str]) -> str:
@@ -105,9 +181,9 @@ def main(argv=None) -> int:
     trees = {side: getattr(args, side) for side in SIDES}
     same = 0
     for case in args.case:
-        diff = analyze_case(trees, case)
+        diff, fields = analyze_case(trees, case)
         same += not diff
-        print(f"{case}: {verdict(diff)}", flush=True)
+        print("\n".join([f"{case}: {verdict(diff)}", *fields]), flush=True)
     verify = differing(*(dict(zip(("exit code", "stdout"),
                                   run(trees[side], ["verify", "all"])))
                          for side in SIDES))
