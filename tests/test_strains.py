@@ -226,7 +226,8 @@ def _decision(report):
     th = report["threshold"]
     return (report["dims"], th["ambiguous"],
             [(th[k]["count"], th[k]["ambiguous"])
-             for k in ("E_cut", "chi_cut")])
+             for k in ("E_cut", "chi_cut")],
+            [(m["id"], m["class"]) for m in report["modes"]])
 
 
 def _projector(basis):

@@ -16,12 +16,12 @@ with the output directory masked (it differs on every run), and the exit
 code.  ``verify all`` is compared by stdout and exit code.  The script
 prints one line per case, naming the parts that differ; when
 ``report.json``, ``modes.json`` or ``spectrum.csv`` differs, one more line
-per field that moved gives its path (list indices as ``[]``) with the largest absolute
-and relative change of its numbers, or says it changed otherwise.  Then it
-prints a count of the identical cases, and exits 1 on any difference.  The
-default cases
-are the six builtins at 12, 32 and 64 under ``auto`` and ``1e-6``, and
-eggbox, miura and translation at 128 under ``auto``.
+per field that moved gives its path (list indices as ``[]``) with the
+largest absolute and relative change of its numbers, or says it changed
+otherwise.  Then it prints a count of the identical cases, and exits 1 on
+any difference.  The default cases are the six builtins at 12, 32 and 64
+under ``auto`` and ``1e-6``, and eggbox, miura and translation at 128
+under ``auto``.
 """
 from __future__ import annotations
 
@@ -113,7 +113,6 @@ def moved(a, b, path: str = "", out: dict | None = None) -> dict:
     to None where anything else changed: a string, a flag, a length, a
     key, or a number to or from inf or NaN."""
     out = {} if out is None else out
-    change = None
     if isinstance(a, dict) and isinstance(b, dict):
         for k in dict.fromkeys([*a, *b]):
             sub = f"{path}.{k}" if path else str(k)
@@ -129,6 +128,7 @@ def moved(a, b, path: str = "", out: dict | None = None) -> dict:
     if a == b or (_is_number(a) and _is_number(b)
                   and math.isnan(a) and math.isnan(b)):
         return out
+    change = None
     if (_is_number(a) and _is_number(b)
             and math.isfinite(a) and math.isfinite(b)):
         d = abs(a - b)
