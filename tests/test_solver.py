@@ -665,6 +665,15 @@ def large_system_fixture():
     return assemble_system(build_grid(builtin_chart("plane"), 24))
 
 
+def _dense_sigma_max(system):
+    """The root of the largest eigenvalue of A^T A, from a dense eigh."""
+    A = system.matrix
+    G = (A.T @ A).toarray()
+    n = G.shape[0]
+    return np.sqrt(la.eigh(G, eigvals_only=True,
+                           subset_by_index=[n - 1, n - 1])[0])
+
+
 def test_sigma_max_retries_arpack_once(large_system, monkeypatch):
     eigsh = spla.eigsh
     calls = []
@@ -679,13 +688,8 @@ def test_sigma_max_retries_arpack_once(large_system, monkeypatch):
     creased = assemble_system(build_grid(builtin_chart("eggbox"), 12))
     for system in (large_system, creased):
         calls.clear()
-        # sigma_max is the root of the largest eigenvalue of A^T A
-        A = system.matrix
-        G = (A.T @ A).toarray()
-        n = G.shape[0]
-        expect = np.sqrt(la.eigh(G, eigvals_only=True,
-                                 subset_by_index=[n - 1, n - 1])[0])
-        assert_allclose(system.sigma_max(), expect, rtol=4e-15)
+        assert_allclose(system.sigma_max(), _dense_sigma_max(system),
+                        rtol=4e-15)
         assert len(calls) == 2
         assert "ncv" not in calls[0] and "maxiter" not in calls[0]
         assert {k: calls[1][k] for k in ARPACK_RETRY} == ARPACK_RETRY
@@ -693,24 +697,36 @@ def test_sigma_max_retries_arpack_once(large_system, monkeypatch):
 
 def test_sigma_max_is_repeatable_at_arpack_sizes(large_system, monkeypatch):
     # every ARPACK call, the retry included, starts from the same vector, so
-    # sigma_max does not move in its last bits from one call to the next.
-    # Every first try fails: the retry's larger ncv converges further, and
-    # its value may differ from a first try's in the last bits
+    # on either route sigma_max does not move in its last bits from one call
+    # to the next.  The retry's larger ncv converges past the first try's
+    # sqrt(eps) stop, so the two routes agree to rounding, not to the bit
     eigsh = spla.eigsh
     starts = []
 
-    def spy(*args, **kwargs):
-        starts.append(np.array(kwargs["v0"]))
-        if "ncv" not in kwargs:
-            _no_convergence()
-        return eigsh(*args, **kwargs)
+    def spy_on(fail_first):
+        def spy(*args, **kwargs):
+            starts.append(np.array(kwargs["v0"]))
+            if fail_first and "ncv" not in kwargs:
+                _no_convergence()
+            return eigsh(*args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(spla, "eigsh", spy)
-    values = {replace(large_system, _sigma_max=None).sigma_max()
-              for _ in range(4)}
-    assert len(starts) == 8
-    assert all(np.array_equal(v, starts[0]) for v in starts)
-    assert len(values) == 1
+    creased = assemble_system(build_grid(builtin_chart("eggbox"), 12))
+    for system in (large_system, creased):
+        expect = _dense_sigma_max(system)
+        routes = []
+        starts.clear()
+        # tries so far: one per call, then two per call
+        for fail_first, tries in ((False, 4), (True, 12)):
+            monkeypatch.setattr(spla, "eigsh", spy_on(fail_first))
+            values = {replace(system, _sigma_max=None).sigma_max()
+                      for _ in range(4)}
+            assert len(starts) == tries
+            assert all(np.array_equal(v, starts[0]) for v in starts)
+            assert len(values) == 1
+            routes.append(values.pop())
+            assert_allclose(routes[-1], expect, rtol=4e-15)
+        assert_allclose(routes[0], routes[1], rtol=4e-15)
 
 
 def test_sigma_max_of_a_wide_matrix_runs_on_its_smaller_side(large_system,
