@@ -379,13 +379,23 @@ def chart_to_config(chart: SurfaceChart) -> dict:
     return cfg
 
 
+def _profile_from_config(cfg: dict, period: float) -> Profile:
+    """A profile entry at a place of period ``period``, which its own
+    period defaults to.  An entry with another period is refused before
+    make_profile builds its tables, which can overflow at an extreme one."""
+    if (isinstance(cfg, dict)
+            and as_float(optional(cfg, "period", period), "period") != period):
+        raise ValueError("profile periods must equal (T1, T2)")
+    return profile_from_config(cfg, period)
+
+
 def _curve_from_config(cfg: dict, period: float, place: int) -> SpaceCurve:
     """A curve entry; its axis defaults to its place in the pair, and its
     profiles' period to ``period``."""
     if not isinstance(cfg, dict):
         raise ValueError(f"a curve entry must be an object, got {cfg!r}")
     lateral, vertical = (None if cfg.get(key) is None
-                         else profile_from_config(cfg[key], period)
+                         else _profile_from_config(cfg[key], period)
                          for key in ("lateral", "vertical"))
     return SpaceCurve(optional(cfg, "axis", place), lateral, vertical)
 
@@ -393,7 +403,7 @@ def _curve_from_config(cfg: dict, period: float, place: int) -> SpaceCurve:
 # a family-table entry type -> the reader of one ``profiles`` entry, given
 # the entry, the period of its place and that place
 _READERS = {
-    Profile: lambda cfg, period, place: profile_from_config(cfg, period),
+    Profile: lambda cfg, period, place: _profile_from_config(cfg, period),
     SpaceCurve: _curve_from_config}
 
 

@@ -42,11 +42,17 @@ best residual over the 6 growth coordinates and over the membrane strain
 coordinates; the minimizers are the representative fields, and dims are
 counted on their strain images.  One pipeline computes them:
 
-  gather  H = A_w^T A_w + eps I splits by the grid's mirrors, each a signed
-          permutation of the unknowns, into one block per parity class (H
-          itself without a mirror), and the membrane coordinates split with
-          it.  All blocks share one node-orbit graph, put once in reverse
-          Cuthill-McKee order, and each is gathered straight into it.
+  gather  H = A_w^T A_w + eps I splits by the group of the grid's
+          involutions, each a signed permutation of the unknowns, into one
+          block per class of the group (H itself without one), and the
+          membrane coordinates split with it.  The candidates come from the
+          open axes: the reversals about each breakpoint and each arc
+          midpoint, and the glides (half a period along one axis, the other
+          reversed).  A midpoint reversal fixes nodes, and a class keeps
+          only the fixed components its signs allow, so blocks differ in
+          size.  Closed axes give no candidate.  All blocks share one
+          node-orbit graph, put once in reverse Cuthill-McKee order, and
+          each is gathered straight into it.
   solve   one block at a time: LAPACK's banded Cholesky (dpbtrf) factors
           the band, and triangular solves with the factor (dtbtrs) give the
           block's growth columns and membrane coordinates, the membrane
@@ -83,8 +89,7 @@ ARPACK_RETRY = {"ncv": 64, "maxiter": 2000}  # second ARPACK try, bounded
 # strain_forms constants; the ridge is relative to sigma_max^2
 EPS_REL = 1e-13          # ridge of the one KKT system
 RANK_RTOL = 1e-10        # membrane map rank, of its max row norm
-MIRROR_RTOL = 1e-13      # relative gap up to which u, x1, x2, H mirror
-SPLIT_RTOL = 1e-13       # orthogonality of the membrane parity split
+MIRROR_RTOL = 1e-13      # relative gap up to which u, x1, x2, H, L mirror
 PROJ_RTOL = 1e-12        # a growth column's share that a block solves
 
 
@@ -331,40 +336,86 @@ class QuadraticSpace:
     floor: np.ndarray        # (m,) regularization bias bound per level
 
 
-def _mirror(grid: PeriodicGrid, direction: int):
-    """The node reversal k -> n-1-k of one axis as a signed permutation
-    (perm, sign) of the unknowns, (P w)[z] = sign[z] w[perm[z]], or None
-    when that reversal is not a mirror of the grid.
+@dataclass(frozen=True)
+class _Involution:
+    """A kept symmetry: the signed permutation (perm, sign) of the unknowns,
+    (P w)[z] = sign[z] w[perm[z]], and the sign of each membrane row under
+    it, L P = diag(rows) L."""
 
-    The reversal is the mirror about the axis' first breakpoint when
-    u[k] + u[n-1-k] = 2 u[0] + T; it maps arcs onto arcs.  A node it fixed
-    would sit inside an arc mapped onto itself, which a mirror of a chart
-    never has (each profile has an even number of breakpoints), so an odd
-    node count is refused.  A mirror sigma of xi1 maps the partials by
-    x1(sigma xi) = -M x1(xi) and x2(sigma xi) = M x2(xi), one of xi2 the
-    other way round; only a diagonal M of signs is taken, and component c
-    of every node is signed by M[c] (w is a pseudovector).  P keeps each
-    unknown's component and is an involution.
+    perm: np.ndarray
+    sign: np.ndarray
+    rows: np.ndarray
+
+
+def _onto(a, image: np.ndarray, orient: float) -> bool:
+    """Whether the node map k -> image[k] of axis a moves nodes onto nodes:
+    a reversal (orient -1) when u[image] + u is one value mod T, a shift
+    (orient +1) when u[image] - u is T/2 mod T, to MIRROR_RTOL of T."""
+    d = a.u[image] - orient * a.u
+    d -= d[0] if orient < 0 else 0.5 * a.period
+    return (np.abs(d - a.period * np.round(d / a.period)).max()
+            <= MIRROR_RTOL * a.period)
+
+
+def _candidates(grid: PeriodicGrid):
+    """Yield the signed permutations (perm, sign) of the unknowns that map
+    the grid onto itself, in one fixed order, each distinct node map once:
+      - on each open axis, the reversal k -> c - k (mod n) about each
+        breakpoint, c = minus + plus of its pair;
+      - on each open axis, the reversal about each arc midpoint, c = start
+        + end of the arc, which fixes the nodes with 2k = c (mod n);
+      - on two open axes, each glide: one axis shifted by half its period,
+        the other reversed about its first breakpoint.
+    Closed axes give none: there a reversal about a node or a half-node
+    would split the cell into small blocks with no band gain.
+
+    The screen reads 1-D samples: every chart is a translation surface, so
+    x1 varies only along xi1 and x2 only along xi2.  A node map pi_a of
+    each axis, with orientation o_a (-1 reverses), is a symmetry when it
+    moves nodes onto nodes (_onto) and x_a(pi_a k) = o_a M x_a(k) on both
+    axes for one diagonal M of signs; component c of every node is signed
+    by M[c] (w is a pseudovector).  P keeps each unknown's component.
     """
-    a = grid.axis(direction)
-    if a.closed or a.n % 2 or not np.allclose(
-            a.u + a.u[::-1], 2 * a.u[0] + a.period, rtol=0.0,
-            atol=MIRROR_RTOL * a.period):
-        return None
-    odd, even = (grid.x1, grid.x2) if direction == 0 else (grid.x2, grid.x1)
-    tol = MIRROR_RTOL * max(np.abs(odd).max(), np.abs(even).max())
-    flip_odd, flip_even = np.flip(odd, direction), np.flip(even, direction)
-    signs = []
-    for c in range(3):
-        fits = [s for s in (1.0, -1.0)
-                if np.abs(flip_even[..., c] - s * even[..., c]).max() <= tol
-                and np.abs(flip_odd[..., c] + s * odd[..., c]).max() <= tol]
-        if not fits:
-            return None
-        signs.append(fits[0])
-    image = np.flip(np.arange(grid.nnodes).reshape(grid.shape), direction)
-    return ((3 * image.reshape(-1, 1) + np.arange(3)).ravel(),
-            np.tile(signs, grid.nnodes))
+    axes = (grid.axis1, grid.axis2)
+    samples = (grid.x1[:, 0], grid.x2[0])
+    tol = MIRROR_RTOL * max(np.abs(x).max() for x in samples)
+    opened = [d for d in (0, 1) if not axes[d].closed]
+
+    def reversal(d, c):
+        return (c - np.arange(axes[d].n)) % axes[d].n, -1.0
+
+    def centres(d):
+        p = axes[d].pairs
+        return ([q.minus + q.plus for q in p],
+                [q.plus + r.minus for q, r in zip(p, p[1:] + p[:1])])
+
+    moves = [{d: reversal(d, c)} for kind in (0, 1) for d in opened
+             for c in centres(d)[kind]]
+    if len(opened) == 2:
+        for d, e in ((0, 1), (1, 0)):
+            first = axes[e].pairs[0]
+            moves += [{d: ((np.arange(axes[d].n) + q.plus) % axes[d].n, 1.0),
+                       e: reversal(e, first.minus + first.plus)}
+                      for q in axes[d].pairs[1:]]
+    seen = set()
+    for move in moves:
+        maps = [move.get(d, (np.arange(a.n), 1.0)) for d, a in enumerate(axes)]
+        key = b"".join(image.tobytes() for image, _ in maps)
+        if key in seen or not all(_onto(axes[d], *move[d]) for d in move):
+            continue
+        seen.add(key)
+        signs = []
+        for c in range(3):
+            fits = [s for s in (1.0, -1.0)
+                    if all(np.abs(x[image, c] - o * s * x[:, c]).max() <= tol
+                           for x, (image, o) in zip(samples, maps))]
+            if not fits:
+                break
+            signs.append(fits[0])
+        else:
+            image = maps[0][0][:, None] * axes[1].n + maps[1][0]
+            yield ((3 * image.reshape(-1, 1) + np.arange(3)).ravel(),
+                   np.tile(signs, grid.nnodes))
 
 
 def _commutes(H, perm: np.ndarray, sign: np.ndarray) -> bool:
@@ -378,7 +429,7 @@ def _commutes(H, perm: np.ndarray, sign: np.ndarray) -> bool:
     """
     HP = H[:, perm]
     HP.data *= np.repeat(sign, np.diff(HP.indptr))
-    return abs(HP - HP.T).max() <= MIRROR_RTOL * abs(H).max()
+    return abs(HP - HP.T).max() <= MIRROR_RTOL * np.abs(H.data).max()
 
 
 def _parity_range(B: np.ndarray, scale: float) -> np.ndarray:
@@ -389,64 +440,115 @@ def _parity_range(B: np.ndarray, scale: float) -> np.ndarray:
     return U[:, s > RANK_RTOL * scale]
 
 
-def _splits(L: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> bool:
-    """Whether the signed permutation P (as in _commutes) splits the rows
-    of L: the ranges of L (I + P) and L (I - P), taken by _parity_range
-    relative to twice L's largest row norm, are orthogonal to SPLIT_RTOL
-    and their ranks add up to L's.
+def _row_signs(L: np.ndarray, perm: np.ndarray, sign: np.ndarray):
+    """The signs s with L P = diag(s) L to MIRROR_RTOL of max|L|, P as in
+    _commutes, or None when a row of L is neither even nor odd under P.  A
+    zero row is taken as even.  (L P)[:, j] is sign[j] L[:, perm[j]]."""
+    LP = L[:, perm] * sign
+    tol = MIRROR_RTOL * np.abs(L).max(initial=0.0)
+    s = np.where(np.abs(LP - L).max(axis=1, initial=0.0) <= tol, 1.0, -1.0)
+    if np.abs(LP - s[:, None] * L).max(initial=0.0) > tol:
+        return None
+    return s
 
-    (L P)[:, j] is sign[j] L[:, perm[j]].
+
+def _group(H, grid: PeriodicGrid, L: np.ndarray):
+    """The kept involutions and the orbits and signs they generate.
+
+    A candidate (_candidates) is kept when it commutes with H (_commutes),
+    has a row-sign record on L (_row_signs), commutes with every involution
+    kept before it, and enlarges the orbits.  Returns (kept, rep, word,
+    sig, stab), from one pass per kept involution P_i:
+      - rep[z] is the least index of z's orbit;
+      - word[z] has bit i set when the path from rep[z] to z takes P_i,
+        and sig[z] = +-1 is the sign that path carries: e_z = sig[z] g
+        e_rep for g the product of those P_i;
+      - stab lists (idx, mask, val): where P_i maps an orbit onto itself,
+        the product of the P_i in mask fixes idx's representative with
+        sign val, so a class chi keeps that orbit only if chi(mask) = val.
     """
-    scale = np.linalg.norm(L, axis=1).max(initial=0.0)
-    mirrored = L[:, perm] * sign
-    O = np.hstack([_parity_range(L + mirrored, 2.0 * scale),
-                   _parity_range(L - mirrored, 2.0 * scale)])
-    return (O.shape[1] == _parity_range(L, scale).shape[1]
-            and abs(O.T @ O - np.eye(O.shape[1])).max(initial=0.0)
-            <= SPLIT_RTOL)
+    z = np.arange(H.shape[0])
+    rep, word, sig = z, np.zeros_like(z), np.ones(z.size)
+    kept, stab = [], []
+    for perm, sign in _candidates(grid):
+        if not _commutes(H, perm, sign):
+            continue
+        rows = _row_signs(L, perm, sign)
+        to = rep[perm]
+        if rows is None or not all(
+                np.array_equal(k.perm[perm], perm[k.perm])
+                and np.array_equal(k.sign[perm] * sign, k.sign * sign[k.perm])
+                for k in kept) or np.array_equal(to, rep):
+            continue
+        bit = 1 << len(kept)
+        same = np.flatnonzero(to == rep)
+        if same.size:
+            stab.append((same, word[same] ^ word[perm[same]] ^ bit,
+                         sig[same] * sign[same] * sig[perm[same]]))
+        joins = to < rep
+        word = np.where(joins, word[perm] ^ bit, word)
+        sig = np.where(joins, sign * sig[perm], sig)
+        rep = np.minimum(rep, to)
+        kept.append(_Involution(perm, sign, rows))
+    return kept, rep, word, sig, stab
+
+
+def _character(a: int, words: np.ndarray) -> np.ndarray:
+    """The class a's sign on group elements given as bit words: -1 to the
+    number of involutions both name."""
+    return np.where(np.bitwise_count(words & a) & 1, -1.0, 1.0)
 
 
 def _symmetry_blocks(H, grid: PeriodicGrid, L: np.ndarray):
-    """Yield (Q_k, H_k = Q_k^T H Q_k) for each parity class of the grid's
-    mirrors, each gathered only when asked for, in band order.
+    """Yield (Q_k, H_k = Q_k^T H Q_k) for each class of the group that the
+    kept involutions generate (_group), each gathered only when asked for,
+    in band order (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986;
+    Fassler & Stiefel, Group Theoretical Methods and Their Applications,
+    1992).
 
-    A mirror is an axis whose node reversal (_mirror) commutes with H
-    (_commutes) and splits the rows of L (_splits), all decided before the
-    first yield; m mirrors give 2^m classes.  Q_k has one column per orbit
-    of an unknown, represented by its least index: the orbit's unknowns
-    with signs t = +-1 over 2^(m/2), where each mirror for which z is far
-    (perm[z] < z) multiplies t(z) by the class's sign and by sign[z].  The
-    Q_k are orthogonal and H maps each one's span into itself, so
-    H^-1 = sum_k Q_k H_k^-1 Q_k^T and the L Q_k have orthogonal ranges.
-    Orbit q's unknowns are columns 3 pos[q] + (0, 1, 2) of every block, pos
-    the _node_order of the orbit graph.  H_k is CSC, gathered from H's
-    representative rows and symmetrized.
+    m kept involutions give 2^m classes, class a with sign chi_a(P_i) =
+    (-1)^(bit i of a).  Q_k has one column per orbit O of an unknown that
+    the class keeps: the orbit's unknowns z with t(z) = sig[z] chi_a(word[z])
+    over sqrt|O|.  A class drops each orbit whose stabilizer contradicts
+    it, such as a component that an involution fixing its node signs the
+    other way, so blocks differ in size.  The Q_k are orthogonal and H maps
+    each one's span into itself, so H^-1 = sum_k Q_k H_k^-1 Q_k^T and the
+    L Q_k have orthogonal ranges.  H_k is CSC, gathered from H's
+    representative rows, entry (O_i, O_j) scaled by sqrt(|O_i| / |O_j|),
+    and symmetrized.  Every class shares the _node_order of the node-orbit
+    graph: orbit q's unknowns are columns 3 pos[q] + (0, 1, 2), less the
+    columns the class drops.
     """
+    kept, rep, word, sig, stab = _group(H, grid, L)
+    classes = list(np.ndindex((2,) * len(kept)))
+    del kept        # the classes need only the orbits and their signs
     z = np.arange(H.shape[0])
-    rep, mirrors = z, []
-    for d in (0, 1):
-        m = _mirror(grid, d)
-        if m is not None and _commutes(H, *m) and _splits(L, *m):
-            mirrors.append((m[0] < z, m[1]))
-            rep = np.minimum(rep, rep[m[0]])
+    size = np.bincount(rep)[rep]                            # |z's orbit|
     _, orbit = np.unique(rep // 3, return_inverse=True)    # z's node orbit
     nk = 3 * (orbit.max() + 1)
     # H's entries in representative rows, and their graph of node orbits
     e = (rep == z)[H.indices]
     rows, vals = H.indices[e], H.data[e]
     cols = np.repeat(z, np.diff(H.indptr))[e]
+    if np.ptp(size):
+        vals = vals * np.sqrt(size[rows] / size[cols])
     N = sp.csr_matrix((np.ones_like(vals), (orbit[rows], orbit[cols])),
                       shape=(nk // 3, nk // 3))
     col = 3 * np.argsort(_node_order(N))[orbit] + z % 3  # column of z's orbit
     rows = col[rows]
 
-    for parity in np.ndindex((2,) * len(mirrors)):
-        t = np.ones(z.size)
-        for (far, sign), a in zip(mirrors, parity):
-            t[far] *= (-1) ** a * sign[far]
+    for parity in classes:
+        a = sum(bit << i for i, bit in enumerate(parity))
+        t = sig * _character(a, word)
+        keeps = np.ones(z.size, dtype=bool)
+        for idx, mask, val in stab:
+            keeps[idx] &= _character(a, mask) == val
         K = sp.csc_matrix((vals * t[cols], (rows, col[cols])), shape=(nk, nk))
-        Q = sp.csc_matrix((t / np.sqrt(2.0 ** len(mirrors)), (z, col)),
-                          shape=(z.size, nk))
+        Q = sp.csc_matrix((t / np.sqrt(size), (z, col)), shape=(z.size, nk))
+        if not keeps.all():
+            live = np.ones(nk, dtype=bool)
+            live[col[~keeps]] = False
+            K, Q = K[:, live][live], Q[:, live]
         yield Q, ((K + K.T) * 0.5).tocsc()
 
 
@@ -454,9 +556,9 @@ def _node_order(N) -> np.ndarray:
     """Reverse Cuthill-McKee order of the node graph N, taken as N + N^T
     (Cuthill & McKee, ACM 1969; George & Liu, 1981).
 
-    A mirror block is a node rectangle with reflecting ends and no wrap,
-    and H couples nodes at most 4 apart along each axis, so this order
-    makes each block a narrow band.
+    A block's node orbits tile a fraction of the cell, with reflecting or
+    glide-joined ends and no wrap, and H couples nodes at most 4 apart
+    along each axis, so this order makes each block a narrow band.
     """
     return sp.csgraph.reverse_cuthill_mckee(N + N.T, symmetric_mode=True)
 
@@ -580,6 +682,7 @@ def strain_forms(system: ConstraintSystem, L: np.ndarray):
     eps = EPS_REL * system.sigma_max() ** 2
     Aw = A[:, :ws]
     H = (Aw.T @ Aw + eps * sp.identity(ws)).tocsc()
+    H.sort_indices()      # one entry order for every block's gather
     W, O = _ridge_minimizers(H, (Aw.T @ A[:, ws:]).toarray(), L, system.grid)
 
     def space(Ys, basis):

@@ -294,6 +294,24 @@ def test_cli_period_range_end(tmp_path, capfd, analysis_bundle, end, past):
                 assert f"period {period:g}" in stderr
 
 
+@pytest.mark.parametrize("kind", ["sinusoidal", "piecewise-linear",
+                                  "piecewise-quadratic"])
+def test_cli_profile_with_its_own_extreme_period_names_the_periods(
+        tmp_path, capfd, kind):
+    # the entry's period is compared with its place's before the profile's
+    # exact integrals are built, which overflow at 1e-300
+    cfg = _write_json(tmp_path / "cfg.json", json.dumps(
+        {"family": "simple-corrugation",
+         "profiles": [{"kind": kind, "amplitude": 1, "period": 1e-300}]}))
+    out = tmp_path / "run"
+    assert cli.main(["analyze", "--surface", cfg, "--resolution", "12",
+                     "--out", str(out)]) == 1
+    stdout, stderr = capfd.readouterr()
+    assert stdout == "" and not out.exists()
+    assert stderr.count("\n") == 1
+    assert "profile periods must equal (T1, T2)" in stderr
+
+
 def test_cli_analysis_value_error_exits_1(tmp_path, capsys):
     # a slope this steep leaves no usable crease tangent at resolution 8;
     # assemble_system rejects it after the CLI's own argument checks

@@ -140,21 +140,31 @@ def test_threshold_policy_rejects_tau_outside_unit_interval(tau):
         parse_threshold(str(tau))
 
 
-# symmetry blocks per chart at 16: a mirror per broken axis whose node
-# reversal maps the surface onto itself
-BLOCKS = {"plane": 1, "corrugation": 2, "eggbox": 4, "eggbox-hybrid": 2,
-          "miura": 2, "translation": 2, "mirrorless": 1}
+# symmetry blocks per chart, the same at 16, 32 and 64: 2^m for the m
+# involutions kept from each open axis's breakpoint and arc-midpoint
+# reversals and the glides.  Closed axes give none
+BLOCKS = {"plane": 1, "corrugation": 4, "eggbox": 4, "eggbox-hybrid": 8,
+          "miura": 8, "translation": 8, "mirrorless": 2,
+          "double-sinusoid": 1}
 
 
-# a sinusoid has no breakpoint and this piecewise-quadratic profile's node
-# reversal is no mirror, so the grid has no symmetry block but H itself
+# a sinusoid's axis is closed, and this piecewise-quadratic profile is even
+# only about its arc midpoints, so the grid keeps one involution, which
+# fixes the nodes at those midpoints
 MIRRORLESS = {"family": "double-corrugation",
               "profiles": [{"kind": "sinusoidal", "amplitude": 0.5},
                            {"kind": "piecewise-quadratic", "amplitude": 0.7}]}
 
+# two closed axes: no involution, and H itself is the one block
+DOUBLE_SINUSOID = {"family": "double-corrugation",
+                   "profiles": [{"kind": "sinusoidal", "amplitude": 0.5},
+                                {"kind": "sinusoidal", "amplitude": 0.7}]}
+
+CONFIGS = {"mirrorless": MIRRORLESS, "double-sinusoid": DOUBLE_SINUSOID}
+
 
 def _chart(name):
-    return (chart_from_config(MIRRORLESS) if name == "mirrorless"
+    return (chart_from_config(CONFIGS[name]) if name in CONFIGS
             else builtin_chart(name))
 
 
@@ -227,13 +237,33 @@ def test_effective_spaces_factors_once(name, monkeypatch):
     # membrane levels, the cuts and the representatives
     system = assemble_system(build_grid(builtin_chart(name), 16))
     system.sigma_max()
+    Qs = [Q for Q, _ in solver._symmetry_blocks(
+        _rotation_block(system), system.grid, membrane_row_map(system.grid))]
     rec = _spy_factors(monkeypatch)
     effective_spaces(system, system.grid.h_max)
-    assert len(rec["bands"]) == len(rec["blocks"]) == BLOCKS[name]
-    for K, band in zip(rec["blocks"], rec["bands"]):
-        assert K.shape == (system.w_size // BLOCKS[name],) * 2
+    assert len(rec["bands"]) == len(rec["blocks"]) == len(Qs) == BLOCKS[name]
+    for K, band, Q in zip(rec["blocks"], rec["bands"], Qs):
+        assert K.shape == (Q.shape[1],) * 2
         assert abs(K - K.T).max() == 0.0
         assert_array_equal(band, _lower_band(K))
+
+
+def _kept(system):
+    """The involutions _group keeps on the system's H and membrane rows."""
+    return solver._group(_rotation_block(system), system.grid,
+                         membrane_row_map(system.grid))[0]
+
+
+def _node_orbits(kept, nnodes):
+    """Each node's orbit label under the group the kept involutions
+    generate, as connected components of the graph node ~ its images."""
+    nodes = np.arange(nnodes)
+    images = [k.perm[::3] // 3 for k in kept]
+    G = sp.csr_matrix((np.ones(nnodes * len(kept)),
+                       (np.tile(nodes, len(kept)),
+                        np.concatenate(images or [np.zeros(0, int)]))),
+                      shape=(nnodes, nnodes))
+    return sp.csgraph.connected_components(G, directed=False)[1]
 
 
 def _block_factorizations(system, monkeypatch):
@@ -260,31 +290,42 @@ def _assert_permuted(Q, B, H):
     assert abs(B - Q.T @ H @ Q).max() == 0.0
 
 
-@pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
+@pytest.mark.parametrize("name", ["eggbox", "miura", "plane", "mirrorless"])
 def test_lu_keeps_each_nodes_unknowns_together(name, monkeypatch):
     # each Cholesky factor is of its block H_k as _symmetry_blocks yields
     # it, already in band order: the band it factors is exactly tril(H_k),
-    # and H_k's columns 3q..3q+2 are components 0, 1, 2 of one node orbit
-    system = assemble_system(build_grid(builtin_chart(name), 16))
+    # and each column of H_k is one component of one node orbit, the
+    # columns of an orbit together and in component order
+    system = assemble_system(build_grid(_chart(name), 16))
     H, L, rec = _block_factorizations(system, monkeypatch)
     blocks = list(solver._symmetry_blocks(H, system.grid, L))
     assert len(rec["bands"]) == len(blocks) == BLOCKS[name]
+    label = _node_orbits(_kept(system), system.grid.nnodes)
+    seen = np.zeros(system.w_size, dtype=int)
     for (Q, B), K, band in zip(blocks, rec["blocks"], rec["bands"]):
         assert abs(K - B).max() == 0.0
         assert_array_equal(band, _lower_band(B))
         assert abs(Q.T @ H @ Q - B).max() <= 1e-14 * abs(H).max()
-        rows, cols = Q.nonzero()
-        assert_array_equal(rows % 3, cols % 3)
-        orbits = [set(rows[cols == c] // 3) for c in range(Q.shape[1])]
-        assert all(orbits[q] == orbits[q - q % 3] for q in range(len(orbits)))
-        assert all(len(o) == BLOCKS[name] for o in orbits)
-        assert sorted(v for o in orbits[::3] for v in o) == list(
-            range(system.grid.nnodes))
-        # each column's least unknown is its orbit's representative, +1
         Q = Q.tocsc(copy=True)
         Q.sort_indices()
-        assert_array_equal(Q.data[Q.indptr[:-1]],
-                           1.0 / np.sqrt(BLOCKS[name]))
+        size = np.diff(Q.indptr)
+        z = [Q.indices[a:b] for a, b in zip(Q.indptr[:-1], Q.indptr[1:])]
+        comp = np.array([u[0] % 3 for u in z])
+        orbit = np.array([label[u[0] // 3] for u in z])
+        for u, c, o in zip(z, comp, orbit):
+            assert_array_equal(u % 3, c)
+            assert_array_equal(np.sort(u // 3), np.flatnonzero(label == o))
+        starts = np.flatnonzero(np.diff(orbit, prepend=-1))
+        assert len(set(orbit)) == starts.size
+        assert np.all(np.diff(comp)[np.diff(orbit) == 0] > 0)
+        # entries +-1/sqrt|orbit|, and each column's least unknown, its
+        # orbit's representative, holds the + sign
+        assert_array_equal(abs(Q.data), np.repeat(1.0 / np.sqrt(size), size))
+        assert_array_equal(Q.data[Q.indptr[:-1]], 1.0 / np.sqrt(size))
+        seen[Q.indices] += 1
+    # the classes together take every unknown; one with a fixed node can
+    # take it in several classes, in different components
+    assert seen.min() >= 1
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane"])
@@ -314,17 +355,20 @@ def test_node_order_runs_once_per_analysis(name, monkeypatch):
     monkeypatch.setattr(solver, "_symmetry_blocks", spy_blocks)
     monkeypatch.setattr(solver, "_block_minimizers", spy_block)
     strain_forms(system, membrane_row_map(system.grid))
-    assert orders == [(system.grid.nnodes // BLOCKS[name],) * 2]
+    orbits = _node_orbits(_kept(system), system.grid.nnodes).max() + 1
+    assert orders == [(orbits, orbits)]
     assert len(factored) == BLOCKS[name]
     assert all(K is Kf for K, Kf in zip(yielded, factored))
 
 
 def test_node_order_fill_on_eggbox(monkeypatch):
     # the factor is the band: half-bandwidth 199 in each of eggbox@32's 4
-    # symmetry blocks, 381 in each of eggbox-hybrid@32's 2 blocks, whose
-    # row-major node order would give 1683
-    for name, blocks, width in (("eggbox", 4, 199),
-                                ("eggbox-hybrid", 2, 381)):
+    # symmetry blocks, and at most 152 in eggbox-hybrid@32's and
+    # translation@32's 8 blocks and 196 in miura@32's 8 (381 in each of
+    # their 2 blocks with one breakpoint reversal per axis, 1683 in a
+    # row-major node order)
+    for name, blocks, width in (("eggbox", 4, 199), ("eggbox-hybrid", 8, 152),
+                                ("translation", 8, 152), ("miura", 8, 196)):
         system = assemble_system(build_grid(builtin_chart(name), 32))
         _, _, rec = _block_factorizations(system, monkeypatch)
         assert len(rec["bands"]) == blocks
@@ -333,19 +377,30 @@ def test_node_order_fill_on_eggbox(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("mirrorless",))
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(CONFIGS))
 def test_mirror_is_a_signed_involution_that_keeps_components(name):
-    # P P = I with signs that square to 1, and each unknown's image is the
-    # same component of another node: what _commutes and the blocks assume
-    grid = build_grid(_chart(name), 16)
-    z = np.arange(3 * grid.nnodes)
-    mirrors = [m for m in (solver._mirror(grid, d) for d in (0, 1))
-               if m is not None]
-    for perm, sign in mirrors:
+    # every kept involution P: P P = I with signs that square to 1, each
+    # unknown's image is the same component of another node or of itself,
+    # P^T H P = H, its row signs s give L P = diag(s) L, and the kept
+    # involutions commute: what _commutes and the blocks assume
+    system = assemble_system(build_grid(_chart(name), 16))
+    H, L = _rotation_block(system), membrane_row_map(system.grid)
+    z = np.arange(system.w_size)
+    kept = _kept(system)
+    for k in kept:
+        perm, sign = k.perm, k.sign
         assert_array_equal(perm[perm], z)
         assert_array_equal(sign * sign[perm], 1.0)
         assert_array_equal(perm % 3, z % 3)
-    assert len(mirrors) == BLOCKS[name].bit_length() - 1
+        assert (_commutes_two_gathers(H, perm, sign)
+                <= solver.MIRROR_RTOL * abs(H).max())
+        assert set(k.rows) <= {1.0, -1.0}
+        assert_allclose(L[:, perm] * sign, k.rows[:, None] * L, rtol=0,
+                        atol=solver.MIRROR_RTOL * abs(L).max())
+        for j in kept:
+            assert_array_equal(perm[j.perm], j.perm[perm])
+            assert_array_equal(sign * j.sign[perm], j.sign * sign[j.perm])
+    assert 2 ** len(kept) == BLOCKS[name]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -355,6 +410,13 @@ def test_symmetry_blocks_per_builtin(name):
                                           system.grid,
                                           membrane_row_map(system.grid)))
     assert len(blocks) == BLOCKS[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(CONFIGS))
+def test_involutions_kept_at_32(name):
+    # the group does not depend on the resolution: 32 keeps what 16 keeps
+    system = assemble_system(build_grid(_chart(name), 32))
+    assert 2 ** len(_kept(system)) == BLOCKS[name]
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura"])
@@ -372,11 +434,27 @@ def test_symmetry_blocks_split_h_orthogonally(name):
             assert abs(Qa.T @ H @ Qb).max() <= 1e-14 * abs(H).max()
 
 
+@pytest.mark.parametrize("res", [12, 16, 33])
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(CONFIGS))
+def test_symmetry_blocks_reassemble_h(name, res):
+    # sum_k Q_k H_k Q_k^T = H and sum_k Q_k Q_k^T = I to rounding, whatever
+    # the orbit sizes and however many nodes the involutions fix
+    system = assemble_system(build_grid(_chart(name), res))
+    H = _rotation_block(system)
+    blocks = list(solver._symmetry_blocks(
+        H, system.grid, membrane_row_map(system.grid)))
+    assert len(blocks) == BLOCKS[name]
+    assert (abs(sum(Q @ K @ Q.T for Q, K in blocks) - H).max()
+            <= 1e-15 * abs(H).max())
+    eye = sum(Q @ Q.T for Q, _ in blocks) - sp.identity(system.w_size)
+    assert abs(eye).max() <= 1e-15
+
+
 def test_chart_without_mirrors_factors_once_in_node_order(monkeypatch):
     # one factor of H itself, in the band order of reverse Cuthill-McKee on
     # H's graph of nodes (i ~ j when H[3i:3i+3, 3j:3j+3] is nonzero), each
     # node's 3 unknowns together and in component order
-    system = assemble_system(build_grid(_chart("mirrorless"), 16))
+    system = assemble_system(build_grid(_chart("double-sinusoid"), 16))
     H, L, rec = _block_factorizations(system, monkeypatch)
     (Q, B), = solver._symmetry_blocks(H, system.grid, L)
     _assert_permuted(Q, B, H)
@@ -397,9 +475,10 @@ def test_chart_without_mirrors_factors_once_in_node_order(monkeypatch):
 def test_broken_symmetry_is_refused(name, direction, kept):
     # one crease row rescaled, of a crease across xi1 (direction 0) or xi2:
     # the grid and its partials are still mirror images, but H no longer
-    # commutes with a mirror that maps the row onto another.  The mirror
-    # across that crease maps the row onto itself and holds; miura has no
-    # other, and falls back to one block, H itself.
+    # commutes with an involution that maps the row onto another.  On
+    # eggbox the mirror across that crease maps the row onto itself and
+    # holds; each of miura's three involutions moves the row, and it falls
+    # back to one block, H itself.
     system = assemble_system(build_grid(builtin_chart(name), 16))
     grid = system.grid
     A = system.matrix.tocsr(copy=True)
@@ -429,19 +508,14 @@ def test_commutes_reads_the_two_gather_gap(name, monkeypatch):
     # one gather of H P gives the same number as P^T H P - H: _commutes
     # flips exactly where MIRROR_RTOL crosses the two-gather gap, on the
     # surface's own H and on one whose symmetric perturbation breaks every
-    # mirror
+    # kept involution
     system = assemble_system(build_grid(builtin_chart(name), 16))
-    grid = system.grid
     H = _rotation_block(system)
     E = sp.random(H.shape[0], H.shape[0], density=1e-3, random_state=3,
                   format="csc")
-    mirrors = 0
-    for d in (0, 1):
-        m = solver._mirror(grid, d)
-        if m is None:
-            continue
-        mirrors += 1
-        perm, sign = m
+    kept = _kept(system)
+    for k in kept:
+        perm, sign = k.perm, k.sign
         for M, holds in ((H, True), ((H + E + E.T).tocsc(), False)):
             assert solver._commutes(M, perm, sign) == holds
             gap = _commutes_two_gathers(M, perm, sign) / abs(M).max()
@@ -450,7 +524,7 @@ def test_commutes_reads_the_two_gather_gap(name, monkeypatch):
                 monkeypatch.setattr(solver, "MIRROR_RTOL", gap * factor)
                 assert solver._commutes(M, perm, sign) == expect
             monkeypatch.undo()
-    assert mirrors == BLOCKS[name].bit_length() - 1
+    assert 2 ** len(kept) == BLOCKS[name]
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura"])
@@ -579,7 +653,8 @@ def test_mirror_that_does_not_split_membrane_rows_is_refused(name,
 
 
 @pytest.mark.parametrize("name", ["eggbox", "miura", "plane", "eggbox-hybrid",
-                                  "translation", "corrugation", "mirrorless"])
+                                  "translation", "corrugation", "mirrorless",
+                                  "double-sinusoid"])
 def test_ridge_minimizers_match_dense_kkt(name, monkeypatch):
     # the factored, refined solves against dense ones, H = A_w^T A_w + eps I:
     # growth minimizers are -H^-1 A_w^T A_g with w free of the membrane

@@ -20,8 +20,8 @@ per field that moved gives its path (list indices as ``[]``) with the
 largest absolute and relative change of its numbers, or says it changed
 otherwise.  Then it prints a count of the identical cases, and exits 1 on
 any difference.  The default cases are the six builtins at 12, 32 and 64
-under ``auto`` and ``1e-6``, and eggbox, miura and translation at 128
-under ``auto``.
+under ``auto`` and ``1e-6``, and eggbox, eggbox-hybrid, miura and
+translation at 128 under ``auto``.
 """
 from __future__ import annotations
 
@@ -41,7 +41,8 @@ BUILTINS = ("plane", "corrugation", "eggbox", "eggbox-hybrid", "miura",
             "translation")
 DEFAULT_CASES = ([f"{s}@{r}{t}" for s in BUILTINS for r in (12, 32, 64)
                   for t in ("", ":1e-6")]
-                 + [f"{s}@128" for s in ("eggbox", "miura", "translation")])
+                 + [f"{s}@128" for s in ("eggbox", "eggbox-hybrid", "miura",
+                                         "translation")])
 
 
 def parse_args(argv=None) -> argparse.Namespace:
