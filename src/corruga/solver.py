@@ -506,8 +506,10 @@ def _symmetry_blocks(H, grid: PeriodicGrid, L: np.ndarray):
     Fassler & Stiefel, Group Theoretical Methods and Their Applications,
     1992).
 
-    m kept involutions give 2^m classes, class a with sign chi_a(P_i) =
-    (-1)^(bit i of a).  Q_k has one column per orbit O of an unknown that
+    The involutions come from the open axes (_candidates): reversals
+    about breakpoints and arc midpoints, and half-period glides; closed
+    axes give none yet.  m kept involutions give 2^m classes, class a with
+    sign chi_a(P_i) = (-1)^(bit i of a).  Q_k has one column per orbit O of an unknown that
     the class keeps: the orbit's unknowns z with t(z) = sig[z] chi_a(word[z])
     over sqrt|O|.  A class drops each orbit whose stabilizer contradicts
     it, such as a component that an involution fixing its node signs the
